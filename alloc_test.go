@@ -3,6 +3,7 @@ package oltpsim
 import (
 	"testing"
 
+	"oltpsim/internal/engine"
 	"oltpsim/internal/workload"
 )
 
@@ -98,5 +99,65 @@ func TestGenZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("micro Gen allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestSessionZeroAllocs extends the gate to the serving path's entry points:
+// Session.Invoke and Session.InvokeBatch must add nothing to the engine's
+// zero-allocation steady state, in serialized and in concurrent mode. Invoke
+// is a one-request InvokeBatch; its request and error slots must stay on the
+// stack.
+func TestSessionZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector shadow bookkeeping allocates; gate runs without -race")
+	}
+	for _, concurrent := range []bool{false, true} {
+		name := "serialized"
+		if concurrent {
+			name = "concurrent"
+		}
+		t.Run(name, func(t *testing.T) {
+			e := NewSystem(VoltDB, SystemOptions{Cores: 2})
+			w := NewMicro(MicroConfig{Rows: 1 << 12, RowsPerTx: 1})
+			w.Setup(e)
+			e.Machine().Arena.EnableTracing(false)
+			w.Populate(e)
+			e.Machine().Arena.EnableTracing(true)
+			if concurrent {
+				if err := e.EnterConcurrent(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const part = 1
+			s := e.NewSession()
+			call := w.Gen(workload.NewRand(99), part, e.Partitions())
+			reqs := make([]engine.Request, 8)
+			for i := range reqs {
+				reqs[i] = engine.Request{Part: part, Proc: call.Proc, Args: call.Args}
+			}
+			errs := make([]error, len(reqs))
+			invoke := func() {
+				if err := s.Invoke(part, part, call.Proc, call.Args...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch := func() {
+				s.InvokeBatch(part, reqs, errs)
+				for _, err := range errs {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Untimed invocations settle remaining lazy capacity.
+			invoke()
+			batch()
+			if avg := testing.AllocsPerRun(200, invoke); avg != 0 {
+				t.Errorf("%s: Session.Invoke allocates %.2f objects/op, want 0", name, avg)
+			}
+			if avg := testing.AllocsPerRun(50, batch); avg != 0 {
+				t.Errorf("%s: Session.InvokeBatch allocates %.2f objects/batch, want 0", name, avg)
+			}
+		})
 	}
 }

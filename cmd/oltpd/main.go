@@ -49,7 +49,6 @@ func main() {
 		shards      = fs.Int("shards", 2, "shard/worker count (simulated cores)")
 		sockets     = fs.Int("sockets", 0, "simulated sockets (0 = topology default: 1 per 10 cores)")
 		placement   = fs.String("placement", "interleaved", "NUMA data placement: interleaved|partitioned")
-		batch       = fs.Int("batch", 64, "max requests per shard group-execute batch")
 		clusterMap  = fs.String("cluster", "", "cluster shard map, e.g. range:2x4 ('' = standalone)")
 		node        = fs.Int("node", 0, "this process's node ID in -cluster")
 		admitQueue  = fs.Int("admit-queue", 0, "admission control: shed (overload error) when a shard queue holds this many requests (0 = off)")
@@ -79,7 +78,6 @@ func main() {
 		Sockets:         *sockets,
 		Placement:       place,
 		Spec:            *spec,
-		BatchMax:        *batch,
 		AdmitQueueMax:   *admitQueue,
 		AdmitLatencyMax: *admitLat,
 	}

@@ -8,33 +8,19 @@
 //	lockcheck — //oltpsim:guarded-by fields only touched under their mutex;
 //	            atomically-accessed fields never touched plainly
 //
-// Two modes:
+// Usage:
 //
-//	oltplint [packages]          whole-module analysis (default ./...): one
-//	                             process, shared type universe, cross-package
-//	                             hotalloc facts. This is what `make lint` runs.
-//	go vet -vettool=$(which oltplint) ./...
-//	                             unitchecker protocol: go vet drives one
-//	                             package per invocation. Facts do not cross
-//	                             packages in this mode; use it for editor
-//	                             integration, not as the gate.
+//	oltplint [packages]    whole-module analysis (default ./...): one process,
+//	                       shared type universe, cross-package hotalloc facts.
+//	                       This is what `make lint` runs.
 //
 // Exit status: 0 clean, 1 operational error, 2 diagnostics reported.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"oltpsim/internal/lint"
 	"oltpsim/internal/lint/analysis"
@@ -45,21 +31,6 @@ var analyzers = []*analysis.Analyzer{lint.Detrand, lint.Hotalloc, lint.Lockcheck
 func main() {
 	args := os.Args[1:]
 
-	// go vet handshake: -V=full prints an identity line whose final
-	// buildID= token the go command uses as a cache key; it must change
-	// whenever the analyzers change, so it is the hash of this executable.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Printf("oltplint version devel buildID=%s\n", selfID())
-		return
-	}
-	// go vet asks which flags we accept; we accept none beyond the protocol.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetTool(args[0]))
-	}
 	if len(args) == 1 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help") {
 		printHelp()
 		return
@@ -116,132 +87,4 @@ func runStandalone(patterns []string) int {
 		return 2
 	}
 	return 0
-}
-
-// vetConfig is the subset of the go vet unitchecker config oltplint reads.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetTool analyzes the single package described by a go vet .cfg file,
-// resolving imports from the compiler export data go vet supplies.
-func runVetTool(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oltplint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "oltplint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	// go vet also drives the tool over dependencies (stdlib included) for
-	// fact propagation. The invariants are contracts of this module alone:
-	// skip everything else.
-	if cfg.ImportPath != "oltpsim" && !strings.HasPrefix(cfg.ImportPath, "oltpsim/") {
-		return writeVetx(cfg.VetxOutput)
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oltplint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	tcfg := &types.Config{
-		Importer:    importer.ForCompiler(fset, "gc", lookup),
-		FakeImportC: true,
-		Sizes:       types.SizesFor("gc", "amd64"),
-	}
-	info := analysis.NewInfo()
-	pkg, err := tcfg.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx(cfg.VetxOutput)
-		}
-		fmt.Fprintf(os.Stderr, "oltplint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	// Analyze only production files. go vet hands us test variants of each
-	// package too; the invariants are production contracts — tests read
-	// clocks, range maps into t.Fatalf, and so on legitimately — and the
-	// standalone gate (go list GoFiles) never sees test files either.
-	prod := files[:0:0]
-	for _, f := range files {
-		if !strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
-			prod = append(prod, f)
-		}
-	}
-	ds, err := analysis.RunPackage(analyzers, fset, prod, pkg, info, nil)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "oltplint: %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	if rc := writeVetx(cfg.VetxOutput); rc != 0 {
-		return rc
-	}
-	for _, d := range ds {
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer.Name, d.Message)
-	}
-	if len(ds) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// writeVetx writes the (empty) facts file go vet expects to exist after a
-// successful run. oltplint keeps facts in-process only; the standalone mode
-// is the cross-package gate.
-func writeVetx(path string) int {
-	if path == "" {
-		return 0
-	}
-	if err := os.WriteFile(path, nil, 0o666); err != nil {
-		fmt.Fprintln(os.Stderr, "oltplint:", err)
-		return 1
-	}
-	return 0
-}
-
-// selfID hashes the running executable: the go vet cache key for this tool.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%02x", h.Sum(nil)[:16])
 }

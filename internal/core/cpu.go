@@ -179,9 +179,9 @@ func (m *Machine) ClaimHome(addr simmem.Addr, size, socket int) {
 func (m *Machine) SocketOf(core int) int { return m.Hier.SocketOf(core) }
 
 // SetConcurrent switches the machine between serialized and concurrent mode:
-// it flips the hierarchy's locked paths and every CPU's per-core code-window
-// rotation together. Must be called while no simulated execution is in
-// flight.
+// it arms the hierarchy's socket guards and inboxes and every CPU's per-core
+// code-window rotation together. Must be called while no simulated execution
+// is in flight.
 func (m *Machine) SetConcurrent(on bool) {
 	m.Hier.SetConcurrent(on)
 	for _, c := range m.CPUs {

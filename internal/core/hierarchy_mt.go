@@ -7,11 +7,13 @@ import (
 	"oltpsim/internal/simmem"
 )
 
-// This file is the concurrent-execution variant of the hierarchy paths: with
+// This file is the concurrent-mode state of the hierarchy: with
 // SetConcurrent(true), DataAccess and FetchCode may be called for different
 // cores from different goroutines at the same time, which is how the serving
 // path generates cross-core coherence traffic from *actual* concurrent access
-// instead of serialized turns.
+// instead of serialized turns. The access path (hierarchy.go) is the same in
+// both modes; this state adds the locks behind guard/unguard and a per-core
+// inbox between a writer's invalidation and its effect.
 //
 // Synchronization discipline:
 //
@@ -21,13 +23,13 @@ import (
 //   - Each socket's shared state (its LLC and its directory slice) is guarded
 //     by one mutex in socks. Socket locks are never nested: the access path
 //     releases its own socket before probing or invalidating a remote one.
-//   - Writers never touch another core's private caches (the serial path
-//     does, in invalidateSocket). Instead they post the line to the victim
-//     core's invalidation inbox; the victim drains its inbox at the start of
-//     its next data access, invalidating its own copies and clearing its own
-//     directory bits. Inbox order: an enqueuer may hold a socket lock while
-//     taking an inbox lock, so drains never hold an inbox lock while taking a
-//     socket lock (they swap the queue out first).
+//   - Writers never touch another core's private caches. They post the line
+//     to the victim core's invalidation inbox (invalidate); the victim drains
+//     its inbox at the start of its next data access, invalidating its own
+//     copies and clearing its own directory bits. Inbox order: an enqueuer
+//     may hold a socket lock while taking an inbox lock, so drains never hold
+//     an inbox lock while taking a socket lock (they swap the queue out
+//     first).
 //
 // The cost model consequence: invalidations become visible to the victim at
 // its next access rather than instantly (a message-passing approximation of
@@ -54,6 +56,31 @@ type hierMT struct {
 	inq   []invQueue   // one per core
 }
 
+// guard and unguard bracket every touch of socket s's shared state — its LLC
+// and its directory slice. Serialized mode has one goroutine and nothing to
+// exclude, so they do nothing; concurrent mode takes the socket's lock.
+// Guards are never nested: a path releases its own socket before it probes or
+// invalidates a remote one. The locking itself is kept out of line so that
+// both stay within the inlining budget and serialized mode pays a nil check,
+// not a call.
+func (h *Hierarchy) guard(s int) {
+	if h.mt != nil {
+		h.mt.lock(s)
+	}
+}
+
+func (h *Hierarchy) unguard(s int) {
+	if h.mt != nil {
+		h.mt.unlock(s)
+	}
+}
+
+//go:noinline
+func (m *hierMT) lock(s int) { m.socks[s].Lock() }
+
+//go:noinline
+func (m *hierMT) unlock(s int) { m.socks[s].Unlock() }
+
 // SetConcurrent switches the hierarchy between the serialized single-
 // goroutine mode (the harness default; byte-identical to the historical
 // paths) and the concurrent mode described above. It must be called while no
@@ -77,22 +104,6 @@ func (h *Hierarchy) SetConcurrent(on bool) {
 // Concurrent reports whether the hierarchy is in concurrent mode.
 func (h *Hierarchy) Concurrent() bool { return h.mt != nil }
 
-// postInvalidations enqueues line id to the inbox of every socket-t core
-// named in mask except skip. Caller holds socks[t]; inbox locks are leaf
-// locks under socket locks.
-func (h *Hierarchy) postInvalidations(t int, id uint64, mask uint64, skip int) {
-	lo, hi := h.socketRange(t)
-	for other := lo; other < hi; other++ {
-		if other == skip || mask&(uint64(1)<<uint(other)) == 0 {
-			continue
-		}
-		q := &h.mt.inq[other]
-		q.mu.Lock()
-		q.pending = append(q.pending, id)
-		q.mu.Unlock()
-	}
-}
-
 // drainInvalidations applies core's pending invalidations to its own private
 // caches and directory bits. Called by the owning core's goroutine (or by
 // Quiesce while the cores are stopped).
@@ -106,24 +117,17 @@ func (h *Hierarchy) drainInvalidations(core int) {
 	q.pending, q.draining = q.draining[:0], q.pending
 	q.mu.Unlock()
 
-	cc := &h.cores[core]
+	// Only a coherent write posts, so the directory exists here.
 	ct := &h.counts[core]
 	s := h.sockOf[core]
 	bit := uint64(1) << uint(core)
 	for _, id := range q.draining {
-		if cc.l1d.Invalidate(id) {
-			ct.Invalidations++
+		h.dropPrivate(core, id, ct)
+		h.guard(s)
+		if m := h.dirs[s].get(id); m&bit != 0 {
+			h.dirs[s].set(id, m&^bit)
 		}
-		if cc.l2.Invalidate(id) {
-			ct.Invalidations++
-		}
-		if h.dirs != nil {
-			h.mt.socks[s].Lock()
-			if m := h.dirs[s].get(id); m&bit != 0 {
-				h.dirs[s].set(id, m&^bit)
-			}
-			h.mt.socks[s].Unlock()
-		}
+		h.unguard(s)
 	}
 }
 
@@ -138,211 +142,6 @@ func (h *Hierarchy) Quiesce() {
 	for c := range h.cores {
 		h.drainInvalidations(c)
 	}
-}
-
-// dataAccessMT is the concurrent-mode body of DataAccess. Counter semantics
-// match the serial path except that per-cache Invalidations are credited to
-// the victim core at drain time (see the file comment).
-//
-//oltpsim:hotpath
-func (h *Hierarchy) dataAccessMT(core int, addr simmem.Addr, size int, write bool) int {
-	cc := &h.cores[core]
-	ct := &h.counts[core]
-	s := h.sockOf[core]
-	llc := h.llcs[s]
-	mt := h.mt
-	h.drainInvalidations(core)
-	stall := 0
-	first := uint64(addr) >> LineShift
-	last := (uint64(addr) + uint64(size) - 1) >> LineShift
-	for id := first; id <= last; id++ {
-		ct.L1DAcc++
-		if write {
-			if h.dirs != nil {
-				self := uint64(1) << uint(core)
-				mt.socks[s].Lock()
-				if mask := h.dirs[s].get(id); mask&^self != 0 {
-					h.postInvalidations(s, id, mask, core)
-					h.dirs[s].set(id, self)
-				}
-				h.evictPrivate(core, s, cc.l1d.FillQuietEvict(id), cc.l2)
-				h.evictPrivate(core, s, cc.l2.FillQuietEvict(id), cc.l1d)
-				llc.FillQuiet(id)
-				h.dirs[s].set(id, h.dirs[s].get(id)|self)
-				mt.socks[s].Unlock()
-				// Remote sockets: invalidate their LLC copy and post to their
-				// cores' inboxes; the ownership transfer stalls the writer.
-				// Each remote socket is locked on its own, never nested.
-				if h.nSock > 1 {
-					for t := 0; t < h.nSock; t++ {
-						if t == s {
-							continue
-						}
-						mt.socks[t].Lock()
-						rmask := h.dirs[t].get(id)
-						inLLC := h.llcs[t].Invalidate(id)
-						if rmask != 0 {
-							h.postInvalidations(t, id, rmask, -1)
-							h.dirs[t].set(id, 0)
-						}
-						mt.socks[t].Unlock()
-						if rmask != 0 || inLLC {
-							ct.XInvalidations++
-							stall += h.cfg.XInvalidatePenalty
-						}
-					}
-				}
-				continue
-			}
-			cc.l1d.FillQuiet(id)
-			cc.l2.FillQuiet(id)
-			mt.socks[s].Lock()
-			llc.FillQuiet(id)
-			mt.socks[s].Unlock()
-			continue
-		}
-		if h.dirs == nil {
-			if cc.l1d.Access(id, ClassData) {
-				continue
-			}
-			ct.L1DMiss++
-			stall += h.cfg.L1D.MissPenalty
-			if !cc.l2.Access(id, ClassData) {
-				ct.L2DMiss++
-				stall += h.cfg.L2.MissPenalty
-				mt.socks[s].Lock()
-				hit := llc.Access(id, ClassData)
-				mt.socks[s].Unlock()
-				if !hit {
-					ct.LLCDMiss++
-					stall += h.serveDataMissMT(s, id, ct)
-				}
-			}
-			continue
-		}
-		hit, ev := cc.l1d.AccessEvict(id, ClassData)
-		if hit {
-			continue // ev is 0 on a hit; the directory bit is already set
-		}
-		ct.L1DMiss++
-		stall += h.cfg.L1D.MissPenalty
-		hit2, ev2 := cc.l2.AccessEvict(id, ClassData)
-		llcMiss := false
-		mt.socks[s].Lock()
-		h.evictPrivate(core, s, ev, cc.l2)
-		h.evictPrivate(core, s, ev2, cc.l1d)
-		if !hit2 {
-			ct.L2DMiss++
-			stall += h.cfg.L2.MissPenalty
-			if !llc.Access(id, ClassData) {
-				ct.LLCDMiss++
-				llcMiss = true
-			}
-		}
-		h.dirs[s].set(id, h.dirs[s].get(id)|uint64(1)<<uint(core))
-		mt.socks[s].Unlock()
-		if llcMiss {
-			stall += h.serveDataMissMT(s, id, ct)
-		}
-	}
-	return stall
-}
-
-// serveDataMissMT is serveDataMiss with each remote LLC probed under its own
-// socket lock.
-func (h *Hierarchy) serveDataMissMT(s int, id uint64, ct *MissCounts) int {
-	if h.nSock > 1 {
-		for t := range h.llcs {
-			if t == s {
-				continue
-			}
-			h.mt.socks[t].Lock()
-			hit := h.llcs[t].Probe(id)
-			h.mt.socks[t].Unlock()
-			if hit {
-				ct.LLCDRemoteLLC++
-				return h.cfg.RemoteLLCPenalty
-			}
-		}
-		if h.homeOf(id) != s {
-			ct.LLCDRemoteDRAM++
-			return h.cfg.RemoteDRAMPenalty
-		}
-	}
-	return h.cfg.LLC.MissPenalty
-}
-
-// fetchCodeMT is the concurrent-mode body of FetchCode: private I-side caches
-// need no locks (code is read-only and never invalidated), the socket LLC is
-// touched under its lock.
-//
-//oltpsim:hotpath
-func (h *Hierarchy) fetchCodeMT(core int, addr simmem.Addr, nLines int) int {
-	cc := &h.cores[core]
-	ct := &h.counts[core]
-	l1i, l2 := cc.l1i, cc.l2
-	s := h.sockOf[core]
-	llc := h.llcs[s]
-	mt := h.mt
-	stall := 0
-	line := uint64(addr) >> LineShift
-	for i := 0; i < nLines; i++ {
-		id := line + uint64(i)
-		ct.L1IAcc++
-		if !l1i.Access(id, ClassInstr) {
-			ct.L1IMiss++
-			stall += h.cfg.L1I.MissPenalty
-			if !l2.Access(id, ClassInstr) {
-				ct.L2IMiss++
-				stall += h.cfg.L2.MissPenalty
-				mt.socks[s].Lock()
-				hit := llc.Access(id, ClassInstr)
-				mt.socks[s].Unlock()
-				if !hit {
-					ct.LLCIMiss++
-					stall += h.serveInstrMissMT(core, id, ct)
-				}
-			}
-			// Sequential next-line prefetch on the miss path, as in serial
-			// mode. The private fills need no lock; the shared-LLC fills are
-			// batched under one acquisition of the socket lock.
-			if h.cfg.IPrefetchLines > 0 {
-				for p := 1; p <= h.cfg.IPrefetchLines; p++ {
-					pid := id + uint64(p)
-					l1i.FillQuiet(pid)
-					l2.FillQuiet(pid)
-					ct.IPrefetches++
-				}
-				mt.socks[s].Lock()
-				for p := 1; p <= h.cfg.IPrefetchLines; p++ {
-					llc.FillQuiet(id + uint64(p))
-				}
-				mt.socks[s].Unlock()
-			}
-		}
-	}
-	return stall
-}
-
-// serveInstrMissMT is serveInstrMiss with each remote LLC probed under its
-// own socket lock.
-func (h *Hierarchy) serveInstrMissMT(core int, id uint64, ct *MissCounts) int {
-	if h.nSock > 1 {
-		s := h.sockOf[core]
-		for t := range h.llcs {
-			if t == s {
-				continue
-			}
-			h.mt.socks[t].Lock()
-			hit := h.llcs[t].Probe(id)
-			h.mt.socks[t].Unlock()
-			if hit {
-				ct.LLCIRemoteLLC++
-				return h.cfg.RemoteLLCPenalty
-			}
-		}
-	}
-	return h.cfg.LLC.MissPenalty
 }
 
 // CheckCoherent verifies directory/cache agreement: every data line resident

@@ -8,8 +8,8 @@ import (
 	"oltpsim/internal/simmem"
 )
 
-// This file hammers the concurrent-mode hierarchy paths (hierarchy_mt.go)
-// with real goroutine interleaving and asserts the invariants that survive
+// This file hammers the hierarchy in concurrent mode (hierarchy_mt.go) with
+// real goroutine interleaving and asserts the invariants that survive
 // it:
 //
 //  1. after Quiesce, the coherence directory and the private caches agree
@@ -17,9 +17,10 @@ import (
 //  2. per-core miss counters stay conserved (the serial suite's invariant 3);
 //  3. TotalCounts is exactly the per-core sum — no events are lost or
 //     double-counted by the striped locking;
-//  4. a single active core in concurrent mode produces byte-for-byte the
-//     counters and stalls of serialized mode (the lock striping must not
-//     change the simulation, only permit interleaving).
+//  4. concurrent mode driven in lockstep (one goroutine, Quiesce after every
+//     access) produces the counters and stalls of serialized mode (the
+//     guards and inboxes must not change the simulation, only permit
+//     interleaving).
 //
 // Run with -race to also let the detector check the locking discipline.
 
@@ -79,45 +80,74 @@ func TestConcurrentHierarchyHammer(t *testing.T) {
 	}
 }
 
-// TestConcurrentSingleCoreMatchesSerial runs the identical access sequence
-// through serialized and concurrent mode with only one core active: the
-// striped locking must be a pure synchronization layer, leaving counters and
-// stall cycles untouched.
-func TestConcurrentSingleCoreMatchesSerial(t *testing.T) {
-	run := func(concurrent bool) (MissCounts, int) {
-		cfg := numaTestCfg(4, 2)
-		cfg.IPrefetchLines = 2
-		h := NewHierarchy(cfg)
-		if concurrent {
-			h.SetConcurrent(true)
-		}
-		const c = 1
-		r := &testRand{s: 7}
-		stalls := 0
-		for i := 0; i < 8000; i++ {
-			id := uint64(r.intn(128))
-			addr := simmem.DataBase + simmem.Addr(id)*LineBytes
-			switch r.intn(8) {
-			case 0, 1:
-				stalls += h.DataAccess(c, addr, 8, true)
-			case 2, 3, 4, 5:
-				stalls += h.DataAccess(c, addr, 8, false)
-			default:
-				stalls += h.FetchCode(c, simmem.CodeBase+simmem.Addr(r.intn(64))*LineBytes, 1+r.intn(4))
+// TestConcurrentLockstepMatchesSerial runs the identical randomized
+// read/write/fetch sequence through serialized mode and through concurrent
+// mode driven from one goroutine with Quiesce after every access. With every
+// inbox drained before the next access, concurrent mode is serialized mode
+// with the invalidation applied by the victim instead of the writer — inbox
+// depth 0 vs N is the only difference between the modes — so per-core
+// counters (all but the Invalidations attribution), stalls and the machine-
+// wide Invalidations total must be identical.
+func TestConcurrentLockstepMatchesSerial(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		active []int // cores of the 4-core x 2-socket machine that issue accesses
+	}{
+		{"one_core", []int{1}},
+		{"4cores_2sockets", []int{0, 1, 2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(concurrent bool) ([]MissCounts, int) {
+				cfg := numaTestCfg(4, 2)
+				cfg.IPrefetchLines = 2
+				h := NewHierarchy(cfg)
+				h.SetConcurrent(concurrent)
+				r := &testRand{s: 7}
+				stalls := 0
+				for i := 0; i < 8000; i++ {
+					c := tc.active[r.intn(len(tc.active))]
+					id := uint64(r.intn(128))
+					addr := simmem.DataBase + simmem.Addr(id)*LineBytes
+					switch r.intn(8) {
+					case 0, 1:
+						stalls += h.DataAccess(c, addr, 8, true)
+					case 2, 3, 4, 5:
+						stalls += h.DataAccess(c, addr, 8, false)
+					default:
+						stalls += h.FetchCode(c, simmem.CodeBase+simmem.Addr(r.intn(64))*LineBytes, 1+r.intn(4))
+					}
+					h.Quiesce()
+				}
+				if err := h.CheckCoherent(); err != nil {
+					t.Fatalf("concurrent=%v: %v", concurrent, err)
+				}
+				counts := make([]MissCounts, h.Cores())
+				for c := range counts {
+					counts[c] = h.Counts(c)
+				}
+				return counts, stalls
 			}
-		}
-		if concurrent {
-			h.Quiesce()
-		}
-		return h.Counts(c), stalls
-	}
-	serialCounts, serialStalls := run(false)
-	mtCounts, mtStalls := run(true)
-	if serialCounts != mtCounts {
-		t.Errorf("single-core counters diverge:\nserial     %+v\nconcurrent %+v", serialCounts, mtCounts)
-	}
-	if serialStalls != mtStalls {
-		t.Errorf("single-core stalls diverge: serial %d, concurrent %d", serialStalls, mtStalls)
+			serial, serialStalls := run(false)
+			mt, mtStalls := run(true)
+			if serialStalls != mtStalls {
+				t.Errorf("stalls diverge: serial %d, concurrent %d", serialStalls, mtStalls)
+			}
+			var serialInv, mtInv uint64
+			for c := range serial {
+				serialInv += serial[c].Invalidations
+				mtInv += mt[c].Invalidations
+				serial[c].Invalidations, mt[c].Invalidations = 0, 0
+				if serial[c] != mt[c] {
+					t.Errorf("core %d counters diverge:\nserial     %+v\nconcurrent %+v", c, serial[c], mt[c])
+				}
+			}
+			if serialInv != mtInv {
+				t.Errorf("total Invalidations diverge: serial %d, concurrent %d", serialInv, mtInv)
+			}
+			if len(tc.active) > 1 && serialInv == 0 {
+				t.Error("multi-core sequence caused no invalidations; the case tests nothing")
+			}
+		})
 	}
 }
 

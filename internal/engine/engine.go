@@ -55,8 +55,11 @@ type Engine struct {
 	// execctx.go) builds one context per partition instead.
 	ctx0 ExecCtx
 
-	// Concurrent-mode state (nil/false while serialized): one context and
-	// one execution lock per partition, indexed by core == partition.
+	// The execution lock set and the contexts it guards, indexed by lock
+	// slot. Serialized: one lock and ctx0, shared by every core (Sessions
+	// serialize on it; single-goroutine users — the harness, examples, tests
+	// — never touch it). Concurrent (mt): one lock and one pinned context per
+	// core == partition.
 	ctxs   []*ExecCtx
 	coreMu []sync.Mutex
 	mt     bool
@@ -70,12 +73,6 @@ type Engine struct {
 	// staged holds at most one prepared-but-undecided 2PC branch per
 	// partition (see twopc.go); staged[p] is guarded by coreMu[p].
 	staged []stagedTx
-
-	// execMu serializes transaction execution when the engine is shared
-	// across goroutines through Sessions (see session.go) in serialized
-	// mode. Single-goroutine users — the harness, examples, tests — never
-	// touch it.
-	execMu sync.Mutex
 }
 
 // Table is one logical table, possibly sharded across partitions.
@@ -173,6 +170,7 @@ func New(cfg Config) *Engine {
 		e.logs[i] = wal.NewLog(mach.Arena, cfg.LogBufBytes)
 	}
 	e.initCtx(&e.ctx0, nil, mach.Arena)
+	e.serialize()
 	return e
 }
 

@@ -65,9 +65,9 @@ func (e *Engine) Concurrent() bool { return e.mt }
 // EnterConcurrent switches the engine into concurrent execution mode: one
 // ExecCtx per partition, each pinned to the same-numbered core with its own
 // arena view, per-shard substrates (index, row store, WAL) rebound to their
-// partition's view, and the machine's hierarchy flipped into its locked
-// paths. After it returns, Sessions route invocations through per-core locks
-// (see session.go) and different shards genuinely interleave their simulated
+// partition's view, and the machine's hierarchy guards armed. After it
+// returns, Sessions route invocations through per-core locks (see
+// session.go) and different shards genuinely interleave their simulated
 // memory traffic.
 //
 // Only share-nothing archetypes qualify: no lock manager, no buffer pool, no
@@ -101,12 +101,21 @@ func (e *Engine) EnterConcurrent() error {
 		e.initCtx(cx, e.mach.CPUs[i], view)
 		e.ctxs[i] = cx
 	}
-	// Flip the mode before rebinding: rebindShards routes to the per-core
-	// views and meters only when it sees mt set.
+	// Flip the mode before rebinding: slot routes to the per-core contexts
+	// only when it sees mt set.
 	e.mt = true
 	e.rebindShards()
 	e.mach.SetConcurrent(true)
 	return nil
+}
+
+// serialize installs the serialized-mode lock set: one execution lock over
+// ctx0, and no 2PC staging slots.
+func (e *Engine) serialize() {
+	e.mt = false
+	e.ctxs = []*ExecCtx{&e.ctx0}
+	e.coreMu = make([]sync.Mutex, 1)
+	e.staged = nil
 }
 
 // LeaveConcurrent returns the engine to serialized single-goroutine mode.
@@ -115,42 +124,43 @@ func (e *Engine) LeaveConcurrent() {
 	if !e.mt {
 		return
 	}
-	e.mt = false
-	e.ctxs = nil
-	e.coreMu = nil
-	e.staged = nil
+	e.serialize()
 	e.rebindShards()
 	e.mach.SetConcurrent(false)
 }
 
+// slot maps a core (== partition when concurrent) to its index in the
+// execution lock set and its contexts: every core shares slot 0 while
+// serialized.
+func (e *Engine) slot(core int) int {
+	if e.mt {
+		return core
+	}
+	return 0
+}
+
 // rebindShards points each partition's substrates (index, row store, WAL) at
-// that partition's arena handle and meter: the per-core view in concurrent
-// mode, the root arena and ctx0's meter otherwise. Substrates only ever see
-// their own partition's traffic, which is what makes the rebind sound.
+// the arena handle and meter of the context that executes it: the per-core
+// view in concurrent mode, the root arena and ctx0's meter otherwise.
+// Substrates only ever see their own partition's traffic, which is what makes
+// the rebind sound.
 func (e *Engine) rebindShards() {
 	for _, t := range e.tables {
 		for p := range t.shards {
-			mem, meter := e.mach.Arena, &e.ctx0.meter
-			if e.mt {
-				mem, meter = e.ctxs[p].mem, &e.ctxs[p].meter
-			}
-			t.shards[p].idx.SetArena(mem)
-			t.shards[p].idx.SetMeter(meter)
+			cx := e.ctxs[e.slot(p)]
+			t.shards[p].idx.SetArena(cx.mem)
+			t.shards[p].idx.SetMeter(&cx.meter)
 			if t.shards[p].rows != nil {
-				t.shards[p].rows.SetArena(mem)
+				t.shards[p].rows.SetArena(cx.mem)
 			}
 		}
 	}
 	for p := range e.logs {
-		mem := e.mach.Arena
-		if e.mt {
-			mem = e.ctxs[p].mem
-		}
-		e.logs[p].SetArena(mem)
+		e.logs[p].SetArena(e.ctxs[e.slot(p)].mem)
 	}
 }
 
-// lockAll acquires every per-core execution lock in ascending order: the
+// lockAll acquires the whole execution lock set in ascending order: the
 // stop-the-world entry for cross-partition work (analytic procedures,
 // Observe). unlockAll releases them. Consistent ordering plus the absence of
 // any other multi-lock acquisition makes the pair deadlock-free.

@@ -8,21 +8,21 @@ import (
 	"oltpsim/internal/core"
 )
 
-// Session is a thread-safe invocation handle for an Engine.
+// Session is a thread-safe invocation handle for an Engine. Every invocation
+// runs through InvokeBatch; the engine's two modes differ only in the size of
+// the execution lock set it runs under.
 //
-// In serialized mode (the default), the Engine and everything under it
-// (machine, arena, caches) are single-goroutine confined: the simulated
-// hardware has one timeline, so Sessions make the engine shareable by
-// serializing execution on the engine's execution mutex — concurrent
-// connections multiplex onto the one simulated machine the same way
-// concurrent clients multiplex onto a real server's cores.
+// Serialized (the default): the Engine and everything under it (machine,
+// arena, caches) are single-goroutine confined — the simulated hardware has
+// one timeline — so the set has one lock and Sessions share the engine by
+// serializing every core's work on it, the way concurrent clients multiplex
+// onto a real server's cores.
 //
-// In concurrent mode (Engine.EnterConcurrent), execution is keyed by core:
-// each core == partition has its own execution lock and its own recycled
-// ExecCtx, so invocations on different cores genuinely interleave on the
-// simulated machine — cross-core coherence traffic comes from real
-// concurrent access. Cross-partition procedures (MarkCrossPartition) run
-// stop-the-world under every per-core lock.
+// Concurrent (Engine.EnterConcurrent): one lock per core == partition, each
+// with its own recycled ExecCtx, so invocations on different cores genuinely
+// interleave on the simulated machine and cross-core coherence traffic comes
+// from real concurrent access. Cross-partition procedures
+// (MarkCrossPartition) run stop-the-world under the whole set.
 //
 // Scrape contract (both modes): session counters are incremented while the
 // execution lock that ran the transaction is still held. An observer inside
@@ -60,59 +60,15 @@ type Request struct {
 func (e *Engine) NewSession() *Session { return &Session{e: e} }
 
 // Invoke runs one stored procedure on the given partition, on the given
-// simulated core. It is safe to call from any goroutine. Serialized mode
-// pins the engine's current core and serializes on the engine; concurrent
-// mode requires core == part (shard execution is core-keyed) and serializes
-// only on that core's lock, so different cores run simultaneously.
+// simulated core: a one-request InvokeBatch. It is safe to call from any
+// goroutine.
 //
 //oltpsim:hotpath
 func (s *Session) Invoke(core, part int, proc string, args ...catalog.Value) error {
-	e := s.e
-	if e.mt {
-		return s.invokeMT(core, part, proc, args)
-	}
-	e.execMu.Lock()
-	e.SetCore(core)
-	err := e.Invoke(part, proc, args...)
-	// Count before releasing: a scrape under Observe must never see the
-	// engine's counters advance without the matching session op.
-	s.count(err)
-	e.execMu.Unlock()
-	return err
-}
-
-// invokeMT is the concurrent-mode invocation path.
-//
-//oltpsim:hotpath
-func (s *Session) invokeMT(core, part int, proc string, args []catalog.Value) error {
-	e := s.e
-	p := e.procs[proc]
-	var err error
-	switch {
-	case p == nil:
-		err = fmt.Errorf("engine: no procedure %q", proc) //oltpsim:coldpath unknown-procedure error
-		s.count(err)
-	case core < 0 || core >= len(e.ctxs):
-		err = fmt.Errorf("engine: core %d out of concurrent range [0,%d)", core, len(e.ctxs)) //oltpsim:coldpath routing error
-		s.count(err)
-	case p.crossPartition:
-		e.lockAll()
-		err = e.invoke(e.ctxs[core], e.ctxs[core].cpu, part, p, args)
-		s.count(err)
-		e.unlockAll()
-	case part != core:
-		// Shard execution is core-keyed: partition p's context, substrates
-		// and lock all belong to core p.
-		err = fmt.Errorf("engine: concurrent invoke of partition %d on core %d (must match)", part, core) //oltpsim:coldpath routing error
-		s.count(err)
-	default:
-		mu := &e.coreMu[core]
-		mu.Lock()
-		err = e.invoke(e.ctxs[core], e.ctxs[core].cpu, part, p, args)
-		s.count(err)
-		mu.Unlock()
-	}
-	return err
+	reqs := [1]Request{{Part: part, Proc: proc, Args: args}}
+	var errs [1]error
+	s.InvokeBatch(core, reqs[:], errs[:])
+	return errs[0]
 }
 
 // count records one invocation outcome. Callers invoke it while still
@@ -127,72 +83,67 @@ func (s *Session) count(err error) {
 	}
 }
 
-// InvokeBatch is the group-execute loop: it acquires the execution lock
-// once, pins the simulated core, and runs every request back to back,
-// writing per-request errors into errs (which must be at least len(reqs)
-// long). Batching is what lets a shard worker amortize the engine handoff
-// across every request queued on its shard — the server-side analogue of the
-// driver's pipelining. In concurrent mode the lock held is the core's own;
-// a cross-partition request momentarily trades it for the stop-the-world
-// set.
+// InvokeBatch is the group-execute loop: it acquires core's execution lock
+// once and runs every request back to back on that core, writing per-request
+// errors into errs (which must be at least len(reqs) long). Batching is what
+// lets a shard worker amortize the engine handoff across every request queued
+// on its shard — the server-side analogue of the driver's pipelining.
+//
+// Serialized, the one lock covers every core and the serialized context
+// follows the pinned core. Concurrent, lock and context are core's own and
+// shard execution is core-keyed: every request must be for partition == core,
+// except a cross-partition one, which momentarily trades the core lock for
+// the stop-the-world set.
 //
 //oltpsim:hotpath
 func (s *Session) InvokeBatch(core int, reqs []Request, errs []error) {
 	e := s.e
-	if e.mt {
-		s.invokeBatchMT(core, reqs, errs)
-		return
-	}
-	e.execMu.Lock()
-	e.SetCore(core)
-	for i := range reqs {
-		err := e.Invoke(reqs[i].Part, reqs[i].Proc, reqs[i].Args...)
-		errs[i] = err
-		s.count(err)
-	}
-	e.execMu.Unlock()
-}
-
-// invokeBatchMT is the concurrent-mode batch path.
-//
-//oltpsim:hotpath
-func (s *Session) invokeBatchMT(core int, reqs []Request, errs []error) {
-	e := s.e
-	if core < 0 || core >= len(e.ctxs) {
-		err := fmt.Errorf("engine: core %d out of concurrent range [0,%d)", core, len(e.ctxs)) //oltpsim:coldpath routing error
+	slot := e.slot(core)
+	if slot < 0 || slot >= len(e.coreMu) {
+		err := fmt.Errorf("engine: core %d out of concurrent range [0,%d)", core, len(e.coreMu)) //oltpsim:coldpath routing error
 		for i := range reqs {
 			errs[i] = err
 			s.count(err)
 		}
 		return
 	}
-	cx := e.ctxs[core]
-	mu := &e.coreMu[core]
+	mu := &e.coreMu[slot]
 	mu.Lock()
+	cx := e.ctxs[slot]
+	cpu := cx.cpu
+	if cpu == nil { // ctx0 is not pinned: it follows the engine's current core
+		e.SetCore(core)
+		cpu = e.curCPU
+	}
 	for i := range reqs {
-		p := e.procs[reqs[i].Proc]
+		r := &reqs[i]
+		p := e.procs[r.Proc]
 		var err error
 		switch {
 		case p == nil:
-			err = fmt.Errorf("engine: no procedure %q", reqs[i].Proc) //oltpsim:coldpath unknown-procedure error
-		case p.crossPartition:
-			// Trade the core lock for the stop-the-world set, run, trade
-			// back. Requests behind this one in the batch wait, as do other
-			// cores — an every-site transaction on a partitioned engine.
+			err = fmt.Errorf("engine: no procedure %q", r.Proc) //oltpsim:coldpath unknown-procedure error
+		case r.Part < 0 || r.Part >= e.cfg.Partitions:
+			err = fmt.Errorf("engine: partition %d out of range", r.Part) //oltpsim:coldpath routing error
+		case p.crossPartition && len(e.coreMu) > 1:
+			// Trade the core lock for the whole set, run, trade back: requests
+			// behind this one wait, as do other cores — an every-site
+			// transaction on a partitioned engine.
 			mu.Unlock()
 			e.lockAll()
-			err = e.invoke(cx, cx.cpu, reqs[i].Part, p, reqs[i].Args)
+			err = e.invoke(cx, cpu, r.Part, p, r.Args)
 			s.count(err)
 			e.unlockAll()
 			mu.Lock()
 			errs[i] = err
 			continue
-		case reqs[i].Part != core:
-			err = fmt.Errorf("engine: concurrent invoke of partition %d on core %d (must match)", reqs[i].Part, core) //oltpsim:coldpath routing error
+		case e.mt && r.Part != core:
+			err = fmt.Errorf("engine: concurrent invoke of partition %d on core %d (must match)", r.Part, core) //oltpsim:coldpath routing error
 		default:
-			err = e.invoke(cx, cx.cpu, reqs[i].Part, p, reqs[i].Args)
+			err = e.invoke(cx, cpu, r.Part, p, r.Args)
 		}
 		errs[i] = err
+		// Count before releasing: a scrape under Observe must never see the
+		// engine's counters advance without the matching session op.
 		s.count(err)
 	}
 	mu.Unlock()
@@ -200,19 +151,13 @@ func (s *Session) invokeBatchMT(core int, reqs []Request, errs []error) {
 
 // Observe runs f with every execution lock held, giving it a consistent,
 // quiescent view of the machine and its PMU counters while sessions are
-// active (the /metrics scrape path). In concurrent mode it additionally
-// drains the hierarchy's pending invalidations first, so the coherence
+// active (the /metrics scrape path). It drains the hierarchy's pending
+// invalidations first (there are none while serialized), so the coherence
 // directory and caches agree exactly when f looks. f must not invoke
 // transactions.
 func (e *Engine) Observe(f func(m *core.Machine)) {
-	if e.mt {
-		e.lockAll()
-		e.mach.Hier.Quiesce()
-		f(e.mach)
-		e.unlockAll()
-		return
-	}
-	e.execMu.Lock()
+	e.lockAll()
+	e.mach.Hier.Quiesce()
 	f(e.mach)
-	e.execMu.Unlock()
+	e.unlockAll()
 }

@@ -62,8 +62,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Fact interface{ AFact() }
 
 // ExportObjectFact attaches fact to obj for downstream packages. It is a
-// no-op when the driver runs without a fact store (vettool mode analyzes one
-// package per process).
+// no-op when the driver runs without a fact store.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if p.facts != nil {
 		p.facts.put(p.Analyzer, obj, fact)

@@ -14,15 +14,17 @@ import (
 // //oltpsim:hotpath so hotalloc checks the same property statically — the
 // static and runtime nets are kept in lockstep by this test.
 var gatedRoots = []struct{ dir, recv, fn string }{
-	{"internal/engine", "Engine", "Invoke"},     // TestMicroTxZeroAllocs, TestOLAPTxZeroAllocs
-	{"internal/workload", "Micro", "Gen"},       // TestGenZeroAllocs
-	{"internal/simmem", "Arena", "ReadU64"},     // TestTracedReadWriteU64Allocs
-	{"internal/simmem", "Arena", "WriteU64"},    // TestTracedCoherentWriteAllocs, TestTracedNUMAWriteAllocs
-	{"internal/metrics", "Histogram", "Record"}, // TestRecordAllocs
-	{"internal/olog", "ConnLog", "Record"},      // TestRecordAllocs (olog)
-	{"internal/wire", "Buffer", "Reset"},        // TestBufferReuse
-	{"internal/wire", "Buffer", "U32"},          // TestBufferReuse
-	{"internal/wire", "Buffer", "Bytes"},        // TestBufferReuse
+	{"internal/engine", "Engine", "Invoke"},       // TestMicroTxZeroAllocs, TestOLAPTxZeroAllocs
+	{"internal/engine", "Session", "Invoke"},      // TestSessionZeroAllocs
+	{"internal/engine", "Session", "InvokeBatch"}, // TestSessionZeroAllocs
+	{"internal/workload", "Micro", "Gen"},         // TestGenZeroAllocs
+	{"internal/simmem", "Arena", "ReadU64"},       // TestTracedReadWriteU64Allocs
+	{"internal/simmem", "Arena", "WriteU64"},      // TestTracedCoherentWriteAllocs, TestTracedNUMAWriteAllocs
+	{"internal/metrics", "Histogram", "Record"},   // TestRecordAllocs
+	{"internal/olog", "ConnLog", "Record"},        // TestRecordAllocs (olog)
+	{"internal/wire", "Buffer", "Reset"},          // TestBufferReuse
+	{"internal/wire", "Buffer", "U32"},            // TestBufferReuse
+	{"internal/wire", "Buffer", "Bytes"},          // TestBufferReuse
 }
 
 func TestGatedRootsAnnotated(t *testing.T) {

@@ -162,10 +162,12 @@ func (c *conn) admitCall(r *wire.Reader, reqID, procID uint32, part int, gtid ui
 	req.arrived = time.Now()
 	req.is2pc = is2pc
 	req.gtid = gtid
-	if cap(req.args) < argc {
-		req.args = make([]catalog.Value, argc)
+	if cap(req.argBuf) < argc {
+		req.argBuf = make([]catalog.Value, argc)
 	}
-	req.args = req.args[:argc]
+	// Cap-limited: a procedure slicing past len must fault, not read the
+	// argument a previous request left in the pooled backing array.
+	req.args = req.argBuf[:argc:argc]
 	req.argMem = req.argMem[:0]
 
 	// Two passes: first copy every byte-string into the request's backing

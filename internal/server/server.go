@@ -46,16 +46,6 @@ type Config struct {
 	Placement core.HomePlacement
 	// Spec is the served workload (schema + procedures + population).
 	Spec workload.Spec
-	// BatchMax caps the group-execute batch a shard worker pulls from its
-	// queue in one engine acquisition (default 64).
-	BatchMax int
-	// QueueDepth is the per-shard admission queue capacity (default 1024).
-	// A full queue applies backpressure to connection readers.
-	QueueDepth int
-	// Serial forces the serialized session path even for multi-shard
-	// share-nothing engines that could serve concurrently.
-	Serial bool
-
 	// Cluster, when set, makes this oltpd one node of a multi-process
 	// cluster: the engine keeps the map's GLOBAL partition count (so key
 	// routing agrees on every node) but stores and serves only the
@@ -82,6 +72,15 @@ type Config struct {
 	AdmitLatencyMax time.Duration
 }
 
+const (
+	// batchMax caps the group-execute batch a shard worker pulls from its
+	// queue in one engine acquisition.
+	batchMax = 64
+	// queueDepth is the per-shard admission queue capacity. A full queue
+	// applies backpressure to connection readers.
+	queueDepth = 1024
+)
+
 // AdmissionEnabled reports whether either admission-control bound is set.
 func (c Config) AdmissionEnabled() bool {
 	return c.AdmitQueueMax > 0 || c.AdmitLatencyMax > 0
@@ -90,12 +89,6 @@ func (c Config) AdmissionEnabled() bool {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 2
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 64
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
 	}
 	if c.Spec.Kind == "" {
 		c.Spec = workload.DefaultSpec()
@@ -195,9 +188,9 @@ func New(cfg Config) (*Server, error) {
 	// Multi-shard share-nothing engines serve concurrently: each shard
 	// worker drives its own simulated core under its own lock, so shard
 	// execution genuinely interleaves on the one machine. Archetypes that
-	// don't qualify (locking, buffer pool, MVCC, per-request SQL) or
-	// Serial=true keep the serialized session path.
-	if !cfg.Serial && eng.Partitions() > 1 {
+	// don't qualify (locking, buffer pool, MVCC, per-request SQL) keep the
+	// serialized session path.
+	if eng.Partitions() > 1 {
 		// A refusal (non-qualifying archetype) is a clean fallback, not an
 		// error: the oltpd_concurrent gauge reports which mode is live.
 		_ = eng.EnterConcurrent()
@@ -239,7 +232,7 @@ func New(cfg Config) (*Server, error) {
 	s.shedTotal = make([]atomic.Uint64, shards)
 	s.svcEWMA = make([]atomic.Int64, shards)
 	for i := range s.queues {
-		s.queues[i] = make(chan *request, cfg.QueueDepth)
+		s.queues[i] = make(chan *request, queueDepth)
 		s.svcHist[i] = &metrics.Histogram{}
 	}
 	s.registerMetrics()
@@ -386,17 +379,16 @@ func (s *Server) noteLatency(w int, d time.Duration) {
 }
 
 // shardWorker is the group-execute loop for one shard: it owns simulated
-// core w, drains its queue in batches of up to BatchMax, executes each batch
+// core w, drains its queue in batches of up to batchMax, executes each batch
 // under a single engine acquisition through its Session, and writes the
 // responses.
 func (s *Server) shardWorker(w int) {
 	defer s.workers.Done()
 	sess := s.eng.NewSession()
 	q := s.queues[w]
-	max := s.cfg.BatchMax
-	batch := make([]*request, 0, max)
-	ereqs := make([]engine.Request, max)
-	errs := make([]error, max)
+	batch := make([]*request, 0, batchMax)
+	ereqs := make([]engine.Request, batchMax)
+	errs := make([]error, batchMax)
 
 	for {
 		r, ok := <-q
@@ -405,7 +397,7 @@ func (s *Server) shardWorker(w int) {
 		}
 		batch = append(batch[:0], r)
 	fill:
-		for len(batch) < max {
+		for len(batch) < batchMax {
 			select {
 			case r2, ok2 := <-q:
 				if !ok2 {
@@ -596,8 +588,9 @@ type request struct {
 	id      uint32
 	part    int
 	proc    string
-	args    []catalog.Value
-	argMem  []byte // backing storage for TagBytes argument values
+	args    []catalog.Value // this request's arguments: argBuf[:argc:argc]
+	argBuf  []catalog.Value // pooled backing array for args
+	argMem  []byte          // backing storage for TagBytes argument values
 	arrived time.Time
 	is2pc   bool   // Prepare2PC: execute staged, vote, await decision
 	gtid    uint64 // global transaction ID (is2pc only)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"oltpsim/internal/catalog"
 	"oltpsim/internal/core"
 	"oltpsim/internal/metrics"
 	"oltpsim/internal/systems"
@@ -209,6 +210,35 @@ func TestServeErrors(t *testing.T) {
 	c.exec(7, procID, 0, 42) // server still serves
 	if typ, _ := c.read(); typ != wire.MsgOK {
 		t.Fatalf("server did not survive the panics: frame %#x", typ)
+	}
+}
+
+// TestExecArgsDoNotBleed forces the pooled-request reuse that made a
+// short-argument Exec run against a previous request's key: every request the
+// server can obtain, recycled or new, already holds a valid key in its
+// argument backing array. A 0-arg micro_ro must still fault on its own
+// (empty) arguments — an error response, never OK and never a "not found"
+// lookup of someone else's key.
+func TestExecArgsDoNotBleed(t *testing.T) {
+	oldNew := requestPool.New
+	requestPool.New = func() any {
+		return &request{argBuf: []catalog.Value{catalog.LongVal(42)}}
+	}
+	t.Cleanup(func() { requestPool.New = oldNew })
+
+	s := startServer(t, microConfig(2))
+	c := dialClient(t, s)
+	defer c.nc.Close()
+	procID := c.prepare("micro_ro")
+	for i := uint32(0); i < 20; i += 2 {
+		c.exec(i, procID, 0, 42) // leaves key 42 behind in the pooled request
+		if typ, payload := c.read(); typ != wire.MsgOK {
+			t.Fatalf("valid exec: frame %#x %q", typ, payload)
+		}
+		c.exec(i+1, procID, 0) // micro_ro needs 1 arg, send none
+		if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(string(payload), "panicked") {
+			t.Fatalf("0-arg exec saw a stale argument: frame %#x %q", typ, payload)
+		}
 	}
 }
 
@@ -492,24 +522,30 @@ func TestConcurrentServing4Shards(t *testing.T) {
 	}
 }
 
-// TestSerialFallback asserts Config.Serial keeps the serialized session path
-// (oltpd_concurrent = 0) and the server still serves correctly.
-func TestSerialFallback(t *testing.T) {
+// TestSerializedArchetypeServes is the serialized session path end to end:
+// the path is selected by what the engine is, not by a knob. Shore-MT asked
+// for 2 shards collapses to one partition (shared-everything) and never
+// enters concurrent mode: oltpd_concurrent = 0, one shard worker, and
+// requests are served correctly.
+func TestSerializedArchetypeServes(t *testing.T) {
 	cfg := microConfig(2)
-	cfg.Serial = true
+	cfg.System = systems.ShoreMT
 	s := startServer(t, cfg)
 	if s.Engine().Concurrent() {
-		t.Fatal("Serial config entered concurrent mode")
+		t.Fatal("Shore-MT entered concurrent mode")
+	}
+	if s.Shards() != 1 {
+		t.Fatalf("Shore-MT serves %d shards, want 1", s.Shards())
 	}
 	c := dialClient(t, s)
 	defer c.nc.Close()
 	procID := c.prepare("micro_ro")
 	for i := uint32(0); i < 10; i++ {
-		c.exec(i, procID, int(i)%2, int64(2*int(i)+int(i)%2))
+		c.exec(i, procID, 0, int64(i))
 	}
 	for i := 0; i < 10; i++ {
-		if typ, _ := c.read(); typ != wire.MsgOK {
-			t.Fatalf("exec %d failed", i)
+		if typ, payload := c.read(); typ != wire.MsgOK {
+			t.Fatalf("exec %d failed: %q", i, payload)
 		}
 	}
 	parsed, err := metrics.Parse(s.Registry().Render())
@@ -518,5 +554,11 @@ func TestSerialFallback(t *testing.T) {
 	}
 	if v := parsed["oltpd_concurrent"]; v != 0 {
 		t.Errorf("oltpd_concurrent = %g, want 0", v)
+	}
+	if v := parsed[`oltpd_requests_total{shard="0"}`]; v != 10 {
+		t.Errorf("shard 0 requests_total = %g, want 10", v)
+	}
+	if v := parsed[`oltpd_tx_total{shard="0"}`]; v != 10 {
+		t.Errorf("shard 0 tx_total = %g, want 10", v)
 	}
 }
