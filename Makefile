@@ -25,16 +25,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the figure and index benchmarks once each, writes
-# BENCH_<date>.json (see scripts/bench.sh), and prints an informational
-# comparison against the previously committed record.
+# bench runs the repository's benchmark (benchmark/README.md): every
+# workload in a fresh process, medians and spreads, correctness checks wired
+# in. Call benchmark/run.sh directly for one workload, --runs or --out.
 bench:
-	./scripts/bench.sh
+	bash benchmark/run.sh
 
-# bench-compare strictly diffs two recorded benchmark files and fails on
-# >25% ns/op or allocs/op regressions: make bench-compare OLD=a.json NEW=b.json
+# bench-compare holds two result files against the bounds of BENCHMARK.json:
+# make bench-compare OLD=benchmark/out/a.json NEW=benchmark/out/b.json
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare $(OLD) $(NEW)
+	bash benchmark/run.sh -compare $(OLD) $(NEW)
 
 figures:
 	$(GO) run ./cmd/oltpsim -figure all -scale quick
@@ -101,9 +101,11 @@ concurrent-smoke:
 # differential replay and 2PC fault-injection batteries under -race, then
 # two race-built oltpd processes sharing a shard map, a routed oltpdrive
 # burst with a 20% multi-partition (2PC) rate, /metrics assertions that both
-# nodes prepared and committed 2PC branches, and a SIGTERM drain of both.
+# nodes prepared and committed 2PC branches, a second open-loop flash-crowd
+# burst at the same nodes with a timeline and a request log, and a SIGTERM
+# drain of both.
 cluster-smoke:
-	$(GO) test -race -run 'TestClusterDifferential|TestTwoPC' ./internal/cluster
+	$(GO) test -race -run 'TestClusterDifferential|TestTwoPC|TestGtids' ./internal/cluster
 	./scripts/cluster_smoke.sh
 
 # scenario-smoke is the CI gate for the scenario engine: the profile/pacer

@@ -1,7 +1,16 @@
-// Command oltpdrive is the warp-style load driver for oltpd: N concurrent
-// connections generating one of the five workload archetypes under closed-
-// or open-loop arrivals, reporting throughput and p50/p90/p99/p999 latency
-// over a measurement window that starts after a warmup.
+// Command oltpdrive is the warp-style load driver for oltpd. A run is three
+// independent choices, and every combination works:
+//
+//   - the target: one oltpd (-addr), or a cluster (-addrs lists every node,
+//     comma-separated in node-ID order, -cluster gives the shard map shared
+//     with the servers, and -mp makes that percentage of transactional calls
+//     two-branch 2PC transactions spanning distinct partitions);
+//   - the arrival process: closed loop (the default), or open loop at -rate
+//     ops/s with fixed or -poisson spacing, optionally shaped by -profile and
+//     compressed by -time-scale;
+//   - the observers: the report (throughput and p50/p90/p99/p999 over a
+//     measurement window that starts after a warmup), -timeline, -reqlog and
+//     -autoterm.
 //
 // Usage:
 //
@@ -9,32 +18,31 @@
 //	          -conns 8 -warmup 1s -duration 5s
 //	oltpdrive -addr 127.0.0.1:7890 -workload micro -rows 100000 \
 //	          -rate 20000 -poisson        # open loop, 20k ops/s offered
-//
-// Cluster mode: -addrs lists every node of a cluster (comma-separated, in
-// node-ID order), -cluster gives the shard map shared with the servers, and
-// -mp makes that percentage of transactional calls two-branch 2PC
-// transactions spanning distinct partitions (closed loop only):
-//
 //	oltpdrive -addrs 127.0.0.1:7890,127.0.0.1:7990 -cluster range:2x4 \
 //	          -workload micro -rows 100000 -mp 20
 //
-// Scenario mode replays a shaped load story — a compressed day, a flash
-// crowd, a batch window — through the open-loop sender: -profile picks the
-// shape, -rate the offered load at multiplier 1 in simulated ops/s, and
-// -time-scale compresses simulated time onto the wall clock (-sim-duration
-// simulated seconds run in sim-duration/time-scale wall seconds). A
-// per-interval timeline (throughput, errors, shed, p50/p99, and — with
-// -scrape — per-shard IPC and stall mix) goes to -timeline as CSV, or JSON
-// when the path ends in .json:
+// A cluster connection keeps one routed call outstanding, so on a cluster
+// target concurrency is -conns and -pipeline caps nothing.
 //
-//	oltpdrive -addr 127.0.0.1:7890 -workload micro -rows 100000 \
+// A scenario replays a shaped load story — a compressed day, a flash crowd,
+// a batch window — through the open-loop sender: -profile picks the shape,
+// -rate the offered load at multiplier 1 in simulated ops/s, and -time-scale
+// compresses simulated time onto the wall clock (-sim-duration simulated
+// seconds run in sim-duration/time-scale wall seconds). A per-interval
+// timeline (throughput, errors, shed, p50/p99, and — with -scrape —
+// per-shard IPC and stall mix) goes to -timeline as CSV, or JSON when the
+// path ends in .json. A flash crowd against a 2-node cluster at 20% 2PC,
+// captured to a request log:
+//
+//	oltpdrive -addrs 127.0.0.1:7890,127.0.0.1:7990 -cluster range:2x4 -mp 20 \
+//	          -workload micro -rows 100000 -rw \
 //	          -rate 5000 -poisson -profile flash:at=0.4,dur=0.1,x=8 \
 //	          -time-scale 60 -sim-duration 1h -timeline timeline.csv \
-//	          -scrape http://127.0.0.1:7891/metrics
+//	          -reqlog run.olog
 //
-// In scenario mode -warmup and -duration are ignored; the simulated clock
-// (-sim-duration, -sim-warmup, -agg-interval) governs. Scenario and profile
-// flags are open-loop only and incompatible with cluster mode.
+// Any of the scenario flags (-timeline, -time-scale, -sim-duration,
+// -sim-warmup, -agg-interval) selects the simulated clock, under which
+// -warmup and -duration are ignored; it needs -rate.
 //
 // -reqlog run.olog persists one compact binary record per request for
 // offline re-analysis with `oltpsim analyze` / `oltpsim compare`; -autoterm
@@ -62,7 +70,7 @@ import (
 func main() {
 	fs := flag.NewFlagSet("oltpdrive", flag.ExitOnError)
 	var (
-		addr     = fs.String("addr", "127.0.0.1:7890", "oltpd address")
+		addr     = fs.String("addr", "127.0.0.1:7890", "single-node target: oltpd address")
 		conns    = fs.Int("conns", 4, "concurrent client connections")
 		rate     = fs.Float64("rate", 0, "offered load in ops/s across all connections (0 = closed loop)")
 		poisson  = fs.Bool("poisson", false, "open loop: Poisson (exponential) inter-arrival times")
@@ -75,9 +83,9 @@ func main() {
 		autoterm = fs.Bool("autoterm", false, "stop the measurement window early once throughput is stable")
 		atWindow = fs.Duration("autoterm-window", 2*time.Second, "autoterm: rolling stability window")
 		atPct    = fs.Float64("autoterm-pct", 7.5, "autoterm: coefficient-of-variation threshold in percent")
-		addrs    = fs.String("addrs", "", "cluster mode: comma-separated node addresses in node-ID order")
-		cmap     = fs.String("cluster", "", "cluster mode: shard map shared with the servers, e.g. range:2x4")
-		mp       = fs.Int("mp", 0, "cluster mode: percentage of calls issued as multi-partition (2PC) transactions")
+		addrs    = fs.String("addrs", "", "cluster target: comma-separated node addresses in node-ID order")
+		cmap     = fs.String("cluster", "", "cluster target: shard map shared with the servers, e.g. range:2x4")
+		mp       = fs.Int("mp", 0, "cluster target: percentage of calls issued as multi-partition (2PC) transactions")
 
 		profSpec  = fs.String("profile", "", "open loop: load profile shaping the offered rate (steady|diurnal|flash|batch|ramp|step[:k=v,...])")
 		timeScale = fs.Float64("time-scale", 1, "scenario mode: time-compression factor (simulated seconds per wall second)")
@@ -101,16 +109,26 @@ func main() {
 	}
 	scenario := *timeline != "" || *timeScale != 1 || *simDur != 0 || *simWarm != 0 || *aggInt != 0
 
-	var rep *driver.Report
-	var err error
-	switch {
-	case *addrs != "" || *cmap != "":
+	cfg := driver.Config{
+		Addr:           *addr,
+		MPRate:         *mp,
+		Spec:           *spec,
+		Conns:          *conns,
+		Rate:           *rate,
+		Poisson:        *poisson,
+		Pipeline:       *pipeline,
+		Warmup:         *warmup,
+		Measure:        *duration,
+		Seed:           *seed,
+		Profile:        prof,
+		ReqLog:         *reqlog,
+		AutoTerm:       *autoterm,
+		AutoTermWindow: *atWindow,
+		AutoTermPct:    *atPct,
+	}
+	if *addrs != "" || *cmap != "" {
 		if *addrs == "" || *cmap == "" {
-			fmt.Fprintln(os.Stderr, "oltpdrive: cluster mode needs both -addrs and -cluster")
-			os.Exit(2)
-		}
-		if scenario || prof != nil {
-			fmt.Fprintln(os.Stderr, "oltpdrive: scenario and profile flags are open-loop only (cluster mode is closed-loop)")
+			fmt.Fprintln(os.Stderr, "oltpdrive: a cluster target needs both -addrs and -cluster")
 			os.Exit(2)
 		}
 		m, perr := cluster.Parse(*cmap)
@@ -118,38 +136,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, perr)
 			os.Exit(2)
 		}
-		if *autoterm {
-			fmt.Fprintln(os.Stderr, "oltpdrive: -autoterm is not supported in cluster mode")
-			os.Exit(2)
-		}
-		rep, err = driver.RunCluster(driver.ClusterConfig{
-			Addrs:   strings.Split(*addrs, ","),
-			Map:     m,
-			Spec:    *spec,
-			Conns:   *conns,
-			MPRate:  *mp,
-			Warmup:  *warmup,
-			Measure: *duration,
-			Seed:    *seed,
-			ReqLog:  *reqlog,
-		})
-	case scenario:
+		cfg.Addrs, cfg.Map = strings.Split(*addrs, ","), m
+	}
+
+	var rep *driver.Report
+	var err error
+	if scenario {
 		if *autoterm {
 			fmt.Fprintln(os.Stderr, "oltpdrive: -autoterm makes no sense under a shaped scenario (the profile varies throughput by design)")
 			os.Exit(2)
 		}
 		sc := driver.ScenarioConfig{
-			Driver: driver.Config{
-				Addr:     *addr,
-				Spec:     *spec,
-				Conns:    *conns,
-				Rate:     *rate,
-				Poisson:  *poisson,
-				Pipeline: *pipeline,
-				Seed:     *seed,
-				Profile:  prof,
-				ReqLog:   *reqlog,
-			},
+			Driver:      cfg,
 			TimeScale:   *timeScale,
 			SimDuration: *simDur,
 			SimWarmup:   *simWarm,
@@ -179,23 +177,8 @@ func main() {
 				err = cerr
 			}
 		}
-	default:
-		rep, err = driver.Run(driver.Config{
-			Addr:           *addr,
-			Spec:           *spec,
-			Conns:          *conns,
-			Rate:           *rate,
-			Poisson:        *poisson,
-			Pipeline:       *pipeline,
-			Warmup:         *warmup,
-			Measure:        *duration,
-			Seed:           *seed,
-			Profile:        prof,
-			ReqLog:         *reqlog,
-			AutoTerm:       *autoterm,
-			AutoTermWindow: *atWindow,
-			AutoTermPct:    *atPct,
-		})
+	} else {
+		rep, err = driver.Run(cfg)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

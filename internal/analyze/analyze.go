@@ -4,8 +4,7 @@
 // records (no histogram bucketing), fixed-time segments with
 // fastest/median/slowest windows, and per-shard / per-archetype
 // breakdowns. Compare (compare.go) diffs two analyzed runs and renders a
-// pass/REGRESSION verdict with the same threshold conventions as
-// cmd/benchjson.
+// pass/REGRESSION verdict against a fractional threshold per gated metric.
 package analyze
 
 import (

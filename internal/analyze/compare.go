@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// DefaultThreshold matches cmd/benchjson's -compare gate: a gated metric
-// regressing by more than 25% fails the comparison.
+// DefaultThreshold is the gate BENCHMARK.json also uses for its end-to-end
+// metrics: a gated metric regressing by more than 25% fails the comparison.
 const DefaultThreshold = 0.25
 
 // CompareRow is one metric's old/new delta. Delta is the fractional change

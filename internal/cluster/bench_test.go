@@ -14,8 +14,8 @@ import (
 // transaction: two oltpd nodes on loopback, a shard-routing coordinator
 // client, and every 8th operation a two-branch 2PC spanning both nodes —
 // so ns/op blends the single-partition fast path with the full
-// prepare/vote/commit round trip (recorded in BENCH_<date>.json by
-// scripts/bench.sh).
+// prepare/vote/commit round trip (benchmark/ measures the two apart, with
+// medians and spreads, as cluster.exec_us and cluster.exec_multi_us).
 func BenchmarkClusterLoopback(b *testing.B) {
 	m, err := cluster.NewMap("hash", 2, 4)
 	if err != nil {

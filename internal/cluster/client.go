@@ -1,12 +1,11 @@
 package cluster
 
 import (
-	"bufio"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"oltpsim/internal/catalog"
@@ -18,11 +17,6 @@ import (
 // vote, an injected abort, or a coordinator timeout. The client got a
 // definitive answer — nothing was installed anywhere.
 var ErrAborted = errors.New("cluster: transaction aborted")
-
-// gtidSeq numbers global transactions within this process. Uniqueness only
-// matters per partition per prepared window (a partition holds at most one
-// prepared branch at a time), so a process-local counter suffices.
-var gtidSeq atomic.Uint64
 
 // Config shapes a routing client connection set.
 type Config struct {
@@ -68,26 +62,31 @@ type Branch struct {
 	Args []catalog.Value
 }
 
-// Conn is a routing client over one socket per node. Not safe for
-// concurrent use — each load-generator worker owns one Conn, mirroring the
-// driver's one-clientConn-per-worker shape.
+// Conn is a routing client over one wire.Client per node. Not safe for
+// concurrent use, and one call is outstanding at a time — each
+// load-generator connection owns one Conn; more concurrency is more Conns.
 type Conn struct {
 	cfg    Config
 	nodes  []*nodeConn
 	Faults Faults
+
+	// A global transaction ID is coord | seq: coord is a coordinator id drawn
+	// at random once per Dial and held in the high 32 bits, so coordinators
+	// in different processes do not collide and a stray decision cannot
+	// address another coordinator's prepared branch; seq counts this Conn's
+	// transactions.
+	coord uint64
+	seq   uint32
 
 	// MultiPart counts committed multi-partition transactions (readable
 	// after a run; the driver aggregates it into its report).
 	MultiPart uint64
 }
 
-// nodeConn is the per-node socket state.
+// nodeConn is the per-node state on top of the node's wire.Client: request
+// numbering, the prepared procedure IDs, and the out-of-order await logic.
 type nodeConn struct {
-	addr   string
-	nc     net.Conn
-	br     *bufio.Reader
-	wbuf   wire.Buffer
-	frame  []byte
+	wc     *wire.Client
 	reqSeq uint32
 	procID map[string]uint32
 
@@ -100,11 +99,11 @@ type nodeConn struct {
 	strayIDs map[uint32]bool
 }
 
-// savedResp is a buffered out-of-order response (payload copied out of the
-// reused frame buffer, positioned after the request ID).
+// savedResp is a buffered out-of-order response (cloned out of the reused
+// frame buffer, positioned after the request ID).
 type savedResp struct {
-	typ     byte
-	payload []byte
+	typ byte
+	r   wire.Reader
 }
 
 // Dial connects to every node, verifies each Hello against the shard map
@@ -122,7 +121,11 @@ func Dial(cfg Config) (*Conn, error) {
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 15 * time.Second
 	}
-	c := &Conn{cfg: cfg, nodes: make([]*nodeConn, len(cfg.Addrs))}
+	var id [4]byte
+	if _, err := rand.Read(id[:]); err != nil {
+		return nil, fmt.Errorf("cluster: drawing a coordinator id: %w", err)
+	}
+	c := &Conn{cfg: cfg, nodes: make([]*nodeConn, len(cfg.Addrs)), coord: uint64(binary.LittleEndian.Uint32(id[:])) << 32}
 	for i, addr := range cfg.Addrs {
 		n, err := dialNode(cfg, addr)
 		if err != nil {
@@ -134,75 +137,34 @@ func Dial(cfg Config) (*Conn, error) {
 	return c, nil
 }
 
-func dialNode(cfg Config, addr string) (*nodeConn, error) {
-	nc, err := net.Dial("tcp", addr)
+// dialNode connects one node (wire.Client checks the Hello itself), holds
+// the Hello against the shard map and workload spec, and prepares every
+// procedure the generator can emit.
+func dialNode(cfg Config, addr string) (n *nodeConn, err error) {
+	wc, err := wire.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	n := &nodeConn{
-		addr:     addr,
-		nc:       nc,
-		br:       bufio.NewReaderSize(nc, 64<<10),
+	defer func() {
+		if err != nil {
+			wc.Close()
+		}
+	}()
+	if wc.Shards != cfg.Map.Parts {
+		return nil, fmt.Errorf("shard-map mismatch: server has %d partitions, map says %d", wc.Shards, cfg.Map.Parts)
+	}
+	if want := cfg.Spec.String(); wc.Spec != want {
+		return nil, fmt.Errorf("workload mismatch: server serves %q, client generates %q", wc.Spec, want)
+	}
+	n = &nodeConn{
+		wc:       wc,
 		procID:   make(map[string]uint32),
 		pending:  make(map[uint32]savedResp),
 		strayIDs: make(map[uint32]bool),
 	}
-	typ, payload, frame, err := wire.ReadFrame(n.br, n.frame)
-	n.frame = frame
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("reading hello: %w", err)
-	}
-	if typ != wire.MsgHello {
-		nc.Close()
-		return nil, fmt.Errorf("expected hello, got frame %#x", typ)
-	}
-	r := wire.NewReader(payload)
-	ver := r.U8()
-	shards := int(r.U16())
-	serverSpec := r.Str()
-	if r.Err != nil || ver != wire.Version {
-		nc.Close()
-		return nil, fmt.Errorf("bad hello (version %d): %v", ver, r.Err)
-	}
-	if shards != cfg.Map.Parts {
-		nc.Close()
-		return nil, fmt.Errorf("shard-map mismatch: server has %d partitions, map says %d", shards, cfg.Map.Parts)
-	}
-	if want := cfg.Spec.String(); serverSpec != want {
-		nc.Close()
-		return nil, fmt.Errorf("workload mismatch: server serves %q, client generates %q", serverSpec, want)
-	}
-	for i, name := range cfg.Spec.ProcNames() {
-		n.wbuf.Reset(wire.MsgPrepare)
-		n.wbuf.U32(uint32(i))
-		n.wbuf.Str(name)
-		if _, err := nc.Write(n.wbuf.Bytes()); err != nil {
-			nc.Close()
+	for _, name := range cfg.Spec.ProcNames() {
+		if n.procID[name], err = wc.Prepare(name); err != nil {
 			return nil, err
-		}
-		typ, payload, n.frame, err = wire.ReadFrame(n.br, n.frame)
-		if err != nil {
-			nc.Close()
-			return nil, err
-		}
-		pr := wire.NewReader(payload)
-		switch typ {
-		case wire.MsgPrepared:
-			_ = pr.U32() // reqID
-			n.procID[name] = pr.U32()
-		case wire.MsgErr:
-			_ = pr.U32()
-			msg := pr.Str()
-			nc.Close()
-			return nil, fmt.Errorf("prepare %q: %s", name, msg)
-		default:
-			nc.Close()
-			return nil, fmt.Errorf("prepare %q: unexpected frame %#x", name, typ)
-		}
-		if pr.Err != nil {
-			nc.Close()
-			return nil, pr.Err
 		}
 	}
 	return n, nil
@@ -212,7 +174,7 @@ func dialNode(cfg Config, addr string) (*nodeConn, error) {
 func (c *Conn) Close() {
 	for _, n := range c.nodes {
 		if n != nil {
-			n.nc.Close()
+			n.wc.Close()
 		}
 	}
 }
@@ -220,62 +182,30 @@ func (c *Conn) Close() {
 // Nodes returns the node count.
 func (c *Conn) Nodes() int { return len(c.nodes) }
 
-func (n *nodeConn) putArgs(args []catalog.Value) {
-	n.wbuf.U16(uint16(len(args)))
-	for _, a := range args {
-		if a.S != nil {
-			n.wbuf.U8(wire.TagBytes)
-			n.wbuf.Blob(a.S)
-		} else {
-			n.wbuf.U8(wire.TagLong)
-			n.wbuf.I64(a.I)
-		}
-	}
-}
-
-// readResponse reads frames until one carries reqID, enforcing the deadline.
+// await reads frames until one carries reqID, enforcing the deadline.
 // Responses for other outstanding requests of this connection (same-node 2PC
 // branches ack independently, so ordering is not guaranteed) are buffered;
 // deliberately unawaited responses (SkipCommitAck) are dropped on arrival.
-func (n *nodeConn) readResponse(reqID uint32, deadline time.Duration) (typ byte, r wire.Reader, err error) {
+func (n *nodeConn) await(reqID uint32, deadline time.Duration) (byte, wire.Reader, error) {
 	if saved, ok := n.pending[reqID]; ok {
 		delete(n.pending, reqID)
-		return saved.typ, wire.NewReader(saved.payload), nil
+		return saved.typ, saved.r, nil
 	}
 	for {
-		n.nc.SetReadDeadline(time.Now().Add(deadline))
-		var payload []byte
-		typ, payload, n.frame, err = wire.ReadFrame(n.br, n.frame)
+		n.wc.SetReadDeadline(time.Now().Add(deadline))
+		id, typ, r, err := n.wc.Recv()
 		if err != nil {
 			return 0, wire.Reader{}, err
 		}
-		r = wire.NewReader(payload)
-		id := r.U32()
 		if id == reqID {
-			n.nc.SetReadDeadline(time.Time{})
+			n.wc.SetReadDeadline(time.Time{})
 			return typ, r, nil
 		}
 		if n.strayIDs[id] {
 			delete(n.strayIDs, id)
 			continue
 		}
-		n.pending[id] = savedResp{typ: typ, payload: append([]byte(nil), payload[4:]...)}
-	}
-}
-
-// decodeAck turns an OK/Err response into an error.
-func decodeAck(typ byte, r wire.Reader) error {
-	switch typ {
-	case wire.MsgOK:
-		return nil
-	case wire.MsgErr:
-		msg := r.Str()
-		if r.Err != nil {
-			return r.Err
-		}
-		return errors.New(msg)
-	default:
-		return fmt.Errorf("cluster: unexpected frame %#x", typ)
+		n.pending[id] = savedResp{typ: typ, r: r.Clone()}
 	}
 }
 
@@ -292,20 +222,14 @@ func (n *nodeConn) exec(part int, proc string, args []catalog.Value, deadline ti
 		return fmt.Errorf("cluster: unprepared procedure %q", proc)
 	}
 	n.reqSeq++
-	id := n.reqSeq
-	n.wbuf.Reset(wire.MsgExec)
-	n.wbuf.U32(id)
-	n.wbuf.U32(procID)
-	n.wbuf.U16(uint16(part))
-	n.putArgs(args)
-	if _, err := n.nc.Write(n.wbuf.Bytes()); err != nil {
+	if err := n.wc.Exec(n.reqSeq, procID, part, args); err != nil {
 		return err
 	}
-	typ, r, err := n.readResponse(id, deadline)
+	typ, r, err := n.await(n.reqSeq, deadline)
 	if err != nil {
 		return err
 	}
-	return decodeAck(typ, r)
+	return wire.Ack(typ, r)
 }
 
 // ExecAll runs one call on EVERY node, each on its first owned partition —
@@ -350,7 +274,8 @@ func (c *Conn) ExecMulti(branches []Branch) error {
 			return fmt.Errorf("cluster: multi-partition branches share partition %d", ordered[i].Part)
 		}
 	}
-	gtid := gtidSeq.Add(1)
+	c.seq++
+	gtid := c.coord | uint64(c.seq)
 
 	// Phase 1: prepare in ascending partition order.
 	prepared := 0 // branches with a YES vote retained server-side
@@ -392,7 +317,7 @@ func (c *Conn) ExecMulti(branches []Branch) error {
 		return err
 	}
 	if !commit {
-		return fmt.Errorf("cluster: %w: %v", ErrAborted, reason)
+		return fmt.Errorf("cluster: %w: %w", ErrAborted, reason)
 	}
 	c.MultiPart++
 	return nil
@@ -407,41 +332,29 @@ func (n *nodeConn) prepare2PC(gtid uint64, b *Branch, deadline time.Duration) (v
 		return fmt.Errorf("cluster: unprepared procedure %q", b.Proc), nil
 	}
 	n.reqSeq++
-	id := n.reqSeq
-	n.wbuf.Reset(wire.MsgPrepare2PC)
-	n.wbuf.U32(id)
-	n.wbuf.U64(gtid)
-	n.wbuf.U32(procID)
-	n.wbuf.U16(uint16(b.Part))
-	n.putArgs(b.Args)
-	if _, err := n.nc.Write(n.wbuf.Bytes()); err != nil {
+	if err := n.wc.Prepare2PC(n.reqSeq, gtid, procID, b.Part, b.Args); err != nil {
 		return nil, err
 	}
-	typ, r, err := n.readResponse(id, deadline)
+	typ, r, err := n.await(n.reqSeq, deadline)
 	if err != nil {
 		return nil, err
 	}
 	switch typ {
 	case wire.MsgVote:
-		yes := r.U8() != 0
-		if yes {
+		if r.U8() != 0 {
 			return nil, r.Err
 		}
-		msg := r.Str()
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		return errors.New(msg), nil
 	case wire.MsgErr:
-		// Admission-level refusal (draining, not owned): nothing retained.
-		msg := r.Str()
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		return errors.New(msg), nil
+		// Admission-level refusal (draining, overload, not owned): nothing
+		// retained.
 	default:
 		return nil, fmt.Errorf("cluster: unexpected frame %#x awaiting vote", typ)
 	}
+	msg := r.Str()
+	if r.Err != nil {
+		return nil, r.Err
+	}
+	return wire.ServerError(msg), nil
 }
 
 // decide sends the decision to every prepared branch, then collects acks
@@ -452,20 +365,18 @@ func (c *Conn) decide(gtid uint64, prepared []Branch, commit bool, skipAck func(
 		id uint32
 	}
 	acks := make([]sent, 0, len(prepared))
-	msg := byte(wire.MsgAbort2PC)
-	if commit {
-		msg = wire.MsgCommit2PC
-	}
 	for i := range prepared {
 		b := &prepared[i]
 		n := c.nodes[c.cfg.Map.Owner(b.Part)]
 		n.reqSeq++
 		id := n.reqSeq
-		n.wbuf.Reset(msg)
-		n.wbuf.U32(id)
-		n.wbuf.U64(gtid)
-		n.wbuf.U16(uint16(b.Part))
-		if _, err := n.nc.Write(n.wbuf.Bytes()); err != nil {
+		var err error
+		if commit {
+			err = n.wc.Commit2PC(id, gtid, b.Part)
+		} else {
+			err = n.wc.Abort2PC(id, gtid, b.Part)
+		}
+		if err != nil {
 			return fmt.Errorf("cluster: sending decision for partition %d: %w", b.Part, err)
 		}
 		if skipAck != nil && skipAck(gtid, i) {
@@ -475,11 +386,11 @@ func (c *Conn) decide(gtid uint64, prepared []Branch, commit bool, skipAck func(
 		acks = append(acks, sent{n, id})
 	}
 	for _, a := range acks {
-		typ, r, err := a.n.readResponse(a.id, c.cfg.AckTimeout)
+		typ, r, err := a.n.await(a.id, c.cfg.AckTimeout)
 		if err != nil {
 			return fmt.Errorf("cluster: reading decision ack: %w", err)
 		}
-		if err := decodeAck(typ, r); err != nil {
+		if err := wire.Ack(typ, r); err != nil {
 			return fmt.Errorf("cluster: decision rejected: %w", err)
 		}
 	}

@@ -198,3 +198,51 @@ func TestTwoPCDrainWithInFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestGtidsUniqueAcrossCoordinators: two coordinators (two oltpdrive
+// processes, here two Conns) must never issue the same global transaction
+// ID, or a stray decision from one could resolve the other's prepared branch.
+// The ID is (coordinator id << 32) | per-Conn sequence, captured here through
+// the AbortAfterVotes hook, which sees every transaction's gtid.
+func TestGtidsUniqueAcrossCoordinators(t *testing.T) {
+	m, err := cluster.NewMap("hash", 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvs, first := startCluster(t, m, tpSpec, 500*time.Millisecond)
+	addrs := make([]string, len(srvs))
+	for i, s := range srvs {
+		addrs[i] = s.Addr().String()
+	}
+	second, err := cluster.Dial(cluster.Config{Addrs: addrs, Map: m, Spec: tpSpec})
+	if err != nil {
+		t.Fatalf("second Dial: %v", err)
+	}
+	defer second.Close()
+
+	seen := make(map[uint64]bool)
+	var high [2]uint64
+	for i, conn := range []*cluster.Conn{first, second} {
+		conn.Faults.AbortAfterVotes = func(gtid uint64) bool {
+			if seen[gtid] {
+				t.Errorf("gtid %#x issued twice", gtid)
+			}
+			seen[gtid] = true
+			high[i] = gtid >> 32
+			return false
+		}
+	}
+	for i := int64(0); i < 6; i++ {
+		for _, conn := range []*cluster.Conn{first, second} {
+			if err := conn.ExecMulti(pair(8, 13, 100+i)); err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+		}
+	}
+	if len(seen) != 12 {
+		t.Fatalf("%d distinct gtids over 12 transactions", len(seen))
+	}
+	if high[0] == high[1] {
+		t.Fatalf("both coordinators drew id %#x", high[0])
+	}
+}

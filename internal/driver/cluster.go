@@ -1,306 +1,8 @@
 package driver
 
-// Cluster mode: oltpdrive pointed at N oltpd processes sharing one shard
-// map. Each driver connection owns a cluster.Conn (one socket per node),
-// routes every generated call to the partition's owner, and turns a
-// configurable fraction of transactional calls into two-branch 2PC
-// transactions spanning distinct partitions — the multi-partition knob the
-// hardware-islands experiments sweep. Cluster mode is closed-loop only:
-// the 2PC coordinator is synchronous, so one outstanding transaction per
-// connection is the natural unit.
+// ClusterConfig and RunCluster are the names benchmark/ (frozen for this
+// change) still calls the cluster target by; nothing else references them.
+// The next benchmark change deletes them.
+type ClusterConfig = Config
 
-import (
-	"errors"
-	"fmt"
-	"strings"
-	"sync"
-	"time"
-
-	"oltpsim/internal/catalog"
-	"oltpsim/internal/cluster"
-	"oltpsim/internal/metrics"
-	"oltpsim/internal/olog"
-	"oltpsim/internal/wire"
-	"oltpsim/internal/workload"
-)
-
-// ClusterConfig shapes a cluster driver run.
-type ClusterConfig struct {
-	// Addrs are the oltpd node addresses, indexed by node ID; the length
-	// must match Map.Nodes.
-	Addrs []string
-	// Map is the shard map shared with the servers.
-	Map *cluster.ShardMap
-	// Spec is the traffic to generate (must match every server's workload).
-	Spec workload.Spec
-	// Conns is the number of concurrent coordinators (default 4).
-	Conns int
-	// MPRate is the percentage [0,100] of transactional calls issued as
-	// two-branch multi-partition transactions.
-	MPRate int
-	// Warmup and Measure bound the run (defaults 1s / 3s).
-	Warmup, Measure time.Duration
-	// Seed drives the deterministic per-connection generators.
-	Seed uint64
-	// ReqLog, when non-empty, persists one binary olog record per call
-	// (multi-partition transactions carry FlagMultiPart) to this path at the
-	// end of the run. See internal/olog.
-	ReqLog string
-}
-
-func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.Conns <= 0 {
-		c.Conns = 4
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = time.Second
-	}
-	if c.Measure <= 0 {
-		c.Measure = 3 * time.Second
-	}
-	if c.Spec.Kind == "" {
-		c.Spec = workload.DefaultSpec()
-	}
-	return c
-}
-
-// RunCluster executes the configured load against the cluster and returns
-// the measured report.
-func RunCluster(cfg ClusterConfig) (*Report, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Map == nil {
-		return nil, fmt.Errorf("driver: cluster mode needs a shard map")
-	}
-	if len(cfg.Addrs) != cfg.Map.Nodes {
-		return nil, fmt.Errorf("driver: %d addrs for a %d-node map", len(cfg.Addrs), cfg.Map.Nodes)
-	}
-	if cfg.MPRate < 0 || cfg.MPRate > 100 {
-		return nil, fmt.Errorf("driver: multi-partition rate %d%% out of [0,100]", cfg.MPRate)
-	}
-	if err := cfg.Spec.Validate(cfg.Map.Parts); err != nil {
-		return nil, err
-	}
-
-	workers := make([]*clusterWorker, cfg.Conns)
-	for i := range workers {
-		conn, err := cluster.Dial(cluster.Config{Addrs: cfg.Addrs, Map: cfg.Map, Spec: cfg.Spec})
-		if err != nil {
-			for _, p := range workers[:i] {
-				p.conn.Close()
-			}
-			return nil, fmt.Errorf("driver: conn %d: %w", i, err)
-		}
-		workers[i] = &clusterWorker{
-			cfg:  cfg,
-			idx:  i,
-			conn: conn,
-			wl:   cfg.Spec.New(cfg.Map.Parts),
-			rng:  workload.NewRand(cfg.Seed ^ 0x5eed<<32 ^ uint64(i)*1_000_003),
-			hist: &metrics.Histogram{},
-		}
-	}
-
-	var rlog *olog.Log
-	if cfg.ReqLog != "" {
-		procs := cfg.Spec.ProcNames()
-		hdr := olog.Header{
-			Spec:      cfg.Spec.String(),
-			Shards:    cfg.Map.Parts,
-			Conns:     cfg.Conns,
-			Seed:      cfg.Seed,
-			WarmupNs:  cfg.Warmup.Nanoseconds(),
-			MeasureNs: cfg.Measure.Nanoseconds(),
-			Procs:     procs,
-		}
-		var err error
-		rlog, err = olog.Create(cfg.ReqLog, hdr)
-		if err != nil {
-			for _, w := range workers {
-				w.conn.Close()
-			}
-			return nil, err
-		}
-		procIdx := make(map[string]uint16, len(procs))
-		for i, name := range procs {
-			procIdx[name] = uint16(i)
-		}
-		for _, w := range workers {
-			w.rlog = rlog.NewConn()
-			w.procIdx = procIdx
-		}
-	}
-
-	base := time.Now()
-	warmEnd := cfg.Warmup.Nanoseconds()
-	end := warmEnd + cfg.Measure.Nanoseconds()
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *clusterWorker) { defer wg.Done(); w.loop(base, warmEnd, end) }(w)
-	}
-	wg.Wait()
-
-	rep := &Report{
-		Spec:    cfg.Spec.String(),
-		Shards:  cfg.Map.Parts,
-		Conns:   cfg.Conns,
-		Elapsed: cfg.Measure,
-		Hist:    &metrics.Histogram{},
-	}
-	var lastDone int64
-	for _, w := range workers {
-		rep.Hist.Merge(w.hist)
-		rep.Ops += w.ops
-		rep.Errors += w.errs
-		rep.Rejected += w.rejected
-		rep.MultiPart += w.conn.MultiPart
-		if w.lastMeasured > lastDone {
-			lastDone = w.lastMeasured
-		}
-		w.conn.Close()
-	}
-	// As in Run: a coordinator cut short (server drain, socket error)
-	// measured a shorter window than configured — report throughput over the
-	// window actually covered and surface the fraction.
-	rep.Covered = 1
-	if covered := time.Duration(lastDone - warmEnd); covered > 0 && covered < rep.Elapsed {
-		rep.Elapsed = covered
-		rep.Covered = float64(covered) / float64(cfg.Measure)
-	}
-	if s := rep.Elapsed.Seconds(); s > 0 {
-		rep.Throughput = float64(rep.Ops) / s
-	}
-	rep.Mean = time.Duration(rep.Hist.Mean())
-	rep.P50 = time.Duration(rep.Hist.Quantile(0.5))
-	rep.P90 = time.Duration(rep.Hist.Quantile(0.9))
-	rep.P99 = time.Duration(rep.Hist.Quantile(0.99))
-	rep.P999 = time.Duration(rep.Hist.Quantile(0.999))
-	rep.Max = time.Duration(rep.Hist.Max())
-	if rlog != nil {
-		if err := rlog.Close(); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
-}
-
-// clusterWorker is one closed-loop coordinator.
-type clusterWorker struct {
-	cfg      ClusterConfig
-	idx      int
-	conn     *cluster.Conn
-	wl       workload.Workload
-	rng      *workload.Rand
-	hist     *metrics.Histogram
-	rlog     *olog.ConnLog     // request-log capture buffer; nil when ReqLog is off
-	procIdx  map[string]uint16 // procedure -> index into Spec.ProcNames()
-	ops      uint64
-	errs     uint64
-	rejected uint64 // calls refused by a draining server (not in ops)
-	// lastMeasured is the completion time (ns since base) of the newest call
-	// recorded in the measurement window; it bounds the effective window when
-	// this coordinator ends early.
-	lastMeasured int64
-}
-
-func (w *clusterWorker) loop(base time.Time, warmEnd, end int64) {
-	parts := w.cfg.Map.Parts
-	part := w.idx % parts
-	args := make([]catalog.Value, 0, 16)
-	for {
-		start := time.Since(base).Nanoseconds()
-		if start >= end {
-			return
-		}
-		p := part
-		part = (part + 1) % parts
-
-		c := w.wl.Gen(w.rng, p, parts)
-		var err error
-		var mp bool
-		switch {
-		case strings.HasPrefix(c.Proc, "olap_"):
-			err = w.conn.ExecAll(c.Proc, c.Args)
-		case parts > 1 && w.cfg.MPRate > 0 && w.rng.Intn(100) < w.cfg.MPRate:
-			// Two-branch 2PC: this call plus a second generated for another
-			// partition. Gen recycles its argument buffer, so the first
-			// call's args are copied before the second draw.
-			args = append(args[:0], c.Args...)
-			pp := (p + 1 + w.rng.Intn(parts-1)) % parts
-			c2 := w.wl.Gen(w.rng, pp, parts)
-			if strings.HasPrefix(c2.Proc, "olap_") {
-				// The second draw came out analytic (hybrid workload): a
-				// cross-partition procedure cannot be a 2PC branch, so run the
-				// pair as a single-partition exec plus a scatter-gather
-				// analytic instead of mis-routing the analytic through 2PC.
-				err = w.conn.Exec(p, c.Proc, args)
-				if err == nil {
-					err = w.conn.ExecAll(c2.Proc, c2.Args)
-				}
-			} else {
-				mp = true
-				err = w.conn.ExecMulti([]cluster.Branch{
-					{Part: p, Proc: c.Proc, Args: args},
-					{Part: pp, Proc: c2.Proc, Args: c2.Args},
-				})
-			}
-		default:
-			err = w.conn.Exec(p, c.Proc, c.Args)
-		}
-		now := time.Since(base).Nanoseconds()
-		drained := err != nil && strings.Contains(err.Error(), wire.ErrDraining)
-		if w.rlog != nil {
-			st := olog.StatusOK
-			switch {
-			case drained:
-				st = olog.StatusDrain
-			case err != nil && strings.Contains(err.Error(), wire.ErrOverload):
-				st = olog.StatusOverload
-			case err != nil:
-				st = olog.StatusAbort
-			}
-			var flags uint8
-			if mp {
-				flags |= olog.FlagMultiPart
-			}
-			if start >= warmEnd && start < end {
-				flags |= olog.FlagMeasured
-			}
-			w.rlog.Record(olog.Rec{
-				Sched:  start,
-				Start:  start,
-				Done:   now,
-				Shard:  uint16(p),
-				Proc:   w.procIdx[c.Proc],
-				Status: st,
-				Flags:  flags,
-			})
-		}
-		if start >= warmEnd && start < end {
-			if drained {
-				w.rejected++
-			} else {
-				lat := now - start
-				if lat < 0 {
-					lat = 0
-				}
-				w.hist.Record(uint64(lat))
-				w.ops++
-				if err != nil {
-					w.errs++
-				}
-				if now > w.lastMeasured {
-					w.lastMeasured = now
-				}
-			}
-		}
-		if drained {
-			return // the server is going away; this coordinator is done
-		}
-		// An abort is a definitive answer and the loop continues; anything
-		// else (transport failure) ends this coordinator.
-		if err != nil && !errors.Is(err, cluster.ErrAborted) {
-			return
-		}
-	}
-}
+func RunCluster(cfg Config) (*Report, error) { return Run(cfg) }

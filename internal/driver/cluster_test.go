@@ -1,14 +1,17 @@
 package driver_test
 
 import (
+	"bytes"
 	"fmt"
-	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"oltpsim/internal/catalog"
 	"oltpsim/internal/cluster"
 	"oltpsim/internal/driver"
+	"oltpsim/internal/olog"
 	"oltpsim/internal/server"
 	"oltpsim/internal/systems"
 	"oltpsim/internal/wire"
@@ -35,7 +38,7 @@ func TestDriveClusterLoopback(t *testing.T) {
 		addrs[i] = s.Addr().String()
 	}
 
-	rep, err := driver.RunCluster(driver.ClusterConfig{
+	rep, err := driver.Run(driver.Config{
 		Addrs:   addrs,
 		Map:     m,
 		Spec:    spec,
@@ -46,7 +49,7 @@ func TestDriveClusterLoopback(t *testing.T) {
 		Seed:    1,
 	})
 	if err != nil {
-		t.Fatalf("driver.RunCluster: %v", err)
+		t.Fatalf("driver.Run: %v", err)
 	}
 	if rep.Ops == 0 {
 		t.Fatal("no measured ops")
@@ -93,7 +96,7 @@ func TestDriveClusterHybridHighMP(t *testing.T) {
 		addrs[i] = s.Addr().String()
 	}
 
-	rep, err := driver.RunCluster(driver.ClusterConfig{
+	rep, err := driver.Run(driver.Config{
 		Addrs:   addrs,
 		Map:     m,
 		Spec:    spec,
@@ -104,7 +107,7 @@ func TestDriveClusterHybridHighMP(t *testing.T) {
 		Seed:    9,
 	})
 	if err != nil {
-		t.Fatalf("driver.RunCluster: %v", err)
+		t.Fatalf("driver.Run: %v", err)
 	}
 	if rep.Ops == 0 {
 		t.Fatal("no measured ops")
@@ -117,105 +120,41 @@ func TestDriveClusterHybridHighMP(t *testing.T) {
 	}
 }
 
-// rawClient speaks just enough of the wire protocol to park a shard worker
-// between a 2PC vote and its decision (error-returning, so it is safe to use
-// off the test goroutine).
-type rawClient struct {
-	nc  net.Conn
-	buf []byte
-	w   wire.Buffer
-}
-
-func dialRaw(addr string) (*rawClient, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := &rawClient{nc: nc}
-	typ, _, err := c.read()
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	if typ != wire.MsgHello {
-		nc.Close()
-		return nil, fmt.Errorf("handshake frame %#x, want hello", typ)
-	}
-	return c, nil
-}
-
-func (c *rawClient) read() (byte, []byte, error) {
-	typ, payload, buf, err := wire.ReadFrame(c.nc, c.buf)
-	c.buf = buf
-	return typ, payload, err
-}
-
-// park registers proc and leaves a 2PC branch prepared-but-undecided on part:
-// the partition's worker blocks awaiting the decision and the server's
+// park registers proc on c and leaves a 2PC branch prepared-but-undecided on
+// part: the partition's worker blocks awaiting the decision and the server's
 // request WaitGroup stays open, so a concurrent Shutdown sits in its drain
 // phase — refusing all new work with wire.ErrDraining — until release.
-func (c *rawClient) park(proc string, part int, gtid uint64) error {
-	c.w.Reset(wire.MsgPrepare)
-	c.w.U32(1)
-	c.w.Str(proc)
-	if _, err := c.nc.Write(c.w.Bytes()); err != nil {
-		return err
-	}
-	typ, payload, err := c.read()
+// Error-returning, so it is safe to use off the test goroutine.
+func park(c *wire.Client, proc string, part int, gtid uint64) error {
+	procID, err := c.Prepare(proc)
 	if err != nil {
 		return err
 	}
-	if typ != wire.MsgPrepared {
-		return fmt.Errorf("prepare %q: frame %#x (%q)", proc, typ, payload)
-	}
-	r := wire.NewReader(payload)
-	_ = r.U32()
-	procID := r.U32()
-
-	c.w.Reset(wire.MsgPrepare2PC)
-	c.w.U32(2)
-	c.w.U64(gtid)
-	c.w.U32(procID)
-	c.w.U16(uint16(part))
-	c.w.U16(1)
-	c.w.U8(wire.TagLong)
-	c.w.I64(int64(part)) // micro keys route by key % parts
-	if _, err := c.nc.Write(c.w.Bytes()); err != nil {
+	// micro keys route by key % parts
+	if err := c.Prepare2PC(2, gtid, procID, part, []catalog.Value{catalog.LongVal(int64(part))}); err != nil {
 		return err
 	}
-	typ, payload, err = c.read()
+	_, typ, r, err := c.Recv()
 	if err != nil {
 		return err
 	}
-	if typ != wire.MsgVote {
-		return fmt.Errorf("prepare2pc: frame %#x (%q), want vote", typ, payload)
-	}
-	r = wire.NewReader(payload)
-	_ = r.U32()
-	if r.U8() != 1 {
-		return fmt.Errorf("2PC prepare voted NO: %q", payload)
+	if typ != wire.MsgVote || r.U8() != 1 {
+		return fmt.Errorf("prepare2pc: frame %#x, want a YES vote", typ)
 	}
 	return nil
 }
 
 // release sends the commit decision for the parked branch and closes.
-func (c *rawClient) release(part int, gtid uint64) error {
-	defer c.nc.Close()
-	c.w.Reset(wire.MsgCommit2PC)
-	c.w.U32(3)
-	c.w.U64(gtid)
-	c.w.U16(uint16(part))
-	if _, err := c.nc.Write(c.w.Bytes()); err != nil {
+func release(c *wire.Client, part int, gtid uint64) error {
+	defer c.Close()
+	if err := c.Commit2PC(3, gtid, part); err != nil {
 		return err
 	}
-	typ, payload, err := c.read()
+	_, typ, r, err := c.Recv()
 	if err != nil {
 		return err
 	}
-	if typ != wire.MsgOK {
-		return fmt.Errorf("commit2pc ack: frame %#x (%q)", typ, payload)
-	}
-	return nil
+	return wire.Ack(typ, r)
 }
 
 // TestDriveClusterDrain: taking one node down mid-measure must surface in the
@@ -254,21 +193,21 @@ func TestDriveClusterDrain(t *testing.T) {
 	go func() {
 		errc <- func() error {
 			time.Sleep(150 * time.Millisecond * raceWindowScale)
-			rc, err := dialRaw(addrs[1])
+			rc, err := wire.Dial(addrs[1])
 			if err != nil {
 				return err
 			}
-			if err := rc.park("micro_ro", parkedPart, gtid); err != nil {
-				rc.nc.Close()
+			if err := park(rc, "micro_ro", parkedPart, gtid); err != nil {
+				rc.Close()
 				return err
 			}
 			servers[1].Drain() // synchronous: refusals start before this returns
 			time.Sleep(400 * time.Millisecond * raceWindowScale)
-			return rc.release(parkedPart, gtid)
+			return release(rc, parkedPart, gtid)
 		}()
 	}()
 
-	rep, err := driver.RunCluster(driver.ClusterConfig{
+	rep, err := driver.Run(driver.Config{
 		Addrs:   addrs,
 		Map:     m,
 		Spec:    spec,
@@ -282,7 +221,7 @@ func TestDriveClusterDrain(t *testing.T) {
 		t.Fatalf("park/release: %v", perr)
 	}
 	if err != nil {
-		t.Fatalf("driver.RunCluster: %v", err)
+		t.Fatalf("driver.Run: %v", err)
 	}
 	if rep.Ops == 0 {
 		t.Fatal("no ops completed before the drain")
@@ -295,13 +234,103 @@ func TestDriveClusterDrain(t *testing.T) {
 	}
 }
 
+// TestScenarioFlashCrowdOnCluster is the composition the driver could not run
+// while the cluster target had its own loop: every axis set at once — a
+// 2-node cluster with 20% two-branch 2PC and a one-deep admission bound, a
+// Poisson flash crowd under time compression, and the timeline plus the
+// request log observing it. One complete() accounts both targets, so shed
+// requests leave no latency sample and latency is charged from the schedule
+// here exactly as on a single node.
+func TestScenarioFlashCrowdOnCluster(t *testing.T) {
+	m, err := cluster.NewMap("range", 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1, ReadWrite: true}
+	addrs := make([]string, m.Nodes)
+	for i := range addrs {
+		addrs[i] = startServer(t, server.Config{
+			System: systems.VoltDB, Spec: spec, Cluster: m, Node: i, AdmitQueueMax: 1,
+		}).Addr().String()
+	}
+	prof, err := driver.ParseProfile("flash:at=0.4,dur=0.25,x=40")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(t.TempDir(), "run.olog")
+	var csv bytes.Buffer
+	rep, rows, err := driver.RunScenario(driver.ScenarioConfig{
+		Driver: driver.Config{
+			Addrs:   addrs,
+			Map:     m,
+			MPRate:  20,
+			Spec:    spec,
+			Conns:   8, // one call outstanding each: the in-flight cap, and what fills a one-deep queue
+			Rate:    600 / float64(raceWindowScale),
+			Poisson: true,
+			Seed:    3,
+			Profile: prof,
+			ReqLog:  logPath,
+		},
+		TimeScale:   10,
+		SimDuration: 6 * time.Second,
+		SimWarmup:   500 * time.Millisecond,
+		AggInterval: 250 * time.Millisecond,
+		CSV:         &csv,
+	})
+	if err != nil {
+		t.Fatalf("RunScenario: %v", err)
+	}
+	if rep.Ops == 0 || rep.MultiPart == 0 || rep.Shed == 0 {
+		t.Fatalf("ops %d, multi-partition commits %d, shed %d: all must be nonzero", rep.Ops, rep.MultiPart, rep.Shed)
+	}
+	if got := rep.Hist.Count(); got != rep.Ops {
+		t.Fatalf("histogram holds %d samples for %d ops: a shed request left a latency sample", got, rep.Ops)
+	}
+	if rep.DirtyDrains != 0 {
+		t.Fatalf("%d connections hit the drain deadline", rep.DirtyDrains)
+	}
+	if rep.Rate == 0 || !strings.Contains(rep.String(), "open-loop") {
+		t.Fatalf("report lost the offered rate:\n%s", rep)
+	}
+	if lines := strings.Count(csv.String(), "\n"); len(rows) == 0 || lines != len(rows)+1 {
+		t.Fatalf("timeline: %d rows, %d CSV lines", len(rows), lines)
+	}
+
+	hdr, recs, err := olog.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Rate != rep.Rate {
+		t.Fatalf("olog header rate %g, report %g", hdr.Rate, rep.Rate)
+	}
+	var multi, lagged, shed uint64
+	for _, r := range recs {
+		if r.MultiPart() {
+			multi++
+			if r.Sched < r.Start {
+				lagged++
+			}
+		}
+		if r.Measured() && r.Status == olog.StatusOverload {
+			shed++
+		}
+	}
+	if multi == 0 || lagged == 0 {
+		t.Fatalf("%d multi-partition records, %d sent behind schedule: latency is not charged from the schedule", multi, lagged)
+	}
+	if shed != rep.Shed {
+		t.Fatalf("request log holds %d measured shed records, report counts %d", shed, rep.Shed)
+	}
+}
+
 // TestDriveClusterRejectsBadConfig pins the config validation surface.
 func TestDriveClusterRejectsBadConfig(t *testing.T) {
 	m, _ := cluster.NewMap("range", 2, 4)
-	if _, err := driver.RunCluster(driver.ClusterConfig{Addrs: []string{"x"}, Map: m}); err == nil {
+	if _, err := driver.Run(driver.Config{Addrs: []string{"x"}, Map: m}); err == nil {
 		t.Fatal("addr/node count mismatch accepted")
 	}
-	if _, err := driver.RunCluster(driver.ClusterConfig{
+	if _, err := driver.Run(driver.Config{
 		Addrs: []string{"x", "y"}, Map: m, MPRate: 101,
 	}); err == nil {
 		t.Fatal("multi-partition rate 101% accepted")

@@ -1,9 +1,19 @@
 // Package driver implements oltpdrive, a warp-style concurrent load
-// generator for oltpd: N connections generating one of the five workload
-// archetypes, under closed-loop (send → wait → send) or open-loop
-// (fixed-rate or Poisson arrivals) scheduling, with per-op latency captured
-// into a fixed-bucket log-linear histogram and reported as
-// p50/p90/p99/p999 over a measurement window that starts after a warmup.
+// generator for oltpd. One run loop composes three independent choices:
+//
+//   - the target: one oltpd (Addr), or a cluster of them sharing a shard map
+//     (Addrs + Map), where every call is routed to its partition's owner and
+//     MPRate percent of transactional calls become two-branch 2PC
+//     transactions;
+//   - the arrival process: closed loop (send → wait → send), or open loop at
+//     Rate ops/s with fixed or Poisson spacing, optionally shaped by a
+//     Profile;
+//   - the observers: the final Report (p50/p90/p99/p999 over a measurement
+//     window that starts after a warmup), the scenario timeline, the
+//     per-request log (ReqLog) and the AutoTerm stability monitor.
+//
+// Every answered request, on either target, is accounted by the one
+// clientConn.complete, so each observer sees both targets alike.
 //
 // Open-loop latencies are measured from each request's *scheduled* arrival
 // time, not its actual send time, so queueing delay under overload is
@@ -12,14 +22,15 @@
 package driver
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"oltpsim/internal/catalog"
+	"oltpsim/internal/cluster"
 	"oltpsim/internal/metrics"
 	"oltpsim/internal/olog"
 	"oltpsim/internal/wire"
@@ -28,8 +39,20 @@ import (
 
 // Config shapes a driver run.
 type Config struct {
-	// Addr is the oltpd address ("host:port").
+	// Addr is the oltpd address ("host:port") of a single-node target.
 	Addr string
+	// Addrs and Map select a cluster target instead: the oltpd node
+	// addresses indexed by node ID (the length must match Map.Nodes) and the
+	// shard map shared with the servers. Each driver connection then owns a
+	// cluster.Conn — one socket per node, one call outstanding — so
+	// concurrency is Conns, and Pipeline has nothing to cap.
+	Addrs []string
+	Map   *cluster.ShardMap
+	// MPRate is the percentage [0,100] of transactional calls a cluster
+	// target issues as two-branch multi-partition (2PC) transactions
+	// spanning distinct partitions — the knob the hardware-islands
+	// experiments sweep.
+	MPRate int
 	// Spec is the traffic to generate; it must match the server's workload
 	// (the Hello exchange verifies this).
 	Spec workload.Spec
@@ -55,9 +78,10 @@ type Config struct {
 	// vocabulary and scenario.go for time-compressed replay.
 	Profile Profile
 	// ReqLog, when non-empty, persists one binary olog record per request
-	// (scheduled/start/done times, shard, archetype, status, flags) to this
-	// path at the end of the run. Capture is buffered per connection and
-	// allocation-free on the read loop; see internal/olog.
+	// (scheduled/start/done times, shard, archetype, status, flags;
+	// multi-partition transactions carry FlagMultiPart) to this path at the
+	// end of the run. Capture is buffered per connection and allocation-free
+	// on the completion path; see internal/olog.
 	ReqLog string
 	// AutoTerm stops the measurement window early once throughput is stable:
 	// a monitor samples completed ops every AutoTermWindow/autotermSamples
@@ -69,6 +93,9 @@ type Config struct {
 	// AutoTermPct is the CV threshold in percent (default 7.5).
 	AutoTermPct float64
 }
+
+// clustered reports whether the target is a cluster.
+func (c Config) clustered() bool { return c.Map != nil || len(c.Addrs) > 0 }
 
 func (c Config) withDefaults() Config {
 	if c.Conns <= 0 {
@@ -113,7 +140,7 @@ type Report struct {
 	Errors    uint64 // measured failed ops (included in Ops)
 	Rejected  uint64 // ops refused by a draining server (not in Ops)
 	Shed      uint64 // ops shed by admission control (wire.ErrOverload; not in Ops)
-	MultiPart uint64 // committed multi-partition (2PC) transactions — cluster mode
+	MultiPart uint64 // committed multi-partition (2PC) transactions — cluster target
 	// DirtyDrains counts connections whose in-flight tail had to be abandoned
 	// at the drain deadline instead of being reclaimed token by token; a
 	// clean run reports 0.
@@ -176,7 +203,7 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// Run executes the configured load against the server and returns the
+// Run executes the configured load against the target and returns the
 // measured report.
 func Run(cfg Config) (*Report, error) { return run(cfg, nil) }
 
@@ -188,25 +215,32 @@ func run(cfg Config, obs *observer) (*Report, error) {
 	if cfg.Profile != nil && cfg.Rate <= 0 {
 		return nil, fmt.Errorf("driver: load profiles require open-loop operation (set Rate)")
 	}
+	if cfg.MPRate < 0 || cfg.MPRate > 100 {
+		return nil, fmt.Errorf("driver: multi-partition rate %d%% out of [0,100]", cfg.MPRate)
+	}
+	if cfg.MPRate > 0 && !cfg.clustered() {
+		return nil, fmt.Errorf("driver: a multi-partition rate needs a cluster target (Addrs and Map)")
+	}
 
 	// Establish every connection (Hello + prepare) before traffic starts, so
 	// the warmup window measures serving, not ramp-up.
-	conns := make([]*clientConn, cfg.Conns)
-	for i := range conns {
+	conns := make([]*clientConn, 0, cfg.Conns)
+	closeAll := func() {
+		for _, c := range conns {
+			c.close()
+		}
+	}
+	for i := 0; i < cfg.Conns; i++ {
 		c, err := dial(cfg, i)
 		if err != nil {
-			for _, p := range conns[:i] {
-				p.nc.Close()
-			}
+			closeAll()
 			return nil, fmt.Errorf("driver: conn %d: %w", i, err)
 		}
-		conns[i] = c
+		conns = append(conns, c)
 	}
 	shards := conns[0].shards
 	if err := cfg.Spec.Validate(shards); err != nil {
-		for _, c := range conns {
-			c.nc.Close()
-		}
+		closeAll()
 		return nil, err
 	}
 
@@ -225,9 +259,7 @@ func run(cfg Config, obs *observer) (*Report, error) {
 		var err error
 		rlog, err = olog.Create(cfg.ReqLog, hdr)
 		if err != nil {
-			for _, c := range conns {
-				c.nc.Close()
-			}
+			closeAll()
 			return nil, err
 		}
 		for _, c := range conns {
@@ -247,9 +279,12 @@ func run(cfg Config, obs *observer) (*Report, error) {
 	}
 	var wg sync.WaitGroup
 	for _, c := range conns {
-		wg.Add(2)
-		go func(c *clientConn) { defer wg.Done(); c.readLoop(base, warmEnd, end) }(c)
-		go func(c *clientConn) { defer wg.Done(); c.sendLoop(base, warmEnd, end) }(c)
+		if c.wc != nil { // a cluster.Conn answers inside the send loop
+			wg.Add(1)
+			go func() { defer wg.Done(); c.readLoop(base) }()
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); c.sendLoop(base, warmEnd, end) }()
 	}
 	wg.Wait()
 	if at != nil {
@@ -274,6 +309,9 @@ func run(cfg Config, obs *observer) (*Report, error) {
 		rep.Errors += c.errs.Load()
 		rep.Rejected += c.rejected.Load()
 		rep.Shed += c.shed.Load()
+		if c.cc != nil {
+			rep.MultiPart += c.cc.MultiPart
+		}
 		if c.dirty.Load() {
 			rep.DirtyDrains++
 		}
@@ -317,28 +355,36 @@ type slot struct {
 	shard   uint16 // routed partition
 	proc    uint16 // procedure index into Spec.ProcNames()
 	measure bool   // scheduled inside the measurement window
+	multi   bool   // issued as a multi-partition (2PC) transaction
 }
 
-// clientConn is one driver connection: a sender goroutine generating and
-// encoding traffic, and a reader goroutine matching responses by request ID
-// and recording latency.
-type clientConn struct {
-	cfg     Config
-	idx     int
-	nc      net.Conn
-	br      *bufio.Reader
-	wl      workload.Workload
-	rng     *workload.Rand
-	shards  int
-	procID  map[string]uint32
-	procIdx map[string]uint16 // procedure -> index into Spec.ProcNames()
-	rlog    *olog.ConnLog     // request-log capture buffer; nil when -reqlog is off
+// proc is one prepared procedure: the server's ID for it (single-node
+// target; a cluster.Conn keeps its own per node) and its index into
+// Spec.ProcNames(), which is what the request log records.
+type proc struct {
+	id  uint32
+	idx uint16
+}
 
-	wbuf   wire.Buffer
+// clientConn is one driver connection: a sender goroutine generating
+// traffic and, on a single-node target, a reader goroutine matching the
+// pipelined responses by request ID. Exactly one of wc and cc is set.
+type clientConn struct {
+	cfg    Config
+	idx    int
+	wc     *wire.Client  // single-node target: pipelined frames, answered on readLoop
+	cc     *cluster.Conn // cluster target: routed synchronous calls, answered in sendLoop
+	wl     workload.Workload
+	rng    *workload.Rand
+	shards int
+	procs  map[string]proc
+	args   []catalog.Value // first-branch argument copy for a multi-partition draw
+	rlog   *olog.ConnLog   // request-log capture buffer; nil when -reqlog is off
+
 	window int
 	ring   []slot
 	// tokens carries free slot indexes: a slot is exclusively owned from the
-	// moment the sender receives its index until the reader finishes with
+	// moment the sender receives its index until complete() finishes with
 	// the matching response and returns it. Responses may complete out of
 	// order across shards, so slots cannot simply be reqID mod window — the
 	// free-list is what prevents a live slot from being overwritten (and the
@@ -364,23 +410,17 @@ type clientConn struct {
 	lastMeasured atomic.Int64
 }
 
-// dial connects, consumes Hello (verifying the workload spec), and prepares
-// every procedure the generator can emit.
+// dial connects one driver connection to the target — a wire.Client
+// (verifying the Hello's workload spec and preparing every procedure the
+// generator can emit) or a cluster.Conn, which does the same per node.
 func dial(cfg Config, idx int) (*clientConn, error) {
-	nc, err := net.Dial("tcp", cfg.Addr)
-	if err != nil {
-		return nil, err
-	}
 	c := &clientConn{
-		cfg:     cfg,
-		idx:     idx,
-		nc:      nc,
-		br:      bufio.NewReaderSize(nc, 64<<10),
-		rng:     workload.NewRand(cfg.Seed ^ 0x5eed<<32 ^ uint64(idx)*1_000_003),
-		procID:  make(map[string]uint32),
-		procIdx: make(map[string]uint16),
-		window:  cfg.Pipeline,
-		hist:    &metrics.Histogram{},
+		cfg:    cfg,
+		idx:    idx,
+		rng:    workload.NewRand(cfg.Seed ^ 0x5eed<<32 ^ uint64(idx)*1_000_003),
+		procs:  make(map[string]proc),
+		window: cfg.Pipeline,
+		hist:   &metrics.Histogram{},
 	}
 	c.ring = make([]slot, c.window)
 	c.tokens = make(chan int, c.window)
@@ -388,77 +428,53 @@ func dial(cfg Config, idx int) (*clientConn, error) {
 	for i := 0; i < c.window; i++ {
 		c.tokens <- i
 	}
-
-	var frame []byte
-	var typ byte
-	var payload []byte
-	typ, payload, frame, err = wire.ReadFrame(c.br, frame)
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("reading hello: %w", err)
+	if cfg.clustered() {
+		cc, err := cluster.Dial(cluster.Config{Addrs: cfg.Addrs, Map: cfg.Map, Spec: cfg.Spec})
+		if err != nil {
+			return nil, err
+		}
+		c.cc, c.shards = cc, cfg.Map.Parts
+	} else {
+		wc, err := wire.Dial(cfg.Addr)
+		if err != nil {
+			return nil, err
+		}
+		c.wc, c.shards = wc, wc.Shards
+		if want := cfg.Spec.String(); wc.Spec != want {
+			wc.Close()
+			return nil, fmt.Errorf("workload mismatch: server serves %q, driver generates %q", wc.Spec, want)
+		}
 	}
-	if typ != wire.MsgHello {
-		nc.Close()
-		return nil, fmt.Errorf("expected hello, got frame %#x", typ)
-	}
-	r := wire.NewReader(payload)
-	ver := r.U8()
-	c.shards = int(r.U16())
-	serverSpec := r.Str()
-	if r.Err != nil || ver != wire.Version {
-		nc.Close()
-		return nil, fmt.Errorf("bad hello (version %d): %v", ver, r.Err)
-	}
-	if want := cfg.Spec.String(); serverSpec != want {
-		nc.Close()
-		return nil, fmt.Errorf("workload mismatch: server serves %q, driver generates %q", serverSpec, want)
+	for i, name := range cfg.Spec.ProcNames() {
+		p := proc{idx: uint16(i)}
+		if c.wc != nil {
+			var err error
+			if p.id, err = c.wc.Prepare(name); err != nil {
+				c.close()
+				return nil, err
+			}
+		}
+		c.procs[name] = p
 	}
 	c.wl = cfg.Spec.New(c.shards)
-
-	// Prepare every procedure synchronously (no other traffic in flight).
-	for i, name := range cfg.Spec.ProcNames() {
-		c.wbuf.Reset(wire.MsgPrepare)
-		c.wbuf.U32(uint32(i))
-		c.wbuf.Str(name)
-		if _, err := nc.Write(c.wbuf.Bytes()); err != nil {
-			nc.Close()
-			return nil, err
-		}
-		typ, payload, frame, err = wire.ReadFrame(c.br, frame)
-		if err != nil {
-			nc.Close()
-			return nil, err
-		}
-		pr := wire.NewReader(payload)
-		switch typ {
-		case wire.MsgPrepared:
-			_ = pr.U32() // reqID
-			c.procID[name] = pr.U32()
-			c.procIdx[name] = uint16(i)
-		case wire.MsgErr:
-			_ = pr.U32()
-			msg := pr.Str()
-			nc.Close()
-			return nil, fmt.Errorf("prepare %q: %s", name, msg)
-		default:
-			nc.Close()
-			return nil, fmt.Errorf("prepare %q: unexpected frame %#x", name, typ)
-		}
-		if pr.Err != nil {
-			nc.Close()
-			return nil, pr.Err
-		}
-	}
 	return c, nil
 }
 
-// sendLoop generates and sends requests until the measurement window ends
+// close tears the target connection down, releasing a blocked reader.
+func (c *clientConn) close() {
+	if c.cc != nil {
+		c.cc.Close()
+	} else {
+		c.wc.Close()
+	}
+}
+
+// sendLoop generates and issues requests until the measurement window ends
 // (or the server starts draining), then waits out the in-flight tail and
-// closes the socket to release the reader.
+// closes the connection to release the reader.
 func (c *clientConn) sendLoop(base time.Time, warmEnd, end int64) {
 	defer c.finish()
 
-	var id uint32 // request ID = the owned slot index
 	var pc *pacer // open loop: the deterministic (profile-shaped) arrival schedule
 	measure := float64(end - warmEnd)
 	if c.cfg.Rate > 0 {
@@ -496,51 +512,73 @@ func (c *clientConn) sendLoop(base time.Time, warmEnd, end int64) {
 		p := part
 		part = (part + 1) % c.shards
 		call := c.wl.Gen(c.rng, p, c.shards)
-		procID, ok := c.procID[call.Proc]
+		pr, ok := c.procs[call.Proc]
 		if !ok {
 			panic(fmt.Sprintf("driver: generator emitted unprepared procedure %q", call.Proc))
 		}
-		id = uint32(slotIdx)
 		sl := &c.ring[slotIdx]
-		start := sched
-		if c.cfg.Rate == 0 {
-			sched = time.Since(base).Nanoseconds() // closed loop: actual send
-			start = sched
-		} else {
-			start = time.Since(base).Nanoseconds() // open loop: sender may lag its schedule
+		start := time.Since(base).Nanoseconds() // open loop: the sender may lag its schedule
+		if pc == nil {
+			sched = start // closed loop: scheduled = actual send
 		}
 		sl.sched = sched
 		sl.start = start
 		sl.shard = uint16(p)
-		sl.proc = c.procIdx[call.Proc]
+		sl.proc = pr.idx
 		sl.measure = sched >= warmEnd && sched < end
+		sl.multi = false
 
-		c.wbuf.Reset(wire.MsgExec)
-		c.wbuf.U32(id)
-		c.wbuf.U32(procID)
-		c.wbuf.U16(uint16(p))
-		c.wbuf.U16(uint16(len(call.Args)))
-		for _, a := range call.Args {
-			if a.S != nil {
-				c.wbuf.U8(wire.TagBytes)
-				c.wbuf.Blob(a.S)
-			} else {
-				c.wbuf.U8(wire.TagLong)
-				c.wbuf.I64(a.I)
-			}
-		}
 		c.inflight.Add(1)
-		if _, err := c.nc.Write(c.wbuf.Bytes()); err != nil {
+		if c.cc != nil {
+			err := c.route(sl, p, call)
+			c.complete(slotIdx, err, time.Since(base).Nanoseconds())
+		} else if err := c.wc.Exec(uint32(slotIdx), pr.id, p, call.Args); err != nil { // request ID = the owned slot index
 			c.stop.Store(true)
 			return
 		}
 	}
 }
 
-// finish reclaims the in-flight tail (bounded) and closes the socket. A
+// route issues one generated call on the cluster target and waits for its
+// answer: an analytic scatters to every node, MPRate percent of the rest
+// become two-branch 2PC transactions, everything else goes to its
+// partition's owner.
+func (c *clientConn) route(sl *slot, p int, call workload.Call) error {
+	switch {
+	case strings.HasPrefix(call.Proc, "olap_"):
+		return c.cc.ExecAll(call.Proc, call.Args)
+	case c.shards > 1 && c.cfg.MPRate > 0 && c.rng.Intn(100) < c.cfg.MPRate:
+		// Two-branch 2PC: this call plus a second generated for another
+		// partition. Gen recycles its argument buffer, so the first call's
+		// args are copied before the second draw.
+		c.args = append(c.args[:0], call.Args...)
+		pp := (p + 1 + c.rng.Intn(c.shards-1)) % c.shards
+		c2 := c.wl.Gen(c.rng, pp, c.shards)
+		if strings.HasPrefix(c2.Proc, "olap_") {
+			// The second draw came out analytic (hybrid workload): a
+			// cross-partition procedure cannot be a 2PC branch, so run the
+			// pair as a single-partition exec plus a scatter-gather analytic
+			// instead of mis-routing the analytic through 2PC.
+			if err := c.cc.Exec(p, call.Proc, c.args); err != nil {
+				return err
+			}
+			return c.cc.ExecAll(c2.Proc, c2.Args)
+		}
+		sl.multi = true
+		return c.cc.ExecMulti([]cluster.Branch{
+			{Part: p, Proc: call.Proc, Args: c.args},
+			{Part: pp, Proc: c2.Proc, Args: c2.Args},
+		})
+	default:
+		return c.cc.Exec(p, call.Proc, call.Args)
+	}
+}
+
+// finish reclaims the in-flight tail (bounded) and closes the connection. A
 // deadline firing means tokens went missing or the server sat on responses —
 // it is recorded in dirty and surfaces as Report.DirtyDrains.
 func (c *clientConn) finish() {
+	defer c.close()
 	deadline := time.NewTimer(5 * time.Second)
 	defer deadline.Stop()
 	for c.inflight.Load() > 0 {
@@ -549,98 +587,109 @@ func (c *clientConn) finish() {
 		case <-c.done:
 			// Reader gone (socket error or drain): the in-flight tail is
 			// forfeited, nothing more will arrive.
-			c.nc.Close()
 			return
 		case <-deadline.C:
 			c.dirty.Store(true)
-			c.nc.Close()
 			return
 		}
 	}
-	c.nc.Close()
 }
 
-// readLoop consumes responses, records measured latencies, and returns
-// tokens to the sender.
-func (c *clientConn) readLoop(base time.Time, warmEnd, end int64) {
-	var frame []byte
+// readLoop consumes a single-node target's pipelined responses and
+// completes the slot each one names.
+func (c *clientConn) readLoop(base time.Time) {
+	defer close(c.done) // wake and stop a sender blocked on a slot
+	defer c.stop.Store(true)
 	for {
-		typ, payload, f, err := wire.ReadFrame(c.br, frame)
-		if err != nil {
-			c.stop.Store(true)
-			close(c.done) // wake and stop a sender blocked on a slot
+		id, typ, r, err := c.wc.Recv()
+		if err != nil || int(id) >= c.window { // socket gone, or a corrupt response ID
 			return
 		}
-		frame = f
-		r := wire.NewReader(payload)
-		id := r.U32()
-		isErr := typ == wire.MsgErr
-		var msg string
-		if isErr {
-			msg = r.Str()
-		}
-		if r.Err != nil {
-			c.stop.Store(true)
-			close(c.done)
-			return
-		}
-		if int(id) >= c.window {
-			c.stop.Store(true)
-			close(c.done)
-			return // corrupt response ID
-		}
-		sl := &c.ring[id]
-		now := time.Since(base).Nanoseconds()
-		if c.rlog != nil {
-			st := olog.StatusOK
-			switch {
-			case isErr && msg == wire.ErrDraining:
-				st = olog.StatusDrain
-			case isErr && msg == wire.ErrOverload:
-				st = olog.StatusOverload
-			case isErr:
-				st = olog.StatusAbort
-			}
-			var flags uint8
-			if sl.measure {
-				flags |= olog.FlagMeasured
-			}
-			c.rlog.Record(olog.Rec{
-				Sched:  sl.sched,
-				Start:  sl.start,
-				Done:   now,
-				Shard:  sl.shard,
-				Proc:   sl.proc,
-				Status: st,
-				Flags:  flags,
-			})
-		}
-		if isErr && msg == wire.ErrDraining {
-			c.rejected.Add(1)
-			c.stop.Store(true)
-		} else if isErr && msg == wire.ErrOverload {
-			// Shed by admission control: the server refused this one request
-			// but the connection lives on — count it, keep the offered
-			// schedule, and leave the latency histogram alone (a fast reject
-			// is not a serviced op).
-			if sl.measure {
-				c.shed.Add(1)
-			}
-		} else if sl.measure {
-			lat := now - sl.sched
-			if lat < 0 {
-				lat = 0
-			}
-			c.hist.Record(uint64(lat))
-			c.ops.Add(1)
-			if isErr {
-				c.errs.Add(1)
-			}
-			if now > c.lastMeasured.Load() {
-				c.lastMeasured.Store(now)
+		if typ != wire.MsgOK {
+			err = wire.Ack(typ, r)
+			if _, answered := err.(wire.ServerError); !answered {
+				return // truncated Err frame, or a frame no request asked for
 			}
 		}
-		c.inflight.Add(-1)
-		c.tokens <- int(id) // return the slot (never blocks: capacity = window)
+		c.complete(int(id), err, time.Since(base).Nanoseconds())
 	}
+}
+
+// classify maps one request's failed answer onto the request log's status
+// vocabulary and says whether the connection must wind down — the one
+// reading of an outcome both targets share. A draining server refuses
+// everything from here on, so the connection stops; an overload shed and a
+// procedure or 2PC abort are definitive answers about this request only;
+// anything that is neither a server answer nor a clean abort is a transport
+// failure.
+func classify(err error) (status olog.Status, stop bool) {
+	var se wire.ServerError
+	answered := errors.As(err, &se)
+	switch {
+	case se == wire.ErrDraining:
+		return olog.StatusDrain, true
+	case se == wire.ErrOverload:
+		return olog.StatusOverload, false
+	default:
+		return olog.StatusAbort, !answered && !errors.Is(err, cluster.ErrAborted)
+	}
+}
+
+// complete accounts one answered request and frees its slot: the request-log
+// record, the latency histogram, the ops/errors/rejected/shed counters and
+// the covered-window mark all happen here and nowhere else, whichever
+// target answered.
+func (c *clientConn) complete(slotIdx int, err error, now int64) {
+	sl := &c.ring[slotIdx]
+	status, stop := olog.StatusOK, false
+	if err != nil {
+		status, stop = classify(err)
+	}
+	if c.rlog != nil {
+		var flags uint8
+		if sl.measure {
+			flags |= olog.FlagMeasured
+		}
+		if sl.multi {
+			flags |= olog.FlagMultiPart
+		}
+		c.rlog.Record(olog.Rec{
+			Sched:  sl.sched,
+			Start:  sl.start,
+			Done:   now,
+			Shard:  sl.shard,
+			Proc:   sl.proc,
+			Status: status,
+			Flags:  flags,
+		})
+	}
+	switch {
+	case status == olog.StatusDrain:
+		c.rejected.Add(1)
+	case !sl.measure:
+	case status == olog.StatusOverload:
+		// Shed by admission control: the server refused this one request but
+		// the connection lives on — count it, keep the offered schedule, and
+		// leave the latency histogram alone (a fast reject is not a serviced
+		// op).
+		c.shed.Add(1)
+	default:
+		lat := now - sl.sched
+		if lat < 0 {
+			lat = 0
+		}
+		c.hist.Record(uint64(lat))
+		c.ops.Add(1)
+		if status != olog.StatusOK {
+			c.errs.Add(1)
+		}
+		if now > c.lastMeasured.Load() {
+			c.lastMeasured.Store(now)
+		}
+	}
+	if stop {
+		c.stop.Store(true)
+	}
+	c.inflight.Add(-1)
+	c.tokens <- slotIdx // return the slot (never blocks: capacity = window)
 }

@@ -99,7 +99,7 @@ func islandCell(r *Runner, policy string, nodes, mpPct int) (*driver.Report, err
 	defer stop()
 
 	warm, measure := serveWindows(r.Scale)
-	return driver.RunCluster(driver.ClusterConfig{
+	return driver.Run(driver.Config{
 		Addrs:   addrs,
 		Map:     m,
 		Spec:    spec,
@@ -265,7 +265,7 @@ func FigI3(r *Runner) *Figure {
 	}
 
 	warm, measure := serveWindows(r.Scale)
-	if _, err := driver.RunCluster(driver.ClusterConfig{
+	if _, err := driver.Run(driver.Config{
 		Addrs:   addrs,
 		Map:     m,
 		Spec:    spec,

@@ -25,6 +25,7 @@ var gatedRoots = []struct{ dir, recv, fn string }{
 	{"internal/wire", "Buffer", "Reset"},          // TestBufferReuse
 	{"internal/wire", "Buffer", "U32"},            // TestBufferReuse
 	{"internal/wire", "Buffer", "Bytes"},          // TestBufferReuse
+	{"internal/wire", "Client", "Exec"},           // TestClientExecAllocs
 }
 
 func TestGatedRootsAnnotated(t *testing.T) {

@@ -5,40 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"oltpsim/internal/catalog"
 	"oltpsim/internal/metrics"
 	"oltpsim/internal/wire"
 )
-
-// prepare2PC sends a Prepare2PC frame (an Exec carrying a gtid) and returns
-// once it is written; the Vote comes back as a normal frame.
-func (c *testClient) prepare2PC(reqID uint32, gtid uint64, procID uint32, part int, args ...int64) {
-	c.t.Helper()
-	c.wbuf.Reset(wire.MsgPrepare2PC)
-	c.wbuf.U32(reqID)
-	c.wbuf.U64(gtid)
-	c.wbuf.U32(procID)
-	c.wbuf.U16(uint16(part))
-	c.wbuf.U16(uint16(len(args)))
-	for _, a := range args {
-		c.wbuf.U8(wire.TagLong)
-		c.wbuf.I64(a)
-	}
-	if _, err := c.nc.Write(c.wbuf.Bytes()); err != nil {
-		c.t.Fatalf("write prepare2pc: %v", err)
-	}
-}
-
-// commit2PC sends the coordinator's commit decision for a prepared branch.
-func (c *testClient) commit2PC(reqID uint32, gtid uint64, part int) {
-	c.t.Helper()
-	c.wbuf.Reset(wire.MsgCommit2PC)
-	c.wbuf.U32(reqID)
-	c.wbuf.U64(gtid)
-	c.wbuf.U16(uint16(part))
-	if _, err := c.nc.Write(c.wbuf.Bytes()); err != nil {
-		c.t.Fatalf("write commit2pc: %v", err)
-	}
-}
 
 // TestAdmissionQueueShed fills shard 0's queue deterministically — a 2PC
 // prepare parks the shard worker between vote and decision, so nothing
@@ -53,21 +23,17 @@ func TestAdmissionQueueShed(t *testing.T) {
 	s := startServer(t, cfg)
 
 	coord := dialClient(t, s)
-	defer coord.nc.Close()
+	defer coord.Close()
 	procID := coord.prepare("micro_ro")
 
 	// Park shard worker 0: prepare a branch, await its YES vote. The worker
 	// now blocks for the decision and shard 0's queue cannot drain.
 	const gtid = 77
-	coord.prepare2PC(1, gtid, procID, 0, 0)
-	typ, payload := coord.read()
-	if typ != wire.MsgVote {
-		t.Fatalf("expected vote, got frame %#x (%q)", typ, payload)
+	if err := coord.Prepare2PC(1, gtid, procID, 0, []catalog.Value{catalog.LongVal(0)}); err != nil {
+		t.Fatal(err)
 	}
-	r := wire.NewReader(payload)
-	_ = r.U32()
-	if r.U8() != 1 {
-		t.Fatalf("2PC prepare voted NO: %q", payload)
+	if _, typ, r, err := coord.Recv(); err != nil || typ != wire.MsgVote || r.U8() != 1 {
+		t.Fatalf("2PC prepare: frame %#x (err %v), want a YES vote", typ, err)
 	}
 
 	// Pipeline queueMax + extra execs at the parked shard from a second
@@ -75,25 +41,21 @@ func TestAdmissionQueueShed(t *testing.T) {
 	// immediately by the reader with the overload error.
 	const extra = 5
 	cl := dialClient(t, s)
-	defer cl.nc.Close()
+	defer cl.Close()
 	clProc := cl.prepare("micro_ro")
 	for i := uint32(0); i < queueMax+extra; i++ {
 		cl.exec(i, clProc, 0, int64(2*i))
 	}
 	for i := 0; i < extra; i++ {
-		typ, payload := cl.read()
-		if typ != wire.MsgErr {
-			t.Fatalf("shed response %d: frame %#x (%q), want Err", i, typ, payload)
-		}
-		r := wire.NewReader(payload)
-		_ = r.U32()
-		if msg := r.Str(); msg != wire.ErrOverload {
-			t.Fatalf("shed response %d: error %q, want %q", i, msg, wire.ErrOverload)
+		if typ, msg := cl.read(); typ != wire.MsgErr || msg != wire.ErrOverload {
+			t.Fatalf("shed response %d: frame %#x (%q), want Err %q", i, typ, msg, wire.ErrOverload)
 		}
 	}
 
 	// Release the worker; the queued requests all complete.
-	coord.commit2PC(2, gtid, 0)
+	if err := coord.Commit2PC(2, gtid, 0); err != nil {
+		t.Fatal(err)
+	}
 	if typ, payload := coord.read(); typ != wire.MsgOK {
 		t.Fatalf("commit ack: frame %#x (%q)", typ, payload)
 	}
@@ -179,7 +141,7 @@ func TestAdmissionOffKeepsBackpressure(t *testing.T) {
 	}
 	s := startServer(t, cfg)
 	c := dialClient(t, s)
-	defer c.nc.Close()
+	defer c.Close()
 	procID := c.prepare("micro_ro")
 	const n = 64
 	for i := uint32(0); i < n; i++ {
@@ -188,7 +150,7 @@ func TestAdmissionOffKeepsBackpressure(t *testing.T) {
 	for i := 0; i < n; i++ {
 		typ, payload := c.read()
 		if typ != wire.MsgOK {
-			if typ == wire.MsgErr && strings.Contains(string(payload), "overload") {
+			if typ == wire.MsgErr && strings.Contains(payload, "overload") {
 				t.Fatalf("admission-off server shed request %d", i)
 			}
 			t.Fatalf("exec %d: frame %#x (%q)", i, typ, payload)

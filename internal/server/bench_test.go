@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
-	"fmt"
-	"net"
 	"testing"
 
+	"oltpsim/internal/catalog"
 	"oltpsim/internal/systems"
 	"oltpsim/internal/wire"
 	"oltpsim/internal/workload"
@@ -14,8 +12,8 @@ import (
 // BenchmarkServeLoopback measures the full serving path per request: wire
 // encode → TCP loopback → decode → shard queue → group-execute on the
 // simulated engine → response. One closed-loop client, 2 shards; ns/op is
-// the end-to-end round trip (recorded in BENCH_<date>.json by
-// scripts/bench.sh).
+// the end-to-end round trip (benchmark/ measures the same trip with medians
+// and spreads as server.rtt_raw_us).
 func BenchmarkServeLoopback(b *testing.B) {
 	s, err := New(Config{
 		System: systems.VoltDB,
@@ -30,24 +28,19 @@ func BenchmarkServeLoopback(b *testing.B) {
 	}
 	defer s.Shutdown()
 
-	nc, err := dialRaw(s.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer nc.nc.Close()
-	procID, err := nc.prepare("micro_ro")
-	if err != nil {
-		b.Fatal(err)
-	}
+	c, procID := benchClient(b, s)
+	defer c.Close()
+	key := []catalog.Value{{}}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		part := i % 2
-		key := int64(2*(i%2000) + part)
-		if err := nc.execWait(uint32(i), procID, part, key); err != nil {
+		key[0].I = int64(2*(i%2000) + part)
+		if err := c.Exec(uint32(i), procID, part, key); err != nil {
 			b.Fatal(err)
 		}
+		recvOK(b, c)
 	}
 }
 
@@ -68,15 +61,9 @@ func BenchmarkServeLoopbackBatch8(b *testing.B) {
 	}
 	defer s.Shutdown()
 
-	nc, err := dialRaw(s.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer nc.nc.Close()
-	procID, err := nc.prepare("micro_ro")
-	if err != nil {
-		b.Fatal(err)
-	}
+	c, procID := benchClient(b, s)
+	defer c.Close()
+	key := []catalog.Value{{}}
 
 	const window = 8
 	b.ReportAllocs()
@@ -88,104 +75,40 @@ func BenchmarkServeLoopbackBatch8(b *testing.B) {
 		}
 		for j := 0; j < n; j++ {
 			part := (i + j) % 2
-			key := int64(2*((i+j)%2000) + part)
-			if err := nc.exec(uint32(i+j), procID, part, key); err != nil {
+			key[0].I = int64(2*((i+j)%2000) + part)
+			if err := c.Exec(uint32(i+j), procID, part, key); err != nil {
 				b.Fatal(err)
 			}
 		}
 		for j := 0; j < n; j++ {
-			if _, err := nc.readResult(); err != nil {
-				b.Fatal(err)
-			}
+			recvOK(b, c)
 		}
 	}
 }
 
-// rawClient is the benchmark's minimal client (no *testing.T plumbing).
-type rawClient struct {
-	nc   net.Conn
-	br   *bufio.Reader
-	buf  []byte
-	wbuf wire.Buffer
-}
-
-func dialRaw(addr string) (*rawClient, error) {
-	nc, err := net.Dial("tcp", addr)
+// benchClient dials the server and prepares micro_ro.
+func benchClient(b *testing.B, s *Server) (*wire.Client, uint32) {
+	b.Helper()
+	c, err := wire.Dial(s.Addr().String())
 	if err != nil {
-		return nil, err
+		b.Fatal(err)
 	}
-	c := &rawClient{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
-	typ, _, err := c.readFrame()
+	procID, err := c.Prepare("micro_ro")
 	if err != nil {
-		nc.Close()
-		return nil, err
+		b.Fatal(err)
 	}
-	if typ != wire.MsgHello {
-		nc.Close()
-		return nil, fmt.Errorf("expected hello, got %#x", typ)
-	}
-	return c, nil
+	return c, procID
 }
 
-func (c *rawClient) readFrame() (byte, []byte, error) {
-	typ, payload, buf, err := wire.ReadFrame(c.br, c.buf)
-	c.buf = buf
-	return typ, payload, err
-}
-
-func errFrame(typ byte, payload []byte) error {
-	return fmt.Errorf("unexpected frame %#x: %q", typ, payload)
-}
-
-func (c *rawClient) prepare(name string) (uint32, error) {
-	c.wbuf.Reset(wire.MsgPrepare)
-	c.wbuf.U32(0)
-	c.wbuf.Str(name)
-	if _, err := c.nc.Write(c.wbuf.Bytes()); err != nil {
-		return 0, err
+// recvOK reads one response and fails the benchmark unless it is an OK.
+func recvOK(b *testing.B, c *wire.Client) {
+	_, typ, r, err := c.Recv()
+	if err == nil {
+		err = wire.Ack(typ, r)
 	}
-	typ, payload, err := c.readFrame()
 	if err != nil {
-		return 0, err
+		b.Fatal(err)
 	}
-	if typ != wire.MsgPrepared {
-		return 0, errFrame(typ, payload)
-	}
-	r := wire.NewReader(payload)
-	_ = r.U32()
-	return r.U32(), r.Err
-}
-
-func (c *rawClient) exec(id, procID uint32, part int, key int64) error {
-	c.wbuf.Reset(wire.MsgExec)
-	c.wbuf.U32(id)
-	c.wbuf.U32(procID)
-	c.wbuf.U16(uint16(part))
-	c.wbuf.U16(1)
-	c.wbuf.U8(wire.TagLong)
-	c.wbuf.I64(key)
-	_, err := c.nc.Write(c.wbuf.Bytes())
-	return err
-}
-
-func (c *rawClient) readResult() (uint32, error) {
-	typ, payload, err := c.readFrame()
-	if err != nil {
-		return 0, err
-	}
-	if typ != wire.MsgOK {
-		return 0, errFrame(typ, payload)
-	}
-	r := wire.NewReader(payload)
-	return r.U32(), r.Err
-}
-
-func (c *rawClient) execWait(id, procID uint32, part int, key int64) error {
-	if err := c.exec(id, procID, part, key); err != nil {
-		return err
-	}
-	_, err := c.readResult()
-	return err
 }
 
 // BenchmarkServeLoopbackShards4 drives a 4-shard single-engine oltpd with a
@@ -209,15 +132,9 @@ func BenchmarkServeLoopbackShards4(b *testing.B) {
 	}
 	defer s.Shutdown()
 
-	nc, err := dialRaw(s.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer nc.nc.Close()
-	procID, err := nc.prepare("micro_ro")
-	if err != nil {
-		b.Fatal(err)
-	}
+	c, procID := benchClient(b, s)
+	defer c.Close()
+	key := []catalog.Value{{}}
 
 	const window = 16 // 4 in flight per shard
 	b.ReportAllocs()
@@ -229,15 +146,13 @@ func BenchmarkServeLoopbackShards4(b *testing.B) {
 		}
 		for j := 0; j < n; j++ {
 			part := (i + j) % 4
-			key := int64(4*((i+j)%1000) + part)
-			if err := nc.exec(uint32(i+j), procID, part, key); err != nil {
+			key[0].I = int64(4*((i+j)%1000) + part)
+			if err := c.Exec(uint32(i+j), procID, part, key); err != nil {
 				b.Fatal(err)
 			}
 		}
 		for j := 0; j < n; j++ {
-			if _, err := nc.readResult(); err != nil {
-				b.Fatal(err)
-			}
+			recvOK(b, c)
 		}
 	}
 }

@@ -30,73 +30,54 @@ func startServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-// testClient is a minimal raw wire client for protocol-level tests.
+// testClient is a wire.Client with *testing.T plumbing: each helper fails the
+// test on a transport error, so protocol-level tests read as request/response
+// scripts.
 type testClient struct {
-	t     *testing.T
-	nc    net.Conn
-	buf   []byte
-	wbuf  wire.Buffer
-	shard int
+	t *testing.T
+	*wire.Client
 }
 
 func dialClient(t *testing.T, s *Server) *testClient {
 	t.Helper()
-	nc, err := net.Dial("tcp", s.Addr().String())
+	wc, err := wire.Dial(s.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	c := &testClient{t: t, nc: nc}
-	typ, payload := c.read()
-	if typ != wire.MsgHello {
-		t.Fatalf("expected hello, got %#x", typ)
-	}
-	r := wire.NewReader(payload)
-	if v := r.U8(); v != wire.Version {
-		t.Fatalf("hello version %d", v)
-	}
-	c.shard = int(r.U16())
-	return c
+	return &testClient{t: t, Client: wc}
 }
 
-func (c *testClient) read() (byte, []byte) {
+// read returns the next response's type and, for an Err frame, its text.
+func (c *testClient) read() (byte, string) {
 	c.t.Helper()
-	typ, payload, buf, err := wire.ReadFrame(c.nc, c.buf)
+	_, typ, r, err := c.Recv()
 	if err != nil {
 		c.t.Fatalf("read frame: %v", err)
 	}
-	c.buf = buf
-	return typ, payload
+	if typ != wire.MsgErr {
+		return typ, ""
+	}
+	return typ, r.Str()
 }
 
 func (c *testClient) prepare(name string) uint32 {
 	c.t.Helper()
-	c.wbuf.Reset(wire.MsgPrepare)
-	c.wbuf.U32(999)
-	c.wbuf.Str(name)
-	if _, err := c.nc.Write(c.wbuf.Bytes()); err != nil {
-		c.t.Fatalf("write prepare: %v", err)
+	id, err := c.Prepare(name)
+	if err != nil {
+		c.t.Fatal(err)
 	}
-	typ, payload := c.read()
-	if typ != wire.MsgPrepared {
-		c.t.Fatalf("prepare %q: got frame %#x (%q)", name, typ, payload)
-	}
-	r := wire.NewReader(payload)
-	_ = r.U32()
-	return r.U32()
+	return id
 }
 
+// exec sends an Exec with however many integer arguments the caller gives —
+// including too few for the procedure, which no generator would emit.
 func (c *testClient) exec(reqID, procID uint32, part int, args ...int64) {
 	c.t.Helper()
-	c.wbuf.Reset(wire.MsgExec)
-	c.wbuf.U32(reqID)
-	c.wbuf.U32(procID)
-	c.wbuf.U16(uint16(part))
-	c.wbuf.U16(uint16(len(args)))
-	for _, a := range args {
-		c.wbuf.U8(wire.TagLong)
-		c.wbuf.I64(a)
+	vals := make([]catalog.Value, len(args))
+	for i, a := range args {
+		vals[i] = catalog.LongVal(a)
 	}
-	if _, err := c.nc.Write(c.wbuf.Bytes()); err != nil {
+	if err := c.Exec(reqID, procID, part, vals); err != nil {
 		c.t.Fatalf("write exec: %v", err)
 	}
 }
@@ -114,9 +95,9 @@ func microConfig(shards int) Config {
 func TestServeExecRoundTrip(t *testing.T) {
 	s := startServer(t, microConfig(2))
 	c := dialClient(t, s)
-	defer c.nc.Close()
-	if c.shard != 2 {
-		t.Fatalf("hello shards = %d, want 2", c.shard)
+	defer c.Close()
+	if c.Shards != 2 {
+		t.Fatalf("hello shards = %d, want 2", c.Shards)
 	}
 	procID := c.prepare("micro_ro")
 
@@ -128,12 +109,13 @@ func TestServeExecRoundTrip(t *testing.T) {
 	}
 	seen := make(map[uint32]bool)
 	for i := 0; i < n; i++ {
-		typ, payload := c.read()
-		if typ != wire.MsgOK {
-			t.Fatalf("response %d: frame %#x (%s)", i, typ, payload)
+		id, typ, r, err := c.Recv()
+		if err == nil {
+			err = wire.Ack(typ, r)
 		}
-		r := wire.NewReader(payload)
-		id := r.U32()
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
 		if seen[id] {
 			t.Fatalf("duplicate response for request %d", id)
 		}
@@ -169,28 +151,23 @@ func TestServeExecRoundTrip(t *testing.T) {
 func TestServeErrors(t *testing.T) {
 	s := startServer(t, microConfig(2))
 	c := dialClient(t, s)
-	defer c.nc.Close()
+	defer c.Close()
 
-	c.wbuf.Reset(wire.MsgPrepare)
-	c.wbuf.U32(1)
-	c.wbuf.Str("no_such_proc")
-	c.nc.Write(c.wbuf.Bytes())
-	typ, payload := c.read()
-	if typ != wire.MsgErr || !strings.Contains(string(payload), "unknown procedure") {
-		t.Fatalf("unknown procedure: frame %#x %q", typ, payload)
+	if _, err := c.Prepare("no_such_proc"); err == nil || !strings.Contains(err.Error(), "unknown procedure") {
+		t.Fatalf("unknown procedure: err = %v", err)
 	}
 
 	procID := c.prepare("micro_ro")
 	c.exec(2, procID+100, 0, 0)
-	if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(string(payload), "not prepared") {
+	if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(payload, "not prepared") {
 		t.Fatalf("bad proc id: frame %#x %q", typ, payload)
 	}
 	c.exec(3, procID, 7, 0)
-	if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(string(payload), "out of range") {
+	if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(payload, "out of range") {
 		t.Fatalf("bad partition: frame %#x %q", typ, payload)
 	}
 	c.exec(4, procID, 0, 1_000_000_000) // absent key (even → partition 0)
-	if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(string(payload), "not found") {
+	if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(payload, "not found") {
 		t.Fatalf("missing key: frame %#x %q", typ, payload)
 	}
 
@@ -198,13 +175,13 @@ func TestServeErrors(t *testing.T) {
 	// confinement panic; the server must answer with an error — and stay up —
 	// rather than crash every connection.
 	c.exec(5, procID, 0, 999_999_999)
-	if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(string(payload), "panicked") {
+	if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(payload, "panicked") {
 		t.Fatalf("mis-routed key: frame %#x %q", typ, payload)
 	}
 	// Wrong argument count: the procedure indexes past tx.Args (a runtime
 	// error), which must also come back as an error response.
 	c.exec(6, procID, 0) // micro_ro needs 1 arg, send none
-	if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(string(payload), "panicked") {
+	if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(payload, "panicked") {
 		t.Fatalf("bad arity: frame %#x %q", typ, payload)
 	}
 	c.exec(7, procID, 0, 42) // server still serves
@@ -228,7 +205,7 @@ func TestExecArgsDoNotBleed(t *testing.T) {
 
 	s := startServer(t, microConfig(2))
 	c := dialClient(t, s)
-	defer c.nc.Close()
+	defer c.Close()
 	procID := c.prepare("micro_ro")
 	for i := uint32(0); i < 20; i += 2 {
 		c.exec(i, procID, 0, 42) // leaves key 42 behind in the pooled request
@@ -236,7 +213,7 @@ func TestExecArgsDoNotBleed(t *testing.T) {
 			t.Fatalf("valid exec: frame %#x %q", typ, payload)
 		}
 		c.exec(i+1, procID, 0) // micro_ro needs 1 arg, send none
-		if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(string(payload), "panicked") {
+		if typ, payload := c.read(); typ != wire.MsgErr || !strings.Contains(payload, "panicked") {
 			t.Fatalf("0-arg exec saw a stale argument: frame %#x %q", typ, payload)
 		}
 	}
@@ -249,7 +226,7 @@ func TestExecArgsDoNotBleed(t *testing.T) {
 func TestGracefulShutdown(t *testing.T) {
 	s := startServer(t, microConfig(2))
 	c := dialClient(t, s)
-	defer c.nc.Close()
+	defer c.Close()
 	procID := c.prepare("micro_ro")
 
 	// Pipeline a burst, then shut down concurrently while more requests are
@@ -261,16 +238,11 @@ func TestGracefulShutdown(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		key := []catalog.Value{{}}
 		for i := uint32(0); i < burst; i++ {
 			part := int(i) % 2
-			c.wbuf.Reset(wire.MsgExec)
-			c.wbuf.U32(i)
-			c.wbuf.U32(procID)
-			c.wbuf.U16(uint16(part))
-			c.wbuf.U16(1)
-			c.wbuf.U8(wire.TagLong)
-			c.wbuf.I64(int64(2*int(i) + part))
-			if _, err := c.nc.Write(c.wbuf.Bytes()); err != nil {
+			key[0].I = int64(2*int(i) + part)
+			if err := c.Exec(i, procID, part, key); err != nil {
 				return // socket closed by drain: stop counting
 			}
 			sent.add(1)
@@ -283,17 +255,14 @@ func TestGracefulShutdown(t *testing.T) {
 
 	var ok, draining uint64
 	for {
-		typ, payload, buf, err := wire.ReadFrame(c.nc, c.buf)
+		_, typ, r, err := c.Recv()
 		if err != nil {
 			break // clean close after drain
 		}
-		c.buf = buf
 		switch typ {
 		case wire.MsgOK:
 			ok++
 		case wire.MsgErr:
-			r := wire.NewReader(payload)
-			_ = r.U32()
 			if msg := r.Str(); msg != wire.ErrDraining {
 				t.Fatalf("unexpected error response: %q", msg)
 			}
@@ -332,7 +301,7 @@ func TestGracefulShutdown(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	s := startServer(t, microConfig(2))
 	c := dialClient(t, s)
-	defer c.nc.Close()
+	defer c.Close()
 	procID := c.prepare("micro_ro")
 	const n = 30
 	for i := uint32(0); i < n; i++ {
@@ -482,7 +451,7 @@ func TestConcurrentServing4Shards(t *testing.T) {
 		go func(shard int) {
 			defer wg.Done()
 			c := dialClient(t, s)
-			defer c.nc.Close()
+			defer c.Close()
 			procID := c.prepare("micro_ro")
 			for i := uint32(0); i < perClient; i++ {
 				c.exec(i, procID, shard, int64(4*int(i)+shard))
@@ -538,7 +507,7 @@ func TestSerializedArchetypeServes(t *testing.T) {
 		t.Fatalf("Shore-MT serves %d shards, want 1", s.Shards())
 	}
 	c := dialClient(t, s)
-	defer c.nc.Close()
+	defer c.Close()
 	procID := c.prepare("micro_ro")
 	for i := uint32(0); i < 10; i++ {
 		c.exec(i, procID, 0, int64(i))

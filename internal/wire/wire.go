@@ -1,7 +1,9 @@
 // Package wire defines the oltpd client/server protocol: length-prefixed
-// binary frames carrying prepare/exec/result messages. Both ends of the
-// serving loop — internal/server (oltpd) and internal/driver (oltpdrive) —
-// speak exactly this codec.
+// binary frames carrying prepare/exec/result messages. The server end is
+// internal/server (oltpd); the client end is this package's Client
+// (client.go) — the handshake, the request encoders and a Recv that tags each
+// response with its request ID — which the load driver (internal/driver), the
+// cluster coordinator (internal/cluster) and the tests all sit on.
 //
 // Framing (all integers little-endian):
 //
@@ -267,6 +269,10 @@ func (r *Reader) Blob() []byte {
 	r.b = r.b[n:]
 	return b
 }
+
+// Clone copies the undecoded remainder out of the frame buffer it aliases,
+// for a response that must outlive the next read.
+func (r Reader) Clone() Reader { return Reader{b: append([]byte(nil), r.b...), Err: r.Err} }
 
 // Remaining returns the undecoded byte count.
 func (r *Reader) Remaining() int { return len(r.b) }

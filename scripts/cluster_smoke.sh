@@ -2,8 +2,12 @@
 # cluster_smoke.sh — build oltpd + oltpdrive with the race detector, start a
 # two-node cluster sharing one shard map, drive a routed burst with a 20%
 # multi-partition (2PC) rate, scrape both nodes' /metrics, and assert that
-# both nodes prepared and committed 2PC branches. CI runs this as the
-# cluster-smoke job; `make cluster-smoke` runs it locally.
+# both nodes prepared and committed 2PC branches; then drive the same two
+# nodes again with every driver axis set at once — an open-loop Poisson flash
+# crowd under time compression, 20% 2PC, a timeline and a request log — and
+# assert the timeline has rows, 2PC committed and `oltpsim analyze` reads the
+# log. CI runs this as the cluster-smoke job; `make cluster-smoke` runs it
+# locally.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,6 +29,7 @@ trap '
 
 go build -race -o "$tmp/oltpd" ./cmd/oltpd
 go build -race -o "$tmp/oltpdrive" ./cmd/oltpdrive
+go build -o "$tmp/oltpsim" ./cmd/oltpsim
 
 "$tmp/oltpd" -addr "$ADDR0" -metrics-addr "$MADDR0" \
     -system voltdb -cluster "$MAP" -node 0 $WL &
@@ -73,6 +78,34 @@ for node, path in enumerate(sys.argv[2:]):
     assert aborts == 0, f"node {node}: {aborts} unexpected 2PC aborts"
 print("cluster_smoke: OK —", rep["Ops"], "ops,", rep["MultiPart"], "2PC commits,",
       "p99", rep["P99Ns"] / 1e6, "ms")
+EOF
+
+# Second burst, same nodes: target x arrival process x observers composed.
+# The base rate sits inside the race-built cluster's capacity and the spike
+# outside it, so requests queue behind the synchronous coordinators and are
+# charged from their schedule.
+echo "== flash crowd on the cluster (open loop, 20% multi-partition, timeline + reqlog) =="
+"$tmp/oltpdrive" -addrs "$ADDR0,$ADDR1" -cluster "$MAP" $WL \
+    -conns 4 -mp 20 -poisson -rate 10 -profile flash:at=0.4,dur=0.2,x=8 \
+    -time-scale 60 -sim-duration 5m -sim-warmup 15s -agg-interval 25s \
+    -timeline "$tmp/tl.csv" -reqlog "$tmp/run.olog" -json | tee "$tmp/report2.json"
+cat "$tmp/tl.csv"
+"$tmp/oltpsim" analyze -format json "$tmp/run.olog" > "$tmp/analyze.json"
+
+python3 - "$tmp/report2.json" "$tmp/tl.csv" "$tmp/analyze.json" <<'EOF'
+import csv, json, sys
+rep = json.load(open(sys.argv[1]))
+assert rep["Ops"] > 0, "flash crowd completed zero ops"
+assert rep["Errors"] == 0, f"flash crowd saw {rep['Errors']} errors"
+assert rep["MultiPart"] > 0, "flash crowd committed no multi-partition transactions"
+assert rep["RateOps"] > 0, "report lost the offered rate: -rate was ignored"
+rows = list(csv.DictReader(open(sys.argv[2])))
+assert len(rows) >= 8, f"timeline has only {len(rows)} intervals"
+assert any(float(r["mult"]) == 8 for r in rows), "spike never showed in the multiplier column"
+assert sum(int(r["ops"]) for r in rows) > 0, "timeline rows carry no ops"
+an = json.load(open(sys.argv[3]))
+assert an, "oltpsim analyze produced no analysis of the cluster request log"
+print("cluster_smoke: flash crowd OK —", rep["Ops"], "ops,", rep["MultiPart"], "2PC commits,", len(rows), "timeline rows")
 EOF
 
 # Graceful drain: SIGTERM must exit 0 on both nodes after draining.
