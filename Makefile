@@ -129,9 +129,10 @@ analyze-smoke:
 	    ./internal/server ./internal/driver
 	./scripts/analyze_smoke.sh
 
-# fuzz runs the SQL front-end fuzz smoke (same budget as CI).
+# fuzz runs the SQL front-end and L1I-index fuzz smokes (same budgets as CI).
 fuzz:
 	$(GO) test -run '^FuzzFrontend$$' -fuzz FuzzFrontend -fuzztime 30s ./internal/sqlfe
+	$(GO) test -run '^FuzzICache$$' -fuzz FuzzICache -fuzztime 20s ./internal/core
 
 # cover runs the -short suite with a coverage profile and fails if total
 # statement coverage drops below the recorded floor (scripts/cover.sh; CI

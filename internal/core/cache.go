@@ -19,7 +19,8 @@ type CacheStats struct {
 
 // Cache is a set-associative cache with true-LRU replacement. Lines are
 // identified by line IDs (virtual address >> LineShift). The zero value is
-// not usable; construct with NewCache.
+// not usable; construct with NewCache. It serves every L1D, L2 and LLC; a
+// core's L1I is an icache, the same policy without the search.
 type Cache struct {
 	geom CacheGeom
 	sets int
@@ -75,12 +76,14 @@ func (c *Cache) setIndex(lineID uint64) int {
 // The counters for the given class are updated. The set is scanned and
 // updated in place (one base computation per access, no move on an MRU hit).
 //
-// The body is duplicated in AccessEvict rather than delegated: this is the
-// simulator's hottest function and the call indirection costs ~2ns/op (a
-// third of the whole scan). Any replacement-policy change must be applied to
-// Access, AccessEvict, FillQuiet and FillQuietEvict together; the coherence
-// invariant suite and the golden figure gates fail on any divergence between
-// the coherent (Evict) and non-coherent paths.
+// The body is duplicated in AccessEvict rather than delegated: the four
+// bodies serve every L1D, L2 and LLC lookup (the L1I is an icache) and the
+// call indirection costs ~2ns/op (a third of the whole scan). Any
+// replacement-policy change must be applied to Access, AccessEvict, FillQuiet
+// and FillQuietEvict together — and to icache.touch, which
+// TestICacheMatchesCache holds to this function; the coherence invariant
+// suite and the golden figure gates fail on any divergence between the
+// coherent (Evict) and non-coherent paths.
 //
 //oltpsim:hotpath
 func (c *Cache) Access(lineID uint64, class AccessClass) bool {

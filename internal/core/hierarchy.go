@@ -61,7 +61,7 @@ func (m MissCounts) Sub(other MissCounts) MissCounts {
 }
 
 type coreCaches struct {
-	l1i *Cache
+	l1i *icache
 	l1d *Cache
 	l2  *Cache
 }
@@ -227,7 +227,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	h.sockOf = make([]int, cfg.Cores)
 	for i := range h.cores {
 		h.cores[i] = coreCaches{
-			l1i: NewCache(cfg.L1I),
+			l1i: newICache(cfg.L1I),
 			l1d: NewCache(cfg.L1D),
 			l2:  NewCache(cfg.L2),
 		}
@@ -318,28 +318,38 @@ func (h *Hierarchy) TotalCounts() MissCounts {
 // fills from memory at the local-DRAM cost (code pages are homed locally).
 // Only the LLC needs the guard (code is never invalidated, so the private
 // caches are the core's alone); its lookup and the prefetch fills share one
-// guarded section. L1I misses are the paper's headline stall and frequent
-// enough that the miss walk stays inline here rather than in a helper like
-// the data side's, and that the private prefetch fills ride in the LLC's loop
-// rather than a second one outside the guard (measured: 3-4% of FetchCode).
+// guarded section. L1I misses are the paper's headline stall and this walk is
+// where the simulator spends most of its host time, so the L1I is an icache
+// (no set search), the miss walk stays inline rather than in a helper like
+// the data side's, and the per-line counters are summed once per call.
+// addr must lie in the code segment (icache.grow panics otherwise).
 //
 //oltpsim:hotpath
 func (h *Hierarchy) FetchCode(core int, addr simmem.Addr, nLines int) int {
+	if nLines <= 0 {
+		return 0
+	}
 	cc := &h.cores[core]
 	l1i, l2 := cc.l1i, cc.l2
 	ct := &h.counts[core]
 	s := h.sockOf[core]
 	llc := h.llcs[s]
-	stall := 0
-	line := uint64(addr) >> LineShift
-	for i := 0; i < nLines; i++ {
-		id := line + uint64(i)
-		ct.L1IAcc++
-		if l1i.Access(id, ClassInstr) {
+	pf := uint64(max(h.cfg.IPrefetchLines, 0))
+	// A miss leaves each line it prefetched the MRU of its L1I set, so the
+	// walk's next accesses to them are hits that change nothing and can be
+	// stepped over — provided the prefetched lines fall in distinct sets
+	// (TestFetchCodeMatchesReferenceWalk covers both sides of that).
+	skip := pf
+	if skip > l1i.sets {
+		skip = 0
+	}
+	stall, misses := 0, 0
+	first := uint64(addr) >> LineShift
+	for id, end := first, first+uint64(nLines); id < end; id++ {
+		if l1i.touch(id) {
 			continue
 		}
-		ct.L1IMiss++
-		stall += h.cfg.L1I.MissPenalty
+		misses++
 		l2hit := l2.Access(id, ClassInstr)
 		llcHit := true
 		h.guard(s)
@@ -348,12 +358,10 @@ func (h *Hierarchy) FetchCode(core int, addr simmem.Addr, nLines int) int {
 		}
 		// Sequential next-line prefetch: fill the following lines quietly so
 		// straight-line code does not miss on every line.
-		for p := 1; p <= h.cfg.IPrefetchLines; p++ {
-			pid := id + uint64(p)
-			l1i.FillQuiet(pid)
+		for pid := id + 1; pid <= id+pf; pid++ {
+			l1i.touch(pid)
 			l2.FillQuiet(pid)
 			llc.FillQuiet(pid)
-			ct.IPrefetches++
 		}
 		h.unguard(s)
 		if !l2hit {
@@ -364,8 +372,12 @@ func (h *Hierarchy) FetchCode(core int, addr simmem.Addr, nLines int) int {
 				stall += h.serveMiss(s, id, ClassInstr, ct)
 			}
 		}
+		id += skip
 	}
-	return stall
+	ct.L1IAcc += uint64(nLines)
+	ct.L1IMiss += uint64(misses)
+	ct.IPrefetches += uint64(misses) * pf
+	return stall + misses*h.cfg.L1I.MissPenalty
 }
 
 // serveMiss resolves where an LLC miss of socket s is served from — a remote

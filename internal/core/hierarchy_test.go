@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"oltpsim/internal/simmem"
@@ -160,6 +162,38 @@ func TestMaxCoresBoundary(t *testing.T) {
 	}()
 	cfg.Cores = MaxCores + 1
 	NewHierarchy(cfg)
+}
+
+// TestL1IIndexBoundaries pins the two edges the L1I's index creates: its
+// order word caps the L1I at 16 ways, and a fetch outside the code segment is
+// refused by address rather than indexed.
+func TestL1IIndexBoundaries(t *testing.T) {
+	panicOf := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return
+	}
+	cfg := smallHierCfg(1)
+	cfg.L1I = icacheGeom(4, 16)
+	h := NewHierarchy(cfg)
+	if got := h.FetchCode(0, simmem.CodeBase, 4*16+1); got != (4*16+1)*194 {
+		t.Errorf("16-way L1I cold sweep stall = %d, want %d", got, (4*16+1)*194)
+	}
+	cfg.L1I = icacheGeom(4, 17)
+	if msg := panicOf(func() { NewHierarchy(cfg) }); !strings.Contains(msg, "16 ways") {
+		t.Errorf("NewHierarchy with a 17-way L1I: panic %q, want one naming the 16-way limit", msg)
+	}
+
+	for _, addr := range []simmem.Addr{simmem.CodeBase - LineBytes, simmem.DataBase, simmem.DataBase + 4096, 0} {
+		want := fmt.Sprintf("%#x", uint64(addr))
+		msg := panicOf(func() { h.FetchCode(0, addr, 1) })
+		if !strings.Contains(msg, want) || !strings.Contains(msg, "code segment") {
+			t.Errorf("FetchCode(%#x): panic %q, want one naming the address and the code segment", uint64(addr), msg)
+		}
+	}
+	if ct := h.Counts(0); ct.L1IAcc != 4*16+1 {
+		t.Errorf("refused fetches moved the counters: %+v", ct)
+	}
 }
 
 func TestIvyBridgeTopology(t *testing.T) {
