@@ -1,6 +1,7 @@
 GO ?= go
+SMOKES = serve-smoke concurrent-smoke cluster-smoke scenario-smoke analyze-smoke
 
-.PHONY: build vet lint test race bench bench-compare figures figures-numa figures-htap figures-serve figures-scenario figures-islands fuzz cover serve drive serve-smoke concurrent-smoke cluster-smoke scenario-smoke analyze-smoke
+.PHONY: build vet lint test race bench bench-compare figures figures-numa figures-htap figures-serve figures-scenario figures-islands fuzz cover serve drive $(SMOKES)
 
 build:
 	$(GO) build ./...
@@ -49,7 +50,7 @@ figures-numa:
 figures-htap:
 	$(GO) run ./cmd/oltpsim -figure htap -scale quick
 
-# figures-serve renders the live serving figures (FigS1-FigS2): real oltpd +
+# figures-serve renders the live serving figures (FigS1-FigS3): real oltpd +
 # oltpdrive loopback runs, wall-clock, never golden-locked.
 figures-serve:
 	$(GO) run ./cmd/oltpsim -figure serve -scale quick
@@ -82,52 +83,41 @@ drive:
 	$(GO) run ./cmd/oltpdrive -addr 127.0.0.1:7890 \
 	    -workload hybrid -warehouses 2 -conns 4 -warmup 1s -duration 5s
 
-# serve-smoke is the CI end-to-end gate: build both binaries, serve on
-# loopback, drive a burst, scrape /metrics, assert nonzero per-shard tx
-# counts and sane quantiles, then SIGTERM-drain.
-serve-smoke:
-	./scripts/serve_smoke.sh
+# The smoke gates (CI runs each as one job of its smoke matrix): a case's
+# `go test -race` list, then scripts/smoke.sh <case> — race-built binaries
+# where the case calls for them, a loopback oltpd (two for cluster) under
+# oltpdrive, /metrics assertions and a SIGTERM drain. The lists live here and
+# nowhere else (one quoted `go test -race` argument list per run). Each case
+# has its own port range, so `make -j5` of all five is safe.
+#   serve       the serving path: wire, server, driver, metrics, sessions
+#   concurrent  engine concurrent mode: MT hierarchy/engine/replay hammers,
+#               then 4 shards of ONE engine served concurrently
+#   cluster     cluster differential replay, 2PC fault injection, the cluster
+#               driver; then two nodes, a 20% 2PC burst and a flash crowd
+#   scenario    profile/pacer determinism, scenarios, admission control; then
+#               a time-compressed flash crowd against queue-depth admission
+#   analyze     request log, offline analysis, collector groups; then capture,
+#               `oltpsim analyze`/`compare`, group-scoped scrapes
+serve_tests = \
+	"./internal/server ./internal/driver ./internal/wire ./internal/metrics ./internal/testbed" \
+	"-count=20 -run TestServeErrors ./internal/server" \
+	"-run TestSession ./internal/engine"
+concurrent_tests = \
+	"-run TestConcurrent|TestEnterConcurrent ./internal/core ./internal/engine" \
+	"-run TestRefExecConcurrent ./internal/workload" \
+	"-run TestConcurrentServing4Shards|TestSerializedArchetypeServes|TestMetricsEndpoint ./internal/server"
+cluster_tests = \
+	"-run TestClusterDifferential|TestTwoPC|TestGtids ./internal/cluster" \
+	"-run TestDriveCluster|TestScenarioFlashCrowdOnCluster ./internal/driver"
+scenario_tests = \
+	"-run TestPacer|TestProfile|TestScenario|TestAdmission ./internal/driver ./internal/server"
+analyze_tests = \
+	"./internal/olog ./internal/analyze" \
+	"-run TestMetricsCollectorGroups|TestDriveReqLog|TestAutoTermStopsEarly|TestStabilizer ./internal/server ./internal/driver"
 
-# concurrent-smoke is the CI gate for the engine's concurrent mode: race
-# hammers on the MT hierarchy/engine/replay paths, then a race-built oltpd
-# serving 4 shards of ONE engine on loopback with /metrics assertions that
-# concurrent mode was live and every shard executed.
-concurrent-smoke:
-	$(GO) test -race -run 'TestConcurrent|TestEnterConcurrent' ./internal/core ./internal/engine
-	$(GO) test -race -run 'TestRefExecConcurrent' ./internal/workload
-	./scripts/concurrent_smoke.sh
-
-# cluster-smoke is the CI gate for the distributed serving tier: the cluster
-# differential replay and 2PC fault-injection batteries under -race, then
-# two race-built oltpd processes sharing a shard map, a routed oltpdrive
-# burst with a 20% multi-partition (2PC) rate, /metrics assertions that both
-# nodes prepared and committed 2PC branches, a second open-loop flash-crowd
-# burst at the same nodes with a timeline and a request log, and a SIGTERM
-# drain of both.
-cluster-smoke:
-	$(GO) test -race -run 'TestClusterDifferential|TestTwoPC|TestGtids' ./internal/cluster
-	./scripts/cluster_smoke.sh
-
-# scenario-smoke is the CI gate for the scenario engine: the profile/pacer
-# determinism and flash-crowd scenario tests under -race, then a race-built
-# oltpd with queue-depth admission control under a time-compressed flash
-# crowd from a race-built oltpdrive, with timeline assertions (nonzero shed,
-# p99 bounded through the spike) and a SIGTERM drain.
-scenario-smoke:
-	$(GO) test -race -run 'TestPacer|TestProfile|TestScenario|TestAdmission' ./internal/driver ./internal/server
-	./scripts/scenario_smoke.sh
-
-# analyze-smoke is the CI gate for the offline analysis pipeline: the
-# request-log/analysis/collector-group unit tests under -race, then a real
-# oltpdrive burst captured with -reqlog, re-analyzed with `oltpsim analyze`
-# (quantiles must match the live report within histogram bucket error),
-# self-compared with `oltpsim compare`, and group-scoped /metrics scrapes
-# asserting serving scrapes carry no engine PMU families.
-analyze-smoke:
-	$(GO) test -race ./internal/olog ./internal/analyze
-	$(GO) test -race -run 'TestMetricsCollectorGroups|TestDriveReqLog|TestAutoTermStopsEarly|TestStabilizer' \
-	    ./internal/server ./internal/driver
-	./scripts/analyze_smoke.sh
+$(SMOKES): %-smoke:
+	@set -e; for args in $($*_tests); do echo $(GO) test -race $$args; $(GO) test -race $$args; done
+	./scripts/smoke.sh $*
 
 # fuzz runs the SQL front-end and L1I-index fuzz smokes (same budgets as CI).
 fuzz:

@@ -108,7 +108,11 @@ func BenchmarkFig20to27(b *testing.B) {
 	benchRunnerOnce.Do(func() { benchRunner = harness.NewRunner(harness.QuickScale()) })
 	for i := 0; i < b.N; i++ {
 		for _, id := range []string{"20", "21", "22", "23", "24", "25", "26", "27"} {
-			if fig := harness.Figures[id](benchRunner); len(fig.Rows) == 0 {
+			builder, ok := harness.FigureBuilder(id)
+			if !ok {
+				b.Fatalf("unknown figure %q", id)
+			}
+			if fig := builder(benchRunner); len(fig.Rows) == 0 {
 				b.Fatalf("figure %s produced no rows", id)
 			}
 		}

@@ -27,7 +27,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -110,14 +109,13 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", s.Registry())
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				fmt.Fprintf(os.Stderr, "oltpd: metrics server: %v\n", err)
-			}
-		}()
-		fmt.Printf("oltpd: metrics at http://%s/metrics\n", *metricsAddr)
+		// A metrics address that cannot be bound is fatal: serving on without
+		// it would leave scrapers reading whatever else owns the port.
+		_, url, err := s.Registry().Listen(*metricsAddr)
+		if err != nil {
+			fatal(fmt.Errorf("oltpd: -metrics-addr: %w", err))
+		}
+		fmt.Printf("oltpd: metrics at %s\n", url)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -48,29 +48,11 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("Available reproductions (paper table/figure numbers):")
-		for _, id := range harness.FigureIDs() {
-			fmt.Printf("  %s\n", id)
-		}
-		fmt.Println("NUMA scaling figures (2x10-core topology; -figure numa):")
-		for _, id := range harness.NUMAFigureIDs() {
-			fmt.Printf("  %s\n", id)
-		}
-		fmt.Println("HTAP figures (OLAP micro + TPC-C x analytical mix; -figure htap):")
-		for _, id := range harness.HTAPFigureIDs() {
-			fmt.Printf("  %s\n", id)
-		}
-		fmt.Println("Serving figures (live oltpd/oltpdrive loopback runs; -figure serve):")
-		for _, id := range harness.ServeFigureIDs() {
-			fmt.Printf("  %s\n", id)
-		}
-		fmt.Println("Scenario figures (time-compressed load profiles; -figure scenario):")
-		for _, id := range harness.ScenarioFigureIDs() {
-			fmt.Printf("  %s\n", id)
-		}
-		fmt.Println("Islands figures (multi-node cluster with 2PC; -figure islands):")
-		for _, id := range harness.IslandFigureIDs() {
-			fmt.Printf("  %s\n", id)
+		for _, fam := range harness.Families {
+			fmt.Println(fam.Heading)
+			for _, fig := range fam.Figures {
+				fmt.Printf("  %s\n", fig.ID)
+			}
 		}
 		return
 	}
@@ -88,14 +70,12 @@ func main() {
 	runner.Verbose = *verbose
 	runner.Workers = *workers
 
-	// "all" expands to the paper set (its quick-scale output is locked by the
-	// committed goldens); "numa" expands to the FigN scaling figures; "htap"
-	// expands to the FigH hybrid figures; "serve", "scenario" and "islands"
-	// expand to the live serving, load-scenario and cluster figures
-	// (wall-clock, never golden-locked).
-	// The keywords and explicit IDs compose: -figure all,numa,htap,serve
-	// runs everything. Unknown IDs are rejected here, before any cell
-	// simulates.
+	// A family keyword (see -list) expands to its figures; "all" is the paper
+	// set, whose quick-scale output is locked by the committed goldens, and
+	// the live families (serve, scenario, islands) are wall-clock, never
+	// golden-locked. Keywords and explicit IDs compose: -figure
+	// all,numa,htap,serve runs everything. Unknown IDs are rejected here,
+	// before any cell simulates.
 	ids, err := harness.ExpandFigureIDs(*figures)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v (use -list)\n", err)

@@ -24,39 +24,31 @@ import (
 	"oltpsim/internal/refdb"
 	"oltpsim/internal/server"
 	"oltpsim/internal/systems"
+	"oltpsim/internal/testbed"
 	"oltpsim/internal/workload"
 )
 
 // startCluster boots one oltpd server per node of the map on loopback TCP
-// and dials a routing client against them.
+// and dials a routing client against them. At cleanup the nodes are stopped
+// and must each have answered every request they admitted — fault-injected
+// coordinators included.
 func startCluster(t *testing.T, m *cluster.ShardMap, spec workload.Spec, twopc time.Duration) ([]*server.Server, *cluster.Conn) {
 	t.Helper()
-	srvs := make([]*server.Server, m.Nodes)
-	addrs := make([]string, m.Nodes)
-	for i := 0; i < m.Nodes; i++ {
-		srv, err := server.New(server.Config{
-			System:       systems.VoltDB,
-			Spec:         spec,
-			Cluster:      m,
-			Node:         i,
-			TwoPCTimeout: twopc,
-		})
-		if err != nil {
-			t.Fatalf("node %d: New: %v", i, err)
-		}
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			t.Fatalf("node %d: Start: %v", i, err)
-		}
-		t.Cleanup(srv.Shutdown)
-		srvs[i] = srv
-		addrs[i] = srv.Addr().String()
+	bed, err := testbed.Start(server.Config{System: systems.VoltDB, Spec: spec, Cluster: m, TwoPCTimeout: twopc})
+	if err != nil {
+		t.Fatal(err)
 	}
-	conn, err := cluster.Dial(cluster.Config{Addrs: addrs, Map: m, Spec: spec})
+	t.Cleanup(func() {
+		if err := bed.Stop(); err != nil {
+			t.Error(err)
+		}
+	})
+	conn, err := cluster.Dial(cluster.Config{Addrs: bed.Addrs, Map: m, Spec: spec})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	t.Cleanup(conn.Close)
-	return srvs, conn
+	return bed.Nodes, conn
 }
 
 func analytic(proc string) bool { return strings.HasPrefix(proc, "olap_") }

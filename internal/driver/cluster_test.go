@@ -27,27 +27,15 @@ func TestDriveClusterLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 2, ReadWrite: true}
-	addrs := make([]string, m.Nodes)
-	for i := 0; i < m.Nodes; i++ {
-		s := startServer(t, server.Config{
-			System:  systems.VoltDB,
-			Spec:    spec,
-			Cluster: m,
-			Node:    i,
-		})
-		addrs[i] = s.Addr().String()
-	}
+	bed := startBed(t, server.Config{System: systems.VoltDB, Spec: spec, Cluster: m})
 
-	rep, err := driver.Run(driver.Config{
-		Addrs:   addrs,
-		Map:     m,
-		Spec:    spec,
+	rep, err := driver.Run(bed.Target(driver.Config{
 		Conns:   2,
 		MPRate:  20,
 		Warmup:  50 * time.Millisecond,
 		Measure: 300 * time.Millisecond,
 		Seed:    1,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("driver.Run: %v", err)
 	}
@@ -85,27 +73,15 @@ func TestDriveClusterHybridHighMP(t *testing.T) {
 		Kind: "hybrid", Warehouses: 4, OLAPPercent: 30,
 		Items: 80, CustomersPerDistrict: 15, OrdersPerDistrict: 15,
 	}
-	addrs := make([]string, m.Nodes)
-	for i := 0; i < m.Nodes; i++ {
-		s := startServer(t, server.Config{
-			System:  systems.VoltDB,
-			Spec:    spec,
-			Cluster: m,
-			Node:    i,
-		})
-		addrs[i] = s.Addr().String()
-	}
+	bed := startBed(t, server.Config{System: systems.VoltDB, Spec: spec, Cluster: m})
 
-	rep, err := driver.Run(driver.Config{
-		Addrs:   addrs,
-		Map:     m,
-		Spec:    spec,
+	rep, err := driver.Run(bed.Target(driver.Config{
 		Conns:   2,
 		MPRate:  80,
 		Warmup:  50 * time.Millisecond,
 		Measure: 400 * time.Millisecond,
 		Seed:    9,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("driver.Run: %v", err)
 	}
@@ -173,18 +149,7 @@ func TestDriveClusterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1}
-	addrs := make([]string, m.Nodes)
-	servers := make([]*server.Server, m.Nodes)
-	for i := 0; i < m.Nodes; i++ {
-		s := startServer(t, server.Config{
-			System:  systems.VoltDB,
-			Spec:    spec,
-			Cluster: m,
-			Node:    i,
-		})
-		servers[i] = s
-		addrs[i] = s.Addr().String()
-	}
+	bed := startBed(t, server.Config{System: systems.VoltDB, Spec: spec, Cluster: m})
 
 	const gtid = 99
 	parkedPart := m.LocalParts(1)[0]
@@ -193,7 +158,7 @@ func TestDriveClusterDrain(t *testing.T) {
 	go func() {
 		errc <- func() error {
 			time.Sleep(150 * time.Millisecond * raceWindowScale)
-			rc, err := wire.Dial(addrs[1])
+			rc, err := wire.Dial(bed.Addrs[1])
 			if err != nil {
 				return err
 			}
@@ -201,22 +166,19 @@ func TestDriveClusterDrain(t *testing.T) {
 				rc.Close()
 				return err
 			}
-			servers[1].Drain() // synchronous: refusals start before this returns
+			bed.Nodes[1].Drain() // synchronous: refusals start before this returns
 			time.Sleep(400 * time.Millisecond * raceWindowScale)
 			return release(rc, parkedPart, gtid)
 		}()
 	}()
 
-	rep, err := driver.Run(driver.Config{
-		Addrs:   addrs,
-		Map:     m,
-		Spec:    spec,
+	rep, err := driver.Run(bed.Target(driver.Config{
 		Conns:   2,
 		MPRate:  20,
 		Warmup:  20 * time.Millisecond * raceWindowScale,
 		Measure: measure,
 		Seed:    5,
-	})
+	}))
 	if perr := <-errc; perr != nil {
 		t.Fatalf("park/release: %v", perr)
 	}
@@ -247,12 +209,7 @@ func TestScenarioFlashCrowdOnCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1, ReadWrite: true}
-	addrs := make([]string, m.Nodes)
-	for i := range addrs {
-		addrs[i] = startServer(t, server.Config{
-			System: systems.VoltDB, Spec: spec, Cluster: m, Node: i, AdmitQueueMax: 1,
-		}).Addr().String()
-	}
+	bed := startBed(t, server.Config{System: systems.VoltDB, Spec: spec, Cluster: m, AdmitQueueMax: 1})
 	prof, err := driver.ParseProfile("flash:at=0.4,dur=0.25,x=40")
 	if err != nil {
 		t.Fatal(err)
@@ -260,18 +217,15 @@ func TestScenarioFlashCrowdOnCluster(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "run.olog")
 	var csv bytes.Buffer
 	rep, rows, err := driver.RunScenario(driver.ScenarioConfig{
-		Driver: driver.Config{
-			Addrs:   addrs,
-			Map:     m,
+		Driver: bed.Target(driver.Config{
 			MPRate:  20,
-			Spec:    spec,
 			Conns:   8, // one call outstanding each: the in-flight cap, and what fills a one-deep queue
 			Rate:    600 / float64(raceWindowScale),
 			Poisson: true,
 			Seed:    3,
 			Profile: prof,
 			ReqLog:  logPath,
-		},
+		}),
 		TimeScale:   10,
 		SimDuration: 6 * time.Second,
 		SimWarmup:   500 * time.Millisecond,

@@ -1,9 +1,6 @@
 package driver_test
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,23 +9,27 @@ import (
 	"oltpsim/internal/analyze"
 	"oltpsim/internal/core"
 	"oltpsim/internal/driver"
-	"oltpsim/internal/metrics"
 	"oltpsim/internal/server"
 	"oltpsim/internal/systems"
+	"oltpsim/internal/testbed"
 	"oltpsim/internal/workload"
 )
 
-func startServer(t *testing.T, cfg server.Config) *server.Server {
+// startBed starts the deployment on loopback. At cleanup it is stopped and
+// its books must balance: every e2e test below also checks that each node
+// answered every request it admitted.
+func startBed(t *testing.T, cfg server.Config) *testbed.Bed {
 	t.Helper()
-	s, err := server.New(cfg)
+	bed, err := testbed.Start(cfg)
 	if err != nil {
-		t.Fatalf("server.New: %v", err)
+		t.Fatalf("testbed.Start: %v", err)
 	}
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("server.Start: %v", err)
-	}
-	t.Cleanup(s.Shutdown)
-	return s
+	t.Cleanup(func() {
+		if err := bed.Stop(); err != nil {
+			t.Error(err)
+		}
+	})
+	return bed
 }
 
 // TestDriveHTAPLoopback is the acceptance demo as a test: oltpdrive sustains
@@ -40,7 +41,7 @@ func TestDriveHTAPLoopback(t *testing.T) {
 		t.Skip("hybrid scans serialize past any window under -race on one core; micro e2e tests cover the concurrency surface")
 	}
 	spec := workload.Spec{Kind: "hybrid", Warehouses: 2, OLAPPercent: 20}
-	s := startServer(t, server.Config{
+	bed := startBed(t, server.Config{
 		System:    systems.VoltDB,
 		Shards:    2,
 		Sockets:   2,
@@ -48,14 +49,12 @@ func TestDriveHTAPLoopback(t *testing.T) {
 		Spec:      spec,
 	})
 
-	rep, err := driver.Run(driver.Config{
-		Addr:    s.Addr().String(),
-		Spec:    spec,
+	rep, err := driver.Run(bed.Target(driver.Config{
 		Conns:   4,
 		Warmup:  50 * time.Millisecond,
 		Measure: 300 * time.Millisecond,
 		Seed:    1,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("driver.Run: %v", err)
 	}
@@ -87,20 +86,13 @@ func TestDriveHTAPLoopback(t *testing.T) {
 	}
 
 	// Scrape /metrics over real HTTP and assert per-shard PMU counters moved.
-	ts := httptest.NewServer(s.Registry())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/metrics")
+	urls, err := bed.MetricsURLs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := driver.MetricsScraper(urls[0])()
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read scrape: %v", err)
-	}
-	parsed, err := metrics.Parse(string(body))
-	if err != nil {
-		t.Fatalf("parse scrape: %v", err)
 	}
 	var tx float64
 	for _, shard := range []string{"0", "1"} {
@@ -122,18 +114,16 @@ func TestDriveHTAPLoopback(t *testing.T) {
 // modest offered load and checks the report accounts for the offered rate.
 func TestDriveOpenLoop(t *testing.T) {
 	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1}
-	s := startServer(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
+	bed := startBed(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
 
-	rep, err := driver.Run(driver.Config{
-		Addr:    s.Addr().String(),
-		Spec:    spec,
+	rep, err := driver.Run(bed.Target(driver.Config{
 		Conns:   2,
 		Rate:    2000,
 		Poisson: true,
 		Warmup:  50 * time.Millisecond * raceWindowScale,
 		Measure: 300 * time.Millisecond * raceWindowScale,
 		Seed:    2,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("driver.Run: %v", err)
 	}
@@ -157,18 +147,16 @@ func TestDriveOpenLoop(t *testing.T) {
 // (the histogram is log-linear with ≤1/64 relative error per bucket).
 func TestDriveReqLog(t *testing.T) {
 	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1}
-	s := startServer(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
+	bed := startBed(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
 	path := filepath.Join(t.TempDir(), "run.olog")
 
-	rep, err := driver.Run(driver.Config{
-		Addr:    s.Addr().String(),
-		Spec:    spec,
+	rep, err := driver.Run(bed.Target(driver.Config{
 		Conns:   2,
 		Warmup:  50 * time.Millisecond * raceWindowScale,
 		Measure: 300 * time.Millisecond * raceWindowScale,
 		Seed:    4,
 		ReqLog:  path,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("driver.Run: %v", err)
 	}
@@ -228,12 +216,10 @@ func TestDriveReqLog(t *testing.T) {
 // window, and the report says so.
 func TestAutoTermStopsEarly(t *testing.T) {
 	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1}
-	s := startServer(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
+	bed := startBed(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
 
 	measure := 20 * time.Second
-	rep, err := driver.Run(driver.Config{
-		Addr:           s.Addr().String(),
-		Spec:           spec,
+	rep, err := driver.Run(bed.Target(driver.Config{
 		Conns:          2,
 		Warmup:         30 * time.Millisecond * raceWindowScale,
 		Measure:        measure,
@@ -241,7 +227,7 @@ func TestAutoTermStopsEarly(t *testing.T) {
 		AutoTerm:       true,
 		AutoTermWindow: 200 * time.Millisecond * raceWindowScale,
 		AutoTermPct:    50, // generous: fire on the first full window
-	})
+	}))
 	if err != nil {
 		t.Fatalf("driver.Run: %v", err)
 	}
@@ -265,17 +251,13 @@ func TestAutoTermStopsEarly(t *testing.T) {
 // TestDriveSpecMismatch: a driver generating a different workload than the
 // server serves must refuse to start.
 func TestDriveSpecMismatch(t *testing.T) {
-	s := startServer(t, server.Config{
+	bed := startBed(t, server.Config{
 		System: systems.VoltDB, Shards: 2,
 		Spec: workload.Spec{Kind: "micro", Rows: 4096},
 	})
-	_, err := driver.Run(driver.Config{
-		Addr:    s.Addr().String(),
-		Spec:    workload.Spec{Kind: "tpcc", Warehouses: 2},
-		Conns:   1,
-		Warmup:  10 * time.Millisecond,
-		Measure: 10 * time.Millisecond,
-	})
+	d := bed.Target(driver.Config{Conns: 1, Warmup: 10 * time.Millisecond, Measure: 10 * time.Millisecond})
+	d.Spec = workload.Spec{Kind: "tpcc", Warehouses: 2}
+	_, err := driver.Run(d)
 	if err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("err = %v, want workload mismatch", err)
 	}
@@ -285,20 +267,18 @@ func TestDriveSpecMismatch(t *testing.T) {
 // hang the driver; refused requests are reported as rejected, not errors.
 func TestDriveAgainstDrainingServer(t *testing.T) {
 	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1}
-	s := startServer(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
+	bed := startBed(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
 
 	go func() {
 		time.Sleep(100 * time.Millisecond)
-		s.Shutdown()
+		bed.Nodes[0].Shutdown()
 	}()
-	rep, err := driver.Run(driver.Config{
-		Addr:    s.Addr().String(),
-		Spec:    spec,
+	rep, err := driver.Run(bed.Target(driver.Config{
 		Conns:   2,
 		Warmup:  10 * time.Millisecond,
 		Measure: 2 * time.Second,
 		Seed:    3,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("driver.Run: %v", err)
 	}

@@ -329,36 +329,26 @@ func (o *observer) emit(k int, cur, prev obsSnap, start time.Time) {
 
 // emitPMU fills the scrape-derived columns: per-shard interval IPC and the
 // aggregate stall mix.
-func (o *observer) emitPMU(row *TimelineRow, cur, prev map[string]float64) {
+func (o *observer) emitPMU(row *TimelineRow, cur, prev metrics.Samples) {
 	if cur == nil || prev == nil {
 		return
 	}
-	shards := o.conns[0].shards
-	var instrStall, dataStall, remoteStall float64
-	for i := 0; i < shards; i++ {
-		sh := fmt.Sprintf("%d", i)
-		di := cur[`oltpd_instructions_total{shard="`+sh+`"}`] - prev[`oltpd_instructions_total{shard="`+sh+`"}`]
-		dc := cur[`oltpd_cycles_total{shard="`+sh+`"}`] - prev[`oltpd_cycles_total{shard="`+sh+`"}`]
+	for i := 0; i < o.conns[0].shards; i++ {
+		shard := fmt.Sprintf(`{shard="%d"}`, i)
+		di := cur["oltpd_instructions_total"+shard] - prev["oltpd_instructions_total"+shard]
+		dc := cur["oltpd_cycles_total"+shard] - prev["oltpd_cycles_total"+shard]
 		ipc := 0.0
 		if dc > 0 {
 			ipc = di / dc
 		}
 		row.ShardIPC = append(row.ShardIPC, ipc)
-		for _, comp := range []struct {
-			name string
-			dst  *float64
-		}{
-			{"l1i", &instrStall}, {"l2i", &instrStall}, {"llci", &instrStall},
-			{"l1d", &dataStall}, {"l2d", &dataStall}, {"llcd", &dataStall},
-			{"remote_i", &remoteStall}, {"remote_d", &remoteStall},
-		} {
-			key := `oltpd_stall_cycles_total{shard="` + sh + `",component="` + comp.name + `"}`
-			*comp.dst += cur[key] - prev[key]
-		}
 	}
-	if total := instrStall + dataStall + remoteStall; total > 0 {
-		row.StallInstrPct = 100 * instrStall / total
-		row.StallDataPct = 100 * dataStall / total
-		row.StallRemotePct = 100 * remoteStall / total
+	instr, data, remote := cur.StallClasses()
+	pi, pd, pr := prev.StallClasses()
+	instr, data, remote = instr-pi, data-pd, remote-pr
+	if total := instr + data + remote; total > 0 {
+		row.StallInstrPct = 100 * instr / total
+		row.StallDataPct = 100 * data / total
+		row.StallRemotePct = 100 * remote / total
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"oltpsim/internal/driver"
-	"oltpsim/internal/metrics"
 	"oltpsim/internal/server"
 	"oltpsim/internal/systems"
 	"oltpsim/internal/workload"
@@ -27,7 +26,7 @@ func TestScenarioFlashCrowdWithAdmission(t *testing.T) {
 		Spec:          spec,
 		AdmitQueueMax: 8,
 	}
-	s := startServer(t, cfg)
+	bed := startBed(t, cfg)
 
 	prof, err := driver.ParseProfile("flash:at=0.4,dur=0.25,x=40")
 	if err != nil {
@@ -38,21 +37,23 @@ func TestScenarioFlashCrowdWithAdmission(t *testing.T) {
 	// time-scale invariant, so under -race it is the rate — not the window —
 	// that must shrink to keep the push-through affordable.
 	rep, rows, err := driver.RunScenario(driver.ScenarioConfig{
-		Driver: driver.Config{
-			Addr:    s.Addr().String(),
-			Spec:    spec,
+		Driver: bed.Target(driver.Config{
 			Conns:   2,
 			Rate:    1500 / float64(raceWindowScale), // simulated ops/s at multiplier 1; ×40 in the pulse
 			Poisson: true,
 			Seed:    11,
 			Profile: prof,
-		},
+		}),
 		TimeScale:   10,
 		SimDuration: 6 * time.Second,
 		SimWarmup:   500 * time.Millisecond,
 		AggInterval: 250 * time.Millisecond,
 		Scrape: func() (map[string]float64, error) {
-			return metrics.Parse(s.Registry().Render())
+			nodes, err := bed.Scrape()
+			if err != nil {
+				return nil, err
+			}
+			return nodes[0], nil
 		},
 		CSV:  &csv,
 		JSON: &jsonBuf,
@@ -114,11 +115,11 @@ func TestScenarioFlashCrowdWithAdmission(t *testing.T) {
 	}
 
 	// The server counted the same story.
-	parsed, err := metrics.Parse(s.Registry().Render())
+	nodes, err := bed.Scrape("serving")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed[`oltpd_shed_total{shard="0"}`]+parsed[`oltpd_shed_total{shard="1"}`] == 0 {
+	if nodes[0].Sum("oltpd_shed_total") == 0 {
 		t.Fatal("oltpd_shed_total never moved")
 	}
 

@@ -1,33 +1,31 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestExpandFigureIDs covers the satellite: unknown -figure IDs must be
-// rejected with a clear error (so cmd/oltpsim exits nonzero) instead of
-// being silently skipped, and the keywords expand to their registries.
+// TestExpandFigureIDs covers the -figure argument: the family keywords expand
+// to the one families table in its order, explicit IDs pass through, and
+// unknown -figure IDs are rejected with a clear error (so cmd/oltpsim exits
+// nonzero) instead of being silently skipped.
 func TestExpandFigureIDs(t *testing.T) {
 	// Keywords expand, compose, and preserve request order.
 	ids, err := ExpandFigureIDs("all")
 	if err != nil {
 		t.Fatalf("all: %v", err)
 	}
-	if len(ids) != len(FigureIDs()) {
-		t.Fatalf("all expanded to %d IDs, want %d", len(ids), len(FigureIDs()))
+	if len(ids) != len(FamilyIDs("all")) {
+		t.Fatalf("all expanded to %d IDs, want %d", len(ids), len(FamilyIDs("all")))
 	}
 	ids, err = ExpandFigureIDs("numa,htap,serve,scenario,islands")
 	if err != nil {
 		t.Fatalf("numa,htap,serve,scenario,islands: %v", err)
 	}
-	want := len(NUMAFigureIDs()) + len(HTAPFigureIDs()) + len(ServeFigureIDs()) +
-		len(ScenarioFigureIDs()) + len(IslandFigureIDs())
-	if len(ids) != want {
-		t.Fatalf("keyword expansion = %d IDs, want %d", len(ids), want)
-	}
-	if ids[0] != NUMAFigureIDs()[0] || ids[len(ids)-1] != IslandFigureIDs()[len(IslandFigureIDs())-1] {
-		t.Fatalf("expansion out of request order: %v", ids)
+	want := []string{"N1", "N2", "N3", "H1", "H2", "H3", "S1", "S2", "S3", "C1", "C2", "I1", "I2", "I3"}
+	if !reflect.DeepEqual(ids, want) {
+		t.Fatalf("keyword expansion = %v, want %v", ids, want)
 	}
 
 	// Explicit IDs pass through, with whitespace tolerated and duplicates
@@ -40,14 +38,26 @@ func TestExpandFigureIDs(t *testing.T) {
 		t.Fatalf("explicit IDs = %v", ids)
 	}
 
-	// Every registered ID resolves.
-	for _, kw := range []string{"all", "numa", "htap", "serve", "scenario", "islands"} {
-		ids, _ := ExpandFigureIDs(kw)
+	// Every family has a keyword and a heading, and every registered ID
+	// resolves.
+	var keywords []string
+	for _, fam := range Families {
+		keywords = append(keywords, fam.Keyword)
+		if fam.Heading == "" || len(fam.Figures) == 0 {
+			t.Errorf("family %q has no heading or no figures", fam.Keyword)
+		}
+		ids, _ := ExpandFigureIDs(fam.Keyword)
+		if len(ids) != len(fam.Figures) {
+			t.Errorf("%s expanded to %v for %d figures", fam.Keyword, ids, len(fam.Figures))
+		}
 		for _, id := range ids {
 			if _, ok := FigureBuilder(id); !ok {
-				t.Fatalf("%s expanded to unresolvable ID %q", kw, id)
+				t.Fatalf("%s expanded to unresolvable ID %q", fam.Keyword, id)
 			}
 		}
+	}
+	if want := []string{"all", "numa", "htap", "serve", "scenario", "islands"}; !reflect.DeepEqual(keywords, want) {
+		t.Fatalf("families = %v, want %v", keywords, want)
 	}
 
 	// Unknown, empty, and half-valid inputs all fail loudly.

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"oltpsim/internal/core"
@@ -13,101 +12,99 @@ import (
 // Builder renders one paper figure from (cached) cell measurements.
 type Builder func(*Runner) *Figure
 
-// Figures maps the paper's table/figure numbers to builders. Appendix
-// figures 20-27 are the read-write twins of their main-text counterparts.
-var Figures = map[string]Builder{
-	"T1": TableT1,
-	"1":  Fig01, "2": Fig02, "3": Fig03, "4": Fig04, "5": Fig05,
-	"6": Fig06, "7": Fig07, "8": Fig08, "9": Fig09, "10": Fig10,
-	"11": Fig11, "12": Fig12, "13": Fig13, "14": Fig14, "15": Fig15,
-	"16": Fig16, "17": Fig17, "18": Fig18, "19": Fig19,
-	"20": Fig20, "21": Fig21, "22": Fig22, "23": Fig23, "24": Fig24,
-	"25": Fig25, "26": Fig26, "27": Fig27,
+// Family is one keyword-addressable set of figures, in presentation order.
+type Family struct {
+	// Keyword is the -figure argument that expands to the whole family.
+	Keyword string
+	// Heading introduces the family in `oltpsim -list`.
+	Heading string
+	Figures []NamedBuilder
 }
 
-// FigureBuilder resolves a figure ID against every registry: the paper
-// figures above, the NUMA scaling figures (FigN1-FigN3, see numafigs.go),
-// the HTAP figures (FigH1-FigH3, see htapfigs.go), the live serving
-// figures (FigS1-FigS3, see servefigs.go) and the cluster islands figures
-// (FigI1-FigI3, see islandfigs.go).
+// NamedBuilder is one figure of a family.
+type NamedBuilder struct {
+	ID    string
+	Build Builder
+}
+
+// Families is the one registry of figures, in `-list` order. "all" is the
+// paper (Table 1 and Figures 1-27; appendix figures 20-27 are the read-write
+// twins of their main-text counterparts) and nothing else: its quick-scale
+// output is locked byte-for-byte by testdata/golden_quick, so the NUMA and
+// HTAP extensions and the live families (wall clock, never golden-locked)
+// are reached only through their own keywords or explicit IDs.
+var Families = []Family{
+	{"all", "Available reproductions (paper table/figure numbers):", []NamedBuilder{
+		{"T1", TableT1},
+		{"1", Fig01}, {"2", Fig02}, {"3", Fig03}, {"4", Fig04}, {"5", Fig05},
+		{"6", Fig06}, {"7", Fig07}, {"8", Fig08}, {"9", Fig09}, {"10", Fig10},
+		{"11", Fig11}, {"12", Fig12}, {"13", Fig13}, {"14", Fig14}, {"15", Fig15},
+		{"16", Fig16}, {"17", Fig17}, {"18", Fig18}, {"19", Fig19},
+		{"20", Fig20}, {"21", Fig21}, {"22", Fig22}, {"23", Fig23}, {"24", Fig24},
+		{"25", Fig25}, {"26", Fig26}, {"27", Fig27},
+	}},
+	{"numa", "NUMA scaling figures (2x10-core topology; -figure numa):", []NamedBuilder{
+		{"N1", FigN1}, {"N2", FigN2}, {"N3", FigN3},
+	}},
+	{"htap", "HTAP figures (OLAP micro + TPC-C x analytical mix; -figure htap):", []NamedBuilder{
+		{"H1", FigH1}, {"H2", FigH2}, {"H3", FigH3},
+	}},
+	{"serve", "Serving figures (live oltpd/oltpdrive loopback runs; -figure serve):", []NamedBuilder{
+		{"S1", FigS1}, {"S2", FigS2}, {"S3", FigS3},
+	}},
+	{"scenario", "Scenario figures (time-compressed load profiles; -figure scenario):", []NamedBuilder{
+		{"C1", FigC1}, {"C2", FigC2},
+	}},
+	{"islands", "Islands figures (multi-node cluster with 2PC; -figure islands):", []NamedBuilder{
+		{"I1", FigI1}, {"I2", FigI2}, {"I3", FigI3},
+	}},
+}
+
+// FamilyIDs returns the figure IDs the keyword expands to, in presentation
+// order (nil for an unknown keyword): "all" is the paper set "T1", "1".."27".
+func FamilyIDs(keyword string) (ids []string) {
+	for _, f := range Families {
+		if f.Keyword != keyword {
+			continue
+		}
+		for _, fig := range f.Figures {
+			ids = append(ids, fig.ID)
+		}
+	}
+	return ids
+}
+
+// FigureBuilder resolves a figure ID against every family.
 func FigureBuilder(id string) (Builder, bool) {
-	if b, ok := Figures[id]; ok {
-		return b, true
+	for _, f := range Families {
+		for _, fig := range f.Figures {
+			if fig.ID == id {
+				return fig.Build, true
+			}
+		}
 	}
-	if b, ok := NUMAFigures[id]; ok {
-		return b, true
-	}
-	if b, ok := HTAPFigures[id]; ok {
-		return b, true
-	}
-	if b, ok := ServeFigures[id]; ok {
-		return b, true
-	}
-	if b, ok := ScenarioFigures[id]; ok {
-		return b, true
-	}
-	b, ok := IslandFigures[id]
-	return b, ok
+	return nil, false
 }
 
 // ExpandFigureIDs resolves a comma-separated -figure argument into concrete
-// figure IDs: the keywords "all" (the paper set), "numa", "htap", "serve",
-// "scenario" and "islands" expand to their registries, everything else must
-// name a known figure. Unknown or empty IDs are an error — a typo must fail loudly, not
-// silently skip a figure (duplicates are preserved: the runner's cell cache
-// makes them free, and output order mirrors the request).
+// figure IDs: a family keyword expands to the family, everything else must
+// name a known figure. Unknown or empty IDs are an error — a typo must fail
+// loudly, not silently skip a figure (duplicates are preserved: the runner's
+// cell cache makes them free, and output order mirrors the request).
 func ExpandFigureIDs(arg string) ([]string, error) {
 	var ids []string
 	for _, id := range strings.Split(arg, ",") {
-		switch id = strings.TrimSpace(id); id {
-		case "all":
-			ids = append(ids, FigureIDs()...)
-		case "numa":
-			ids = append(ids, NUMAFigureIDs()...)
-		case "htap":
-			ids = append(ids, HTAPFigureIDs()...)
-		case "serve":
-			ids = append(ids, ServeFigureIDs()...)
-		case "scenario":
-			ids = append(ids, ScenarioFigureIDs()...)
-		case "islands":
-			ids = append(ids, IslandFigureIDs()...)
-		case "":
-			return nil, fmt.Errorf("harness: empty figure ID in %q", arg)
-		default:
-			if _, ok := FigureBuilder(id); !ok {
-				return nil, fmt.Errorf("harness: unknown figure %q", id)
-			}
-			ids = append(ids, id)
+		id = strings.TrimSpace(id)
+		if fam := FamilyIDs(id); fam != nil {
+			ids = append(ids, fam...)
+			continue
 		}
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("harness: no figures requested")
-	}
-	return ids, nil
-}
-
-// FigureIDs returns the registered paper figure IDs in presentation order.
-// The NUMA scaling figures are deliberately not included: they model the
-// two-socket topology the paper's figures do not use, and `-figure all`
-// (whose quick-scale output is locked byte-for-byte by testdata/golden_quick)
-// must keep meaning "the paper". Use NUMAFigureIDs for the FigN set.
-func FigureIDs() []string {
-	ids := make([]string, 0, len(Figures))
-	for id := range Figures {
+		if _, ok := FigureBuilder(id); !ok {
+			return nil, fmt.Errorf("harness: unknown figure %q", id)
+		}
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if (a == "T1") != (b == "T1") {
-			return a == "T1"
-		}
-		var ai, bi int
-		fmt.Sscanf(a, "%d", &ai)
-		fmt.Sscanf(b, "%d", &bi)
-		return ai < bi
-	})
-	return ids
+	return ids, nil
 }
 
 // figRow is one declared figure row: the cell that produces it plus the

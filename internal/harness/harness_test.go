@@ -114,10 +114,20 @@ func TestResultDeterminism(t *testing.T) {
 	}
 }
 
+// build renders one registered figure.
+func build(t *testing.T, r *Runner, id string) *Figure {
+	t.Helper()
+	b, ok := FigureBuilder(id)
+	if !ok {
+		t.Fatalf("figure %s is not registered", id)
+	}
+	return b(r)
+}
+
 func TestFigureIDsCompleteAndOrdered(t *testing.T) {
-	ids := FigureIDs()
-	if len(ids) != len(Figures) {
-		t.Fatalf("FigureIDs lists %d of %d figures", len(ids), len(Figures))
+	ids := FamilyIDs("all")
+	if len(ids) != 28 {
+		t.Fatalf("FigureIDs lists %d figures, want Table 1 and Figures 1-27", len(ids))
 	}
 	if ids[0] != "T1" || ids[1] != "1" {
 		t.Errorf("ordering starts %v", ids[:3])
@@ -187,7 +197,7 @@ func TestFigureBuildersAtQuickScale(t *testing.T) {
 	}
 	r := runner(t)
 	for _, id := range []string{"T1", "3", "7", "9", "12", "26"} {
-		fig := Figures[id](r)
+		fig := build(t, r, id)
 		if fig.ID != id {
 			t.Errorf("figure %s reports ID %s", id, fig.ID)
 		}

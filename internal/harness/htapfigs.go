@@ -15,16 +15,6 @@ import (
 // stall profile (data-bound, near-zero L1i pressure); these figures show
 // both profiles, and their mixture, from one engine on one machine.
 
-// HTAPFigures maps the HTAP figure IDs to builders. Like the NUMA set, they
-// stay out of the paper registry so `-figure all` keeps meaning "the paper";
-// `-figure htap` (and FigureBuilder) resolves them.
-var HTAPFigures = map[string]Builder{
-	"H1": FigH1, "H2": FigH2, "H3": FigH3,
-}
-
-// HTAPFigureIDs returns the HTAP figure IDs in presentation order.
-func HTAPFigureIDs() []string { return []string{"H1", "H2", "H3"} }
-
 // htapMixes are the analytical shares of the hybrid grid: pure OLTP, a
 // mixed dashboard load, pure OLAP.
 var htapMixes = []int{0, 20, 100}

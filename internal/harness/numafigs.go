@@ -15,16 +15,6 @@ import (
 // stall taxonomy splitting sharply at the socket boundary; these figures are
 // that experiment for OLTP.
 
-// NUMAFigures maps the NUMA scaling figure IDs to builders. They are kept
-// out of the paper set (Figures/FigureIDs) so `-figure all` output stays
-// byte-identical to the committed goldens; FigureBuilder resolves both sets.
-var NUMAFigures = map[string]Builder{
-	"N1": FigN1, "N2": FigN2, "N3": FigN3,
-}
-
-// NUMAFigureIDs returns the NUMA figure IDs in presentation order.
-func NUMAFigureIDs() []string { return []string{"N1", "N2", "N3"} }
-
 // numaCoreCounts is the x-axis of the scaling figures: within one socket
 // (2, 5, 10) and across the boundary (12, 20 — the full machine).
 var numaCoreCounts = []int{2, 5, 10, 12, 20}

@@ -38,7 +38,7 @@ func TestParallelFigureMatchesSerial(t *testing.T) {
 	parallel.Workers = 8
 
 	for _, id := range []string{"2", "9"} {
-		a, b := Figures[id](serial), Figures[id](parallel)
+		a, b := build(t, serial, id), build(t, parallel, id)
 		if a.String() != b.String() {
 			t.Errorf("figure %s: parallel text output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 				id, a.String(), b.String())
@@ -78,7 +78,7 @@ func TestBuildFiguresOrderedAndDeduped(t *testing.T) {
 	one := NewRunner(tinyScale())
 	one.Workers = 1
 	for i, id := range ids {
-		if want := Figures[id](one).String(); figs[i].String() != want {
+		if want := build(t, one, id).String(); figs[i].String() != want {
 			t.Errorf("figure %s: concurrent BuildFigures output differs from serial build", id)
 		}
 	}
@@ -137,8 +137,8 @@ func TestNUMAFiguresDeterministicAcrossWorkers(t *testing.T) {
 	parallel := NewRunner(tinyScale())
 	parallel.Workers = 8
 
-	for _, id := range NUMAFigureIDs() {
-		a, b := NUMAFigures[id](serial), NUMAFigures[id](parallel)
+	for _, id := range FamilyIDs("numa") {
+		a, b := build(t, serial, id), build(t, parallel, id)
 		if a.String() != b.String() {
 			t.Errorf("figure %s: parallel text output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 				id, a.String(), b.String())

@@ -23,10 +23,9 @@ func SizeLabels() []SizeLabel { return []SizeLabel{Size1MB, Size10MB, Size10GB, 
 
 // Scale maps paper sizes to materialized proxy sizes and scales transaction
 // counts. Sizes at or under the 20MB LLC are materialized exactly; the 10GB
-// and 100GB points use proxies that stay far above LLC capacity (see
-// DESIGN.md's substitution table: a uniform random probe misses the LLC with
-// >= 90% probability at these proxy sizes, which is the only property the
-// paper's large sizes exercise).
+// and 100GB points use proxies that stay far above LLC capacity: a uniform
+// random probe misses the LLC with >= 90% probability at these proxy sizes,
+// which is the only property the paper's large sizes exercise.
 type Scale struct {
 	Name string
 	// Bytes maps each paper size label to the materialized byte target.

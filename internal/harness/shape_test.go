@@ -1,6 +1,6 @@
 package harness
 
-// Shape tests: each encodes one of the paper's findings (DESIGN.md lists
+// Shape tests: each encodes one of the paper's findings (PAPER.md lists
 // them) as an executable check against the quick-scale reproduction. They
 // assert relative behavior — orderings, ratios, trends — not absolute
 // numbers, which is also how the paper's conclusions are stated.

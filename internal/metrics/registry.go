@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -301,11 +302,31 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	fmt.Fprint(w, body)
 }
 
+// Listen binds addr ("host:port"; port 0 picks a free one) and serves the
+// registry at /metrics there until the returned server is closed. The bind
+// happens before Listen returns, so an address another process owns is an
+// error here — not a log line followed by a scraper reading that other
+// process. url is the endpoint as bound.
+func (r *Registry) Listen(addr string) (srv *http.Server, url string, err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", fmt.Errorf("metrics: listen: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", r)
+	srv = &http.Server{Handler: mux}
+	go srv.Serve(ln) // returns once srv is closed
+	return srv, "http://" + ln.Addr().String() + "/metrics", nil
+}
+
+// Samples is a parsed exposition: one value per "name{labels}" series.
+type Samples map[string]float64
+
 // Parse reads an exposition produced by Render back into samples keyed by
-// "name{labels}" — the inverse used by tests and the serve-smoke script to
-// assert on scraped values. Comment and blank lines are skipped.
-func Parse(text string) (map[string]float64, error) {
-	out := make(map[string]float64)
+// "name{labels}" — the inverse used by tests, the figures and the driver to
+// read scraped values. Comment and blank lines are skipped.
+func Parse(text string) (Samples, error) {
+	out := make(Samples)
 	for _, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -322,6 +343,42 @@ func Parse(text string) (map[string]float64, error) {
 		out[line[:sp]] = v
 	}
 	return out, nil
+}
+
+// Sum adds up the series of one family — all of them, or only those carrying
+// every given label, each written as in the exposition (`shard="0"`).
+// Quantile series are skipped (quantiles do not add up) and a family with no
+// series sums to 0. What is left to add are counters and gauges of integral
+// value, so the map's iteration order cannot change the sum.
+func (s Samples) Sum(family string, labels ...string) float64 {
+	var sum float64
+series:
+	for k, v := range s {
+		name, rest, _ := strings.Cut(k, "{")
+		if name != family || strings.Contains(rest, `quantile="`) {
+			continue
+		}
+		for _, l := range labels {
+			if !strings.HasPrefix(rest, l) && !strings.Contains(rest, ","+l) {
+				continue series
+			}
+		}
+		sum += v
+	}
+	return sum
+}
+
+// StallClasses groups oltpd_stall_cycles_total, summed over shards, into the
+// three classes the figures and timelines report: instruction fetch
+// (L1I/L2I/LLC-I), data (L1D/L2D/LLC-D) and the remote-socket share.
+func (s Samples) StallClasses() (instr, data, remote float64) {
+	class := func(components ...string) (sum float64) {
+		for _, c := range components {
+			sum += s.Sum("oltpd_stall_cycles_total", `component="`+c+`"`)
+		}
+		return sum
+	}
+	return class("l1i", "l2i", "llci"), class("l1d", "l2d", "llcd"), class("remote_i", "remote_d")
 }
 
 // SortedKeys returns the keys of a Parse result in lexical order (test

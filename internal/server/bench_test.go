@@ -9,83 +9,6 @@ import (
 	"oltpsim/internal/workload"
 )
 
-// BenchmarkServeLoopback measures the full serving path per request: wire
-// encode → TCP loopback → decode → shard queue → group-execute on the
-// simulated engine → response. One closed-loop client, 2 shards; ns/op is
-// the end-to-end round trip (benchmark/ measures the same trip with medians
-// and spreads as server.rtt_raw_us).
-func BenchmarkServeLoopback(b *testing.B) {
-	s, err := New(Config{
-		System: systems.VoltDB,
-		Shards: 2,
-		Spec:   workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	defer s.Shutdown()
-
-	c, procID := benchClient(b, s)
-	defer c.Close()
-	key := []catalog.Value{{}}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		part := i % 2
-		key[0].I = int64(2*(i%2000) + part)
-		if err := c.Exec(uint32(i), procID, part, key); err != nil {
-			b.Fatal(err)
-		}
-		recvOK(b, c)
-	}
-}
-
-// BenchmarkServeLoopbackBatch8 is the same path with 8 requests pipelined
-// per wait: the batching amortization the shard workers' group-execute loop
-// provides.
-func BenchmarkServeLoopbackBatch8(b *testing.B) {
-	s, err := New(Config{
-		System: systems.VoltDB,
-		Shards: 2,
-		Spec:   workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	defer s.Shutdown()
-
-	c, procID := benchClient(b, s)
-	defer c.Close()
-	key := []catalog.Value{{}}
-
-	const window = 8
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += window {
-		n := window
-		if rem := b.N - i; rem < n {
-			n = rem
-		}
-		for j := 0; j < n; j++ {
-			part := (i + j) % 2
-			key[0].I = int64(2*((i+j)%2000) + part)
-			if err := c.Exec(uint32(i+j), procID, part, key); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for j := 0; j < n; j++ {
-			recvOK(b, c)
-		}
-	}
-}
-
 // benchClient dials the server and prepares micro_ro.
 func benchClient(b *testing.B, s *Server) (*wire.Client, uint32) {
 	b.Helper()
@@ -114,7 +37,10 @@ func recvOK(b *testing.B, c *wire.Client) {
 // BenchmarkServeLoopbackShards4 drives a 4-shard single-engine oltpd with a
 // pipelined window spread across every shard, so all four shard workers
 // group-execute concurrently on the one simulated machine (the concurrent
-// engine mode): the multi-core serving configuration FigS3 sweeps.
+// engine mode): the multi-core serving configuration FigS3 sweeps. It stays
+// beside the benchmark/ ladder (which carries the 1-connection and pipelined
+// round trips as server.rtt_raw_us and server.rtt_raw_pipe8_us) because no
+// gated workload there runs shards on two processors.
 func BenchmarkServeLoopbackShards4(b *testing.B) {
 	s, err := New(Config{
 		System: systems.VoltDB,

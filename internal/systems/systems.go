@@ -18,8 +18,8 @@
 //     the disk-based product.
 //
 // The instruction budgets and code-region sizes below are the per-archetype
-// calibration described in DESIGN.md: they encode which layers exist and how
-// heavy each is, once, globally — not per experiment.
+// calibration: they encode which layers exist and how heavy each is, once,
+// globally — not per experiment.
 package systems
 
 import (

@@ -11,8 +11,8 @@ import (
 // TPCCConfig scales TPC-C. The spec's cardinalities per warehouse (100k
 // items/stock, 10 districts, 3k customers and 3k seeded orders per district)
 // are configurable so the same code serves unit tests and the paper-scale
-// proxies; deviations from spec values are part of the documented proxy
-// scaling (see DESIGN.md).
+// proxies; deviations from spec values are part of the proxy scaling (see
+// harness.Scale).
 type TPCCConfig struct {
 	Warehouses           int
 	Items                int // spec: 100,000

@@ -30,8 +30,10 @@
 //
 //	fig, err := oltpsim.ReproduceFigure("2", oltpsim.QuickScale())
 //
-// See DESIGN.md for the system inventory and the hardware-counter
-// substitution, and EXPERIMENTS.md for paper-vs-measured results.
+// See README.md for the system inventory (the intro and "Package map") and
+// the simulated hardware that stands in for the paper's counters
+// ("Topology"), PAPER.md for the paper's findings, and EXPERIMENTS.md for
+// paper-vs-measured results.
 package oltpsim
 
 import (
@@ -235,15 +237,15 @@ type CellSpec = harness.CellSpec
 func NewRunner(s Scale) *Runner { return harness.NewRunner(s) }
 
 // FigureIDs lists the reproducible paper tables/figures ("T1", "1".."27").
-func FigureIDs() []string { return harness.FigureIDs() }
+func FigureIDs() []string { return harness.FamilyIDs("all") }
 
 // NUMAFigureIDs lists the multi-socket scaling figures ("N1".."N3"): the
 // paper's analysis extended to the two-socket topology of its own server.
-func NUMAFigureIDs() []string { return harness.NUMAFigureIDs() }
+func NUMAFigureIDs() []string { return harness.FamilyIDs("numa") }
 
 // HTAPFigureIDs lists the HTAP figures ("H1".."H3"): the analytical
 // scan/aggregate microbenchmark and the TPC-C x analytical hybrid.
-func HTAPFigureIDs() []string { return harness.HTAPFigureIDs() }
+func HTAPFigureIDs() []string { return harness.FamilyIDs("htap") }
 
 // ReproduceFigure runs (and renders) one paper figure at the given scale.
 // For several figures sharing cells, create a Runner and use BuildFigure.
