@@ -34,8 +34,9 @@ type IndexKind int
 const (
 	// IndexBTree8K is the disk-style B+-tree on 8KB buffer-pool pages.
 	IndexBTree8K IndexKind = iota
-	// IndexCCTree64 is the cache-conscious B+-tree with line-sized nodes
-	// (VoltDB).
+	// IndexCCTree64 is the cache-conscious B+-tree with the smallest nodes
+	// (VoltDB). Not line-sized despite the name: newShard asks for room for
+	// at least four entries, which is two lines (128 bytes) at 8-byte keys.
 	IndexCCTree64
 	// IndexCCTree512 is the cache-conscious B+-tree with 512-byte nodes
 	// (DBMS M's B-tree variant).
@@ -157,8 +158,10 @@ type Config struct {
 	FrontEnd FrontEnd
 	// UseLocks enables the centralized 2PL lock manager.
 	UseLocks bool
-	// BufferPoolMB sizes the buffer pool for StorageHeap (0 = automatic:
-	// grows to hold the data set, as in the paper's memory-resident setups).
+	// BufferPoolFrames is the number of 8KB frames in StorageHeap's buffer
+	// pool, which the heap file and an IndexBTree8K share (0 = 1<<17 frames,
+	// 1 GiB: enough that no experiment evicts, as in the paper's
+	// memory-resident setups).
 	BufferPoolFrames int
 	// LogBufBytes sizes the asynchronous log buffer.
 	LogBufBytes int

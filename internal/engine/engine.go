@@ -295,8 +295,8 @@ func (e *Engine) newShard(t *Table, idxKind IndexKind) shard {
 	case IndexBTree8K:
 		s.idx = index.NewBTree(e.mach.Arena, e.bp, t.KeyWidth)
 	case IndexCCTree64:
-		// Line-sized nodes for narrow keys; wide (string) keys get at least
-		// four entries per node so fanout stays reasonable.
+		// At least four entries per node so fanout stays reasonable: two lines
+		// (128 bytes) at 8-byte keys, more for wide (string) keys.
 		s.idx = index.NewCCTree(e.mach.Arena, t.KeyWidth, max(64, 16+4*(t.KeyWidth+8)))
 	case IndexCCTree512:
 		s.idx = index.NewCCTree(e.mach.Arena, t.KeyWidth, max(512, 16+4*(t.KeyWidth+8)))
@@ -394,11 +394,8 @@ func (t *Table) Count() uint64 {
 // IndexHeightHint reports the primary index height of shard 0 when the index
 // is a tree (0 otherwise); used by reports and tests.
 func (t *Table) IndexHeightHint() int {
-	switch ix := t.shards[0].idx.(type) {
-	case *index.BTree:
-		return ix.Height()
-	case *index.CCTree:
-		return ix.Height()
+	if tr, ok := t.shards[0].idx.(*index.Tree); ok {
+		return tr.Height()
 	}
 	return 0
 }

@@ -15,13 +15,13 @@ const benchKeys = 1 << 17
 
 func benchIndexes(b *testing.B) map[string]Index {
 	b.Helper()
-	m1, m2, m3, m4 := simmem.New(), simmem.New(), simmem.New(), simmem.New()
-	bp := storage.NewBufferPool(m1, 1<<15)
+	m := simmem.New()
 	return map[string]Index{
-		"btree8k":  NewBTree(m1, bp, 8),
-		"cctree64": NewCCTree(m2, 8, 64),
-		"hash":     NewHashIndex(m3, 8, benchKeys),
-		"art":      NewART(m4, 8),
+		"btree8k":   NewBTree(m, storage.NewBufferPool(m, 1<<15), 8),
+		"cctree64":  NewCCTree(simmem.New(), 8, 64),
+		"cctree512": NewCCTree(simmem.New(), 8, 512),
+		"hash":      NewHashIndex(simmem.New(), 8, benchKeys),
+		"art":       NewART(simmem.New(), 8),
 	}
 }
 
@@ -58,16 +58,21 @@ func BenchmarkIndexLookup(b *testing.B) {
 
 func BenchmarkOrderedScan100(b *testing.B) {
 	m := simmem.New()
-	tr := NewCCTree(m, 8, 256)
-	for i := uint64(0); i < benchKeys; i++ {
-		tr.Insert(key8(i), i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		tr.Scan(key8(uint64(i)%(benchKeys-200)), func(k []byte, v uint64) bool {
-			n++
-			return n < 100
+	for name, tr := range map[string]OrderedIndex{
+		"btree8k":   NewBTree(m, storage.NewBufferPool(m, 1<<12), 8),
+		"cctree256": NewCCTree(simmem.New(), 8, 256),
+	} {
+		for i := uint64(0); i < benchKeys; i++ {
+			tr.Insert(key8(i), i)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				n := 0
+				tr.Scan(key8(uint64(i)%(benchKeys-200)), func(k []byte, v uint64) bool {
+					n++
+					return n < 100
+				})
+			}
 		})
 	}
 }

@@ -1,9 +1,9 @@
-// Package index defines the index interface shared by the four index
-// implementations the paper's systems use:
+// Package index defines the index interface shared by the three index
+// structures the paper's systems use, in four configurations:
 //
-//   - btree: a disk-style B+-tree on 8KB buffer-pool pages (Shore-MT, DBMS D);
-//   - cctree: a cache-conscious B+-tree with cache-line-multiple nodes
-//     (VoltDB, tuned to the cache-line size; DBMS M's B-tree variant);
+//   - tree: one B+-tree over two node stores — NewBTree on 8KB buffer-pool
+//     pages (Shore-MT, DBMS D), NewCCTree on cache-line-multiple nodes
+//     straight in the arena (VoltDB's small nodes; DBMS M's B-tree variant);
 //   - hash: a bucket-chained hash index (DBMS M for micro-benchmarks/TPC-B);
 //   - art: an adaptive radix tree (HyPer).
 //

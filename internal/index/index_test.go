@@ -287,6 +287,9 @@ func TestBTreeNoPinLeaks(t *testing.T) {
 			t.Fatalf("lookup %d failed", i)
 		}
 	}
+	if err := bt.check(); err != nil { // no page pinned, among the rest
+		t.Fatal(err)
+	}
 }
 
 func TestCCTreeNodeSizing(t *testing.T) {

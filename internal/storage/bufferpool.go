@@ -29,6 +29,7 @@ type BufferPool struct {
 	tableSize int
 
 	pageOf []uint64 // frame -> pageID+1 (0 = free)
+	used   int      // frames [used, n) have never held a page
 	pins   []int32
 	dirty  []bool
 	ref    []bool // clock reference bits
@@ -163,9 +164,10 @@ func (bp *BufferPool) Fix(pageID uint64) (simmem.Addr, error) {
 		return 0, err
 	}
 	bp.install(pageID, f)
+	// The disk copy stays: the frame comes back clean, so its next eviction
+	// writes nothing and the page must still be there to fetch.
 	if data, ok := bp.disk[pageID]; ok {
 		bp.m.WriteBytes(bp.FrameAddr(f), data)
-		delete(bp.disk, pageID)
 	} else {
 		InitPage(bp.m, bp.FrameAddr(f), pageID)
 	}
@@ -231,12 +233,13 @@ func (bp *BufferPool) install(pageID uint64, frame int) {
 }
 
 // victim returns a free frame, evicting an unpinned page with the clock
-// algorithm if needed.
+// algorithm if needed. Both callers install a page into the frame at once, so
+// a frame evict empties never stays free: the free frames are always the
+// never-used suffix.
 func (bp *BufferPool) victim() (int, error) {
-	for f := 0; f < bp.n; f++ {
-		if bp.pageOf[f] == 0 {
-			return f, nil
-		}
+	if bp.used < bp.n {
+		bp.used++
+		return bp.used - 1, nil
 	}
 	for sweep := 0; sweep < 2*bp.n; sweep++ {
 		f := bp.hand
@@ -257,7 +260,10 @@ func (bp *BufferPool) victim() (int, error) {
 func (bp *BufferPool) evict(f int) {
 	pageID := bp.pageOf[f] - 1
 	if bp.dirty[f] {
-		buf := make([]byte, PageSize) //oltpsim:coldpath dirty write-back to the simulated disk map on eviction
+		buf := bp.disk[pageID]
+		if buf == nil {
+			buf = make([]byte, PageSize) //oltpsim:coldpath first write-back of a page to the simulated disk map
+		}
 		bp.m.ReadBytes(bp.FrameAddr(f), buf)
 		bp.disk[pageID] = buf
 	}

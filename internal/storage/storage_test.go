@@ -121,20 +121,73 @@ func TestBufferPoolEvictionAndReload(t *testing.T) {
 	if bp.Evictions == 0 {
 		t.Fatal("no evictions with 4 pages in 2 frames")
 	}
-	// Every page must still read back correctly after spilling to disk.
-	for i, id := range ids {
-		addr, err := bp.Fix(id)
+	// Every page must still read back correctly after spilling to disk — and
+	// again after the clean copy that came back is evicted a second time.
+	for round := 0; round < 2; round++ {
+		for i, id := range ids {
+			addr, err := bp.Fix(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.ReadU64(addr + 64); got != uint64(1000+i) {
+				t.Errorf("round %d: page %d content = %d, want %d", round, id, got, 1000+i)
+			}
+			if PageID(m, addr) != id {
+				t.Errorf("round %d: page %d header lost", round, id)
+			}
+			bp.Unfix(id, false)
+		}
+	}
+}
+
+// TestBufferPoolFrameOrder pins the frame a new or fetched page lands in: a
+// fresh pool hands out frames 0, 1, 2, … in order, a full pool falls through
+// to the clock, and the frame an eviction frees is the one reused.
+func TestBufferPoolFrameOrder(t *testing.T) {
+	m := simmem.New()
+	const frames = 5
+	bp := NewBufferPool(m, frames)
+	var ids []uint64
+	for f := 0; f < frames; f++ {
+		id, addr, err := bp.NewPage()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.ReadU64(addr + 64); got != uint64(1000+i) {
-			t.Errorf("page %d content = %d, want %d", id, got, 1000+i)
+		if addr != bp.FrameAddr(f) {
+			t.Fatalf("page %d of a fresh pool landed at %#x, want frame %d", id, addr, f)
 		}
-		if PageID(m, addr) != id {
-			t.Errorf("page %d header lost", id)
+		if f != 2 {
+			bp.UnfixAddr(addr, true) // frame 2 stays pinned
 		}
-		bp.Unfix(id, false)
+		ids = append(ids, id)
 	}
+	if bp.Evictions != 0 {
+		t.Fatalf("%d evictions while frames were free", bp.Evictions)
+	}
+	// Full: the clock hand starts at frame 0 and skips the pinned frame 2.
+	// NewPage leaves no reference bit, so each sweep step evicts.
+	for _, want := range []int{0, 1, 3, 4, 0} {
+		evictions := bp.Evictions
+		_, addr, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if addr != bp.FrameAddr(want) || bp.Evictions != evictions+1 {
+			t.Fatalf("full pool: new page at %#x after %d evictions, want frame %d after one",
+				addr, bp.Evictions-evictions, want)
+		}
+		bp.UnfixAddr(addr, true)
+	}
+	// A miss takes the next victim too, and the evicted page's frame is the
+	// one the fetched page occupies.
+	addr, err := bp.Fix(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr != bp.FrameAddr(1) {
+		t.Errorf("fetched page at %#x, want the evicted frame 1", addr)
+	}
+	bp.UnfixAddr(addr, false)
 }
 
 func TestBufferPoolAllPinnedFails(t *testing.T) {

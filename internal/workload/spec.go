@@ -19,8 +19,9 @@ type Spec struct {
 	RowsPerTx int
 	ReadWrite bool
 
-	// TPC-B parameters. AccountsPerBranch of 0 means the spec default
-	// (100,000); cluster tests shrink it to keep populations small.
+	// TPC-B parameters. AccountsPerBranch of 0 means 10,000 (a tenth of the
+	// TPC-B specification's 100,000, which is TPCBConfig's own default);
+	// cluster tests shrink it further to keep populations small.
 	Branches          int
 	AccountsPerBranch int
 
