@@ -119,10 +119,8 @@ $(SMOKES): %-smoke:
 	@set -e; for args in $($*_tests); do echo $(GO) test -race $$args; $(GO) test -race $$args; done
 	./scripts/smoke.sh $*
 
-# fuzz runs the SQL front-end, L1I-index and B+-tree fuzz smokes (same
-# budgets as CI).
+# fuzz runs the L1I-index and B+-tree fuzz smokes (same budgets as CI).
 fuzz:
-	$(GO) test -run '^FuzzFrontend$$' -fuzz FuzzFrontend -fuzztime 30s ./internal/sqlfe
 	$(GO) test -run '^FuzzICache$$' -fuzz FuzzICache -fuzztime 20s ./internal/core
 	$(GO) test -run '^FuzzTree$$' -fuzz FuzzTree -fuzztime 20s -fuzzminimizetime 1s ./internal/index
 

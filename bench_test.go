@@ -7,8 +7,9 @@ package oltpsim
 //
 //	go test -bench=. -benchmem
 //
-// The committed paper-vs-measured comparison lives in EXPERIMENTS.md and is
-// produced by `go run ./cmd/oltpsim -figure all -scale default`.
+// The committed quick-scale reproduction of every figure is
+// testdata/golden_quick.md (fenced by golden_test.go); `go run ./cmd/oltpsim
+// -figure all -scale default` produces the default-scale one.
 
 import (
 	"sync"

@@ -52,17 +52,19 @@ type FrontEnd int
 
 // Front-end kinds.
 const (
-	// FEHardcoded models Shore-MT's Shore-Kits style hard-coded C++
-	// transaction plans: a thin dispatch straight into the storage manager.
-	FEHardcoded FrontEnd = iota
+	// FEDispatch (the zero value) is a per-request dispatch layer in front of
+	// an interpreting executor, with no per-statement planning. It models
+	// VoltDB — Java-side deserialization and a plan-cache lookup in front of
+	// the C++ execution engine, statements planned once at procedure
+	// registration — and Shore-MT's Shore-Kits driver, whose hard-coded C++
+	// transaction plans call straight into the storage manager. The two
+	// differ in CostParams.DispatchBase, PlanExecPerOp and the region sizes,
+	// not in the path a request takes.
+	FEDispatch FrontEnd = iota
 	// FESQLPerRequest models DBMS D: every statement of every transaction is
 	// parsed and optimized when it executes (ad-hoc SQL through the full
 	// commercial stack).
 	FESQLPerRequest
-	// FEDispatch models VoltDB: a Java-side dispatch/serialization layer and
-	// plan-cache lookup in front of an interpreting execution engine;
-	// statements are planned once at procedure registration.
-	FEDispatch
 	// FECompiled models HyPer and DBMS M's compiled mode: stored procedures
 	// are compiled to a small dedicated code region; per-statement work runs
 	// from that region.
@@ -85,7 +87,7 @@ type CostParams struct {
 	// (VoltDB's Java front-end, DBMS M's legacy session management).
 	DispatchBase int
 	// PlanExecPerOp is the interpreting executor's cost per database
-	// operation (tree-walking for FESQLPerRequest/FEDispatch/FEHardcoded).
+	// operation (tree-walking for FESQLPerRequest/FEDispatch).
 	PlanExecPerOp int
 	// CompiledPerOp is the compiled procedure's cost per database operation.
 	CompiledPerOp int
@@ -158,13 +160,6 @@ type Config struct {
 	FrontEnd FrontEnd
 	// UseLocks enables the centralized 2PL lock manager.
 	UseLocks bool
-	// BufferPoolFrames is the number of 8KB frames in StorageHeap's buffer
-	// pool, which the heap file and an IndexBTree8K share (0 = 1<<17 frames,
-	// 1 GiB: enough that no experiment evicts, as in the paper's
-	// memory-resident setups).
-	BufferPoolFrames int
-	// LogBufBytes sizes the asynchronous log buffer.
-	LogBufBytes int
 	// OtherCPI is the non-memory stall component added to the base CPI
 	// (branch mispredictions, dependencies) — per-archetype constant.
 	OtherCPI float64

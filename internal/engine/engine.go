@@ -48,7 +48,7 @@ type Engine struct {
 	baseCPI float64
 
 	// ctx0 is the serialized-mode execution context: the transaction-scoped
-	// reusable state (Tx value, MVCC context, statement-seen set, scratch
+	// reusable state (Tx value, MVCC context, statement bitmap, scratch
 	// arena, scan executor). One transaction is active at a time in that
 	// mode, so Invoke recycles ctx0 across transactions — the steady state
 	// of the hot path allocates nothing. Concurrent mode (EnterConcurrent,
@@ -89,7 +89,6 @@ type Table struct {
 	Replicated bool
 	shards     []shard
 	e          *Engine
-	stmts      [numOpKinds]*stmtInfo // cached SQL text+shape per op kind
 }
 
 // SetReplicated marks the table as replicated across partitions. It must be
@@ -108,13 +107,19 @@ type shard struct {
 	heap *storage.HeapFile
 }
 
+const (
+	// bufferPoolFrames is the number of 8KB frames in StorageHeap's buffer
+	// pool, which the heap file and an IndexBTree8K share. 1 GiB: no
+	// experiment evicts, as in the paper's memory-resident setups.
+	bufferPoolFrames = 1 << 17
+	// logBufBytes sizes each partition's asynchronous log buffer.
+	logBufBytes = 1 << 20
+)
+
 // New builds an engine from cfg on a fresh simulated machine.
 func New(cfg Config) *Engine {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 1
-	}
-	if cfg.LogBufBytes == 0 {
-		cfg.LogBufBytes = 1 << 20
 	}
 	mach := core.NewMachine(cfg.Machine)
 	e := &Engine{
@@ -159,15 +164,11 @@ func New(cfg Config) *Engine {
 		e.mv = txn.NewMVCC(mach.Arena)
 	}
 	if cfg.Storage == StorageHeap {
-		frames := cfg.BufferPoolFrames
-		if frames <= 0 {
-			frames = 1 << 17 // 1 GiB of 8KB frames: memory-resident setups
-		}
-		e.bp = storage.NewBufferPool(mach.Arena, frames)
+		e.bp = storage.NewBufferPool(mach.Arena, bufferPoolFrames)
 	}
 	e.logs = make([]*wal.Log, cfg.Partitions)
 	for i := range e.logs {
-		e.logs[i] = wal.NewLog(mach.Arena, cfg.LogBufBytes)
+		e.logs[i] = wal.NewLog(mach.Arena, logBufBytes)
 	}
 	e.initCtx(&e.ctx0, nil, mach.Arena)
 	e.serialize()

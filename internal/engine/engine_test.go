@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oltpsim/internal/catalog"
+	"oltpsim/internal/core"
 	"oltpsim/internal/engine"
 	"oltpsim/internal/systems"
 )
@@ -354,6 +355,48 @@ func TestModuleAttributionCoversFrontends(t *testing.T) {
 	}
 	if snapH.Modules[6].Instructions == 0 { // ModCompiledProc
 		t.Error("HyPer retired no compiled-proc instructions")
+	}
+}
+
+// TestStatementParsedOncePerTransaction pins DBMS D's per-transaction
+// statement set: each (table, op kind) pays the full parse and optimize
+// charge on its first execution in a transaction and the one-token re-bind
+// afterwards, and the set starts empty in the next transaction.
+func TestStatementParsedOncePerTransaction(t *testing.T) {
+	e := systems.New(systems.DBMSD, systems.Options{})
+	a := buildMicro(e, 100)
+	b := e.CreateTable(catalog.NewSchema("pair",
+		catalog.Column{Name: "k1", Type: catalog.TypeLong},
+		catalog.Column{Name: "k2", Type: catalog.TypeLong},
+		catalog.Column{Name: "v", Type: catalog.TypeLong}), "k1", "k2")
+	b.Load(catalog.Row{catalog.LongVal(1), catalog.LongVal(2), catalog.LongVal(3)})
+	e.Register("mix", func(tx *engine.Tx) error {
+		for _, k := range []int64{1, 2, 3} { // one parse of a's SELECT, two re-binds
+			if _, err := tx.Get(a, longKey(k), 1); err != nil {
+				return err
+			}
+		}
+		if err := tx.Update(a, longKey(1), 1, catalog.LongVal(9)); err != nil { // same table, another kind
+			return err
+		}
+		_, err := tx.Get(b, []catalog.Value{catalog.LongVal(1), catalog.LongVal(2)}, 2) // same kind, another table
+		return err
+	})
+	c := e.Config().Costs
+	// Tokens and predicates: a's SELECT 9/1 and UPDATE 11/2, b's SELECT 13/2.
+	wantParser := uint64(c.ParsePerToken * (9 + 1 + 1 + 11 + 13))
+	wantOptimizer := uint64(3*c.OptimizeBase + c.OptimizePerPred*(1+2+2))
+	cpu := e.Machine().CPUs[0]
+	for round := 1; round <= 2; round++ {
+		if err := e.Invoke(0, "mix"); err != nil {
+			t.Fatal(err)
+		}
+		if got := cpu.ModuleStats(core.ModParser).Instructions; got != uint64(round)*wantParser {
+			t.Errorf("after %d transactions: parser retired %d instructions, want %d", round, got, uint64(round)*wantParser)
+		}
+		if got := cpu.ModuleStats(core.ModOptimizer).Instructions; got != uint64(round)*wantOptimizer {
+			t.Errorf("after %d transactions: optimizer retired %d instructions, want %d", round, got, uint64(round)*wantOptimizer)
+		}
 	}
 }
 

@@ -29,11 +29,11 @@ type ExecCtx struct {
 	cpu *core.CPU // fixed CPU in concurrent mode; nil in ctx0 (follow e.curCPU)
 	mem *simmem.Arena
 
-	scratch  catalog.Scratch
-	txv      Tx
-	mvtx     txn.MVTx
-	seenStmt map[string]bool // FESQLPerRequest: statements parsed this tx
-	locked   []bool          // table ID -> intent lock held this tx
+	scratch catalog.Scratch
+	txv     Tx
+	mvtx    txn.MVTx
+	parsed  []uint16 // FESQLPerRequest: table ID -> bit per op kind whose statement was parsed this tx
+	locked  []bool   // table ID -> intent lock held this tx
 
 	// scan is the recycled analytical-scan executor state (see olap.go); its
 	// index-visit callback is bound once here so scans create no closures.
@@ -54,9 +54,6 @@ func (e *Engine) initCtx(cx *ExecCtx, cpu *core.CPU, mem *simmem.Arena) {
 	cx.scan.visit = cx.scanVisit
 	cx.scan.groupBy = -1
 	cx.meter = idxMeter{e: e, cpu: cpu, mem: mem}
-	if e.cfg.FrontEnd == FESQLPerRequest {
-		cx.seenStmt = make(map[string]bool, 8)
-	}
 }
 
 // Concurrent reports whether the engine is in concurrent mode.

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 
 	"oltpsim/internal/catalog"
 	"oltpsim/internal/core"
-	"oltpsim/internal/sqlfe"
 )
 
 // Procedure is a registered stored procedure: a Go closure over the
@@ -87,6 +85,68 @@ func (e *Engine) Invoke(part int, procName string, args ...catalog.Value) error 
 	return e.invoke(&e.ctx0, e.curCPU, part, p, args)
 }
 
+// begin is the front half of every request, written once for the commit path
+// (invoke) and the 2PC prepare path (invokeStaged): the network and dispatch
+// charges, the compiled procedure's entry, the transaction-id draw, and the
+// recycling of cx's per-transaction state. st is the partition's staging slot
+// for a 2PC prepare, nil otherwise.
+//
+//oltpsim:hotpath
+func (e *Engine) begin(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure, args []catalog.Value, st *stagedTx) *Tx {
+	c := e.cfg.Costs
+
+	cpu.Exec(e.rNet, c.NetRecv)
+	// FEDispatch: parameter deserialization + plan-cache lookup (or the
+	// hard-coded driver); FESQLPerRequest: the session layer, with parsing and
+	// optimization charged per statement; FECompiled: the runtime entry.
+	cpu.Exec(e.rDispatch, c.DispatchBase)
+	if e.cfg.FrontEnd == FECompiled {
+		cpu.Exec(p.region, c.CompiledEntry)
+	}
+
+	// One transaction runs at a time per context, so the Tx value, lock
+	// bitmap, statement bitmap, MVCC context and scratch arena are context
+	// fields recycled across invocations (zero steady-state allocations).
+	cx.scratch.Reset()
+	tx := &cx.txv
+	*tx = Tx{
+		e:      e,
+		ctx:    cx,
+		cpu:    cpu,
+		part:   part,
+		id:     e.txnSeq.Add(1),
+		args:   args,
+		proc:   p,
+		staged: st,
+	}
+	cpu.Exec(e.rTxn, c.TxnBegin)
+	if e.lm != nil {
+		cx.locked = resetPerTable(cx.locked, len(e.tables))
+		tx.tableLocks = cx.locked
+	}
+	if e.cfg.FrontEnd == FESQLPerRequest {
+		cx.parsed = resetPerTable(cx.parsed, len(e.tables))
+	}
+	if e.mv != nil {
+		e.mv.BeginInto(&cx.mvtx)
+		tx.mtx = &cx.mvtx
+	}
+	return tx
+}
+
+// resetPerTable returns s zeroed and long enough to index by table ID (IDs
+// start at 1), reallocating only when tables were created since the last
+// transaction.
+//
+//oltpsim:hotpath
+func resetPerTable[T bool | uint16](s []T, tables int) []T {
+	if len(s) < tables+1 {
+		return make([]T, tables+1) //oltpsim:coldpath per-table bitmaps grow to the table count once
+	}
+	clear(s)
+	return s
+}
+
 // invoke is the context-explicit request path shared by the serialized and
 // concurrent modes: cx supplies the recycled per-transaction state and the
 // memory handle, cpu the core every instruction charge lands on.
@@ -94,56 +154,7 @@ func (e *Engine) Invoke(part int, procName string, args ...catalog.Value) error 
 //oltpsim:hotpath
 func (e *Engine) invoke(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure, args []catalog.Value) error {
 	c := e.cfg.Costs
-
-	cpu.Exec(e.rNet, c.NetRecv)
-	switch e.cfg.FrontEnd {
-	case FEHardcoded:
-		cpu.Exec(e.rDispatch, c.DispatchBase)
-	case FESQLPerRequest:
-		// Session layer; parsing/optimization happen per statement.
-		cpu.Exec(e.rDispatch, c.DispatchBase)
-	case FEDispatch:
-		// Parameter deserialization + plan-cache lookup.
-		cpu.Exec(e.rDispatch, c.DispatchBase)
-	case FECompiled:
-		cpu.Exec(e.rDispatch, c.DispatchBase)
-		cpu.Exec(p.region, c.CompiledEntry)
-	}
-
-	id := e.txnSeq.Add(1)
-	// One transaction runs at a time per context, so the Tx value, lock
-	// bitmap, statement-seen set, MVCC context and scratch arena are context
-	// fields recycled across invocations (zero steady-state allocations).
-	cx.scratch.Reset()
-	tx := &cx.txv
-	*tx = Tx{
-		e:    e,
-		ctx:  cx,
-		cpu:  cpu,
-		part: part,
-		id:   id,
-		args: args,
-		proc: p,
-	}
-	cpu.Exec(e.rTxn, c.TxnBegin)
-	if e.lm != nil {
-		if len(cx.locked) < len(e.tables)+1 {
-			cx.locked = make([]bool, len(e.tables)+1) //oltpsim:coldpath lock bitmap grows to the table count once
-		} else {
-			for i := range cx.locked {
-				cx.locked[i] = false
-			}
-		}
-		tx.tableLocks = cx.locked
-	}
-	if cx.seenStmt != nil {
-		clear(cx.seenStmt)
-		tx.seenStmt = cx.seenStmt
-	}
-	if e.mv != nil {
-		e.mv.BeginInto(&cx.mvtx)
-		tx.mtx = &cx.mvtx
-	}
+	tx := e.begin(cx, cpu, part, p, args, nil)
 
 	if err := e.runBody(tx, p); err != nil {
 		e.abort(tx)
@@ -220,48 +231,60 @@ func (e *Engine) abort(tx *Tx) {
 	e.Aborts.Add(1)
 }
 
-// stmtInfo is the cached shape of one generated SQL statement: its text plus
-// the token and predicate counts that drive the parse/optimize instruction
-// charges. The text is genuinely lexed, parsed and planned once per engine
-// (validating it and measuring its shape); per-execution the cached shape
-// reproduces the exact same instruction charges without re-running the Go
-// parser — the modeled cost of DBMS D's ad-hoc path is unchanged, the
-// simulator-side allocation per statement is gone.
-type stmtInfo struct {
-	text      string
-	numTokens int
-	numPreds  int
-}
-
-// stmt returns (building, parsing and caching on first use) the statement
-// shape for an op of the given kind against t.
+// stmtShape is the shape of the SQL statement DBMS D's ad-hoc front end
+// receives for one op of the given kind against t: the length of its token
+// stream (the end-of-input token included), which drives the parser charge,
+// and its predicate count (WHERE conjuncts plus SET assignments), which
+// drives the optimizer charge. With k key columns k1…kk, n columns, c the
+// last column and g the first non-key column:
 //
-//oltpsim:coldpath first-execution parse/plan, cached in t.stmts; the steady-state fast path returns the cached shape
-func (t *Table) stmt(kind opKind) *stmtInfo {
-	if si := t.stmts[kind]; si != nil {
-		return si
+//	kind        statement                                                        tokens  preds
+//	opGet       SELECT * FROM t WHERE k1 = ? AND … AND kk = ?                    4k+5    k
+//	opUpdate    UPDATE t SET c = ? WHERE k1 = ? AND … AND kk = ?                 4k+7    k+1
+//	opInsert    INSERT INTO t VALUES (?, …, ?)                                   2n+6    0
+//	opDelete    DELETE FROM t WHERE k1 = ? AND … AND kk = ?                      4k+4    k
+//	opScan      SELECT * FROM t WHERE k1 = ? AND … AND kk >= ? LIMIT 100         4k+7    k
+//	opScanAll   SELECT * FROM t                                                  5       0
+//	opAgg       SELECT COUNT(*), SUM(c), MIN(c), MAX(c) FROM t                   23      0
+//	opAggRange  SELECT SUM(c) FROM t WHERE k1 = ? AND … AND kk >= ? AND kk <= ?  4k+12   k+1
+//	opAggGroup  SELECT g, SUM(c) FROM t GROUP BY g                               13      0
+//
+// A token is a word, a number, a ?, or one of = >= <= , ( ) *.
+//
+//oltpsim:hotpath
+func (t *Table) stmtShape(kind opKind) (tokens, preds int) {
+	k, n := len(t.KeyCols), len(t.Schema.Columns)
+	switch kind {
+	case opGet:
+		return 4*k + 5, k
+	case opUpdate:
+		return 4*k + 7, k + 1
+	case opInsert:
+		return 2*n + 6, 0
+	case opDelete:
+		return 4*k + 4, k
+	case opScan:
+		return 4*k + 7, k
+	case opScanAll:
+		return 5, 0
+	case opAgg:
+		return 23, 0
+	case opAggRange:
+		return 4*k + 12, k + 1
+	case opAggGroup:
+		return 13, 0
 	}
-	text := t.e.sqlFor(kind, t)
-	stmt, err := sqlfe.Parse(text)
-	if err != nil {
-		panic(fmt.Sprintf("engine: generated SQL failed to parse: %v (%q)", err, text))
-	}
-	if _, err := sqlfe.BuildPlan(stmt, t.e); err != nil {
-		panic(fmt.Sprintf("engine: generated SQL failed to plan: %v (%q)", err, text))
-	}
-	si := &stmtInfo{
-		text:      text,
-		numTokens: stmt.NumTokens,
-		numPreds:  len(stmt.Where) + len(stmt.Sets),
-	}
-	t.stmts[kind] = si
-	return si
+	panic("engine: unknown op kind") //oltpsim:coldpath unreachable: every opKind has an arm
 }
 
 // chargeOp charges the per-statement front-end work for one database op.
 // For FESQLPerRequest every execution is charged the full parse+optimize
-// instruction stream of the statement's SQL text (first execution per
-// transaction) or the re-bind path (repeats) — DBMS D's ad-hoc path.
+// instruction stream of the statement (first execution per transaction) or
+// the re-bind path (repeats) — DBMS D's ad-hoc path. Each (table, op kind)
+// is one distinct statement, so the transaction's parsed set is one bit per
+// op kind per table (ExecCtx.parsed).
+//
+//oltpsim:hotpath
 func (tx *Tx) chargeOp(kind opKind, t *Table) {
 	e := tx.e
 	c := e.cfg.Costs
@@ -272,112 +295,24 @@ func (tx *Tx) chargeOp(kind opKind, t *Table) {
 		// outside-engine overhead high even for 100-row transactions.
 		tx.cpu.Exec(e.rNet, c.NetRecv/2)
 		tx.cpu.Exec(e.rDispatch, c.DispatchBase/2)
-		si := t.stmt(kind)
-		if tx.seenStmt[si.text] {
+		parsed, bit := &tx.ctx.parsed[t.ID], uint16(1)<<kind
+		if *parsed&bit != 0 {
 			// Repeated statement within the transaction: parameters re-bind,
-			// the cached plan re-executes.
+			// the cached plan re-executes. This is what makes longer
+			// transactions amortize the SQL stack, the effect the paper
+			// measures in Figure 7.
 			tx.cpu.Exec(e.rParser, c.ParsePerToken)
 			tx.cpu.Exec(e.rPlanExec, c.PlanExecPerOp)
 			return
 		}
-		tx.seenStmt[si.text] = true
-		tx.cpu.Exec(e.rParser, c.ParsePerToken*si.numTokens)
-		tx.cpu.Exec(e.rOptimizer, c.OptimizeBase+c.OptimizePerPred*si.numPreds)
+		*parsed |= bit
+		tokens, preds := t.stmtShape(kind)
+		tx.cpu.Exec(e.rParser, c.ParsePerToken*tokens)
+		tx.cpu.Exec(e.rOptimizer, c.OptimizeBase+c.OptimizePerPred*preds)
 		tx.cpu.Exec(e.rPlanExec, c.PlanExecPerOp)
-	case FEDispatch, FEHardcoded:
+	case FEDispatch:
 		tx.cpu.Exec(e.rPlanExec, c.PlanExecPerOp)
 	case FECompiled:
 		tx.cpu.Exec(tx.proc.region, c.CompiledPerOp)
 	}
-}
-
-// sqlFor builds the SQL text the ad-hoc front-end would receive for an op
-// against table t (called once per (op, table) via Table.stmt).
-func (e *Engine) sqlFor(kind opKind, t *Table) string {
-	keyCols := make([]string, len(t.KeyCols))
-	for i, ci := range t.KeyCols {
-		keyCols[i] = t.Schema.Columns[ci].Name
-	}
-	eqPreds := make([]string, len(keyCols))
-	for i, kc := range keyCols {
-		eqPreds[i] = kc + " = ?"
-	}
-	where := strings.Join(eqPreds, " AND ")
-
-	var s string
-	switch kind {
-	case opGet:
-		s = fmt.Sprintf("SELECT * FROM %s WHERE %s", t.Name, where)
-	case opUpdate:
-		// The updated column is not known here; use the first non-key column
-		// (the parse/plan cost is what matters, and it is text-size driven).
-		col := t.Schema.Columns[len(t.Schema.Columns)-1].Name
-		s = fmt.Sprintf("UPDATE %s SET %s = ? WHERE %s", t.Name, col, where)
-	case opInsert:
-		params := strings.TrimSuffix(strings.Repeat("?, ", len(t.Schema.Columns)), ", ")
-		s = fmt.Sprintf("INSERT INTO %s VALUES (%s)", t.Name, params)
-	case opDelete:
-		s = fmt.Sprintf("DELETE FROM %s WHERE %s", t.Name, where)
-	case opScan:
-		rangePreds := append([]string{}, eqPreds[:len(eqPreds)-1]...)
-		rangePreds = append(rangePreds, keyCols[len(keyCols)-1]+" >= ?")
-		s = fmt.Sprintf("SELECT * FROM %s WHERE %s LIMIT 100",
-			t.Name, strings.Join(rangePreds, " AND "))
-	case opScanAll:
-		s = fmt.Sprintf("SELECT * FROM %s", t.Name)
-	case opAgg:
-		c := t.Schema.Columns[len(t.Schema.Columns)-1].Name
-		s = fmt.Sprintf("SELECT COUNT(*), SUM(%s), MIN(%s), MAX(%s) FROM %s", c, c, c, t.Name)
-	case opAggRange:
-		c := t.Schema.Columns[len(t.Schema.Columns)-1].Name
-		rangePreds := append([]string{}, eqPreds[:len(eqPreds)-1]...)
-		last := keyCols[len(keyCols)-1]
-		rangePreds = append(rangePreds, last+" >= ?", last+" <= ?")
-		s = fmt.Sprintf("SELECT SUM(%s) FROM %s WHERE %s",
-			c, t.Name, strings.Join(rangePreds, " AND "))
-	case opAggGroup:
-		c := t.Schema.Columns[len(t.Schema.Columns)-1].Name
-		g := c
-		for _, col := range t.Schema.Columns[len(t.KeyCols):] {
-			g = col.Name
-			break
-		}
-		s = fmt.Sprintf("SELECT %s, SUM(%s) FROM %s GROUP BY %s", g, c, t.Name, g)
-	}
-	return s
-}
-
-// TableID implements sqlfe.CatalogView.
-func (e *Engine) TableID(name string) (int, bool) {
-	t, ok := e.byName[name]
-	if !ok {
-		return 0, false
-	}
-	return t.ID, true
-}
-
-// ColumnNames implements sqlfe.CatalogView.
-func (e *Engine) ColumnNames(table string) []string {
-	t := e.byName[table]
-	if t == nil {
-		return nil
-	}
-	names := make([]string, len(t.Schema.Columns))
-	for i, c := range t.Schema.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
-
-// KeyColumns implements sqlfe.CatalogView.
-func (e *Engine) KeyColumns(table string) []string {
-	t := e.byName[table]
-	if t == nil {
-		return nil
-	}
-	names := make([]string, len(t.KeyCols))
-	for i, ci := range t.KeyCols {
-		names[i] = t.Schema.Columns[ci].Name
-	}
-	return names
 }

@@ -9,7 +9,6 @@ import (
 	"oltpsim/internal/catalog"
 	"oltpsim/internal/index"
 	"oltpsim/internal/simmem"
-	"oltpsim/internal/sqlfe"
 	"oltpsim/internal/storage"
 	"oltpsim/internal/txn"
 )
@@ -29,17 +28,15 @@ import (
 // a scan of millions of rows allocates nothing: row decode goes through
 // fixed per-engine buffers, not the transaction scratch arena.
 
-// AggOp selects an aggregate fold. It is the SQL front-end's aggregate
-// operator (one enum across planner and executor, so plan ops can never
-// drift from executor ops).
-type AggOp = sqlfe.AggOp
+// AggOp selects an aggregate fold.
+type AggOp int
 
 // Aggregate operators of the analytical executor.
 const (
-	AggCount = sqlfe.AggCount
-	AggSum   = sqlfe.AggSum
-	AggMin   = sqlfe.AggMin
-	AggMax   = sqlfe.AggMax
+	AggCount AggOp = iota // COUNT(*)
+	AggSum
+	AggMin
+	AggMax
 )
 
 // AggSpec is one aggregate to fold during a scan: Op over column Col (Col is

@@ -158,35 +158,14 @@ func (e *Engine) PreparedGTID(p int) (uint64, bool) {
 	return st.gtid, st.active
 }
 
-// invokeStaged is the prepare-phase request path: the front half of invoke
-// (network, dispatch, begin) with the transaction's writes diverted into st,
-// and no commit tail — a YES vote forces the prepare log record and leaves
-// the staged set for Resolve. Qualification is implied by concurrent mode:
+// invokeStaged is the prepare-phase request path: invoke's front half
+// (begin) with the transaction's writes diverted into st, and no commit tail
+// — a YES vote forces the prepare log record and leaves the staged set for
+// Resolve. Qualification is implied by concurrent mode:
 // no lock manager, no MVCC, no buffer pool, StorageRows.
 func (e *Engine) invokeStaged(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure, args []catalog.Value, st *stagedTx) error {
-	c := e.cfg.Costs
-
-	cpu.Exec(e.rNet, c.NetRecv)
-	cpu.Exec(e.rDispatch, c.DispatchBase)
-	if e.cfg.FrontEnd == FECompiled {
-		cpu.Exec(p.region, c.CompiledEntry)
-	}
-
-	id := e.txnSeq.Add(1)
-	cx.scratch.Reset()
-	tx := &cx.txv
-	*tx = Tx{
-		e:      e,
-		ctx:    cx,
-		cpu:    cpu,
-		part:   part,
-		id:     id,
-		args:   args,
-		proc:   p,
-		staged: st,
-	}
-	st.id = id
-	cpu.Exec(e.rTxn, c.TxnBegin)
+	tx := e.begin(cx, cpu, part, p, args, st)
+	st.id = tx.id
 
 	if err := e.runBody(tx, p); err != nil {
 		e.abort(tx)
@@ -194,7 +173,7 @@ func (e *Engine) invokeStaged(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure
 	}
 	// YES vote: force the prepare record. The commit record, the installed
 	// writes and their charges come with Resolve(commit).
-	cpu.Exec(e.rLog, c.LogBase)
+	cpu.Exec(e.rLog, e.cfg.Costs.LogBase)
 	return nil
 }
 

@@ -31,12 +31,6 @@ type Tx struct {
 	// tableLocks marks tables whose intent lock this transaction already
 	// holds (indexed by table ID; backed by the engine's reusable slice).
 	tableLocks []bool
-	// seenStmt caches statements already parsed within this transaction
-	// (FESQLPerRequest): the first execution of each distinct statement pays
-	// the full parse+optimize path, repeats re-bind parameters only. This is
-	// what makes longer transactions amortize the SQL stack, the effect the
-	// paper measures in Figure 7. Backed by the engine's reusable map.
-	seenStmt map[string]bool
 	// staged, when non-nil, marks a 2PC prepare: writes divert into the
 	// partition's staging buffer instead of applying in place, and reads see
 	// only the committed pre-transaction state (twopc.go).
@@ -70,6 +64,9 @@ const (
 	opAggGroup // grouped aggregate fold
 	numOpKinds
 )
+
+// One bit per op kind must fit an ExecCtx.parsed entry.
+const _ = uint16(1) << (numOpKinds - 1)
 
 // routingViolation is the panic value for single-site routing violations: a
 // contract breach reachable from client input (a mis-routed request), which

@@ -52,7 +52,8 @@ func QuickScale() Scale {
 	}
 }
 
-// DefaultScale is the scale the committed EXPERIMENTS.md numbers use.
+// DefaultScale is the `-scale default` profile: the full warm-up/measure
+// transaction counts over proxies between QuickScale's and FullScale's.
 func DefaultScale() Scale {
 	return Scale{
 		Name: "default",

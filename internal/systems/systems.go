@@ -99,9 +99,6 @@ type Options struct {
 	// DisableCompilation turns off transaction compilation for DBMS M
 	// (the paper's Figure 13/14/26 ablation). Ignored by other systems.
 	DisableCompilation bool
-	// BufferPoolFrames overrides the buffer-pool size for disk-based
-	// systems (0 = automatic).
-	BufferPoolFrames int
 	// Sockets overrides the socket count of the simulated machine. The zero
 	// value keeps the IvyBridge default: one socket for up to 10 cores, then
 	// sockets of 10 (IvyBridge(20) is the paper's full 2x10 topology).
@@ -151,9 +148,6 @@ func New(kind Kind, opts Options) *engine.Engine {
 	if opts.HasIndexOverride {
 		cfg.Index = opts.Index
 	}
-	if opts.BufferPoolFrames > 0 {
-		cfg.BufferPoolFrames = opts.BufferPoolFrames
-	}
 	return engine.New(cfg)
 }
 
@@ -166,7 +160,7 @@ func shoreMTConfig() engine.Config {
 		Name:     "Shore-MT",
 		Storage:  engine.StorageHeap,
 		Index:    engine.IndexBTree8K,
-		FrontEnd: engine.FEHardcoded,
+		FrontEnd: engine.FEDispatch,
 		UseLocks: true,
 		OtherCPI: 0.35,
 		Costs: engine.CostParams{

@@ -32,8 +32,8 @@
 //
 // See README.md for the system inventory (the intro and "Package map") and
 // the simulated hardware that stands in for the paper's counters
-// ("Topology"), PAPER.md for the paper's findings, and EXPERIMENTS.md for
-// paper-vs-measured results.
+// ("Topology"), PAPER.md for the paper's findings, and
+// testdata/golden_quick.md for every figure as reproduced at quick scale.
 package oltpsim
 
 import (
@@ -104,7 +104,6 @@ const (
 	IndexHash      = engine.IndexHash
 	IndexART       = engine.IndexART
 
-	FEHardcoded     = engine.FEHardcoded
 	FESQLPerRequest = engine.FESQLPerRequest
 	FEDispatch      = engine.FEDispatch
 	FECompiled      = engine.FECompiled
@@ -214,7 +213,8 @@ type Scale = harness.Scale
 // QuickScale returns the small test/bench scale profile.
 func QuickScale() Scale { return harness.QuickScale() }
 
-// DefaultScale returns the scale used for the committed EXPERIMENTS.md.
+// DefaultScale returns the `-scale default` profile: full transaction counts
+// over mid-sized proxies.
 func DefaultScale() Scale { return harness.DefaultScale() }
 
 // Figure is a rendered reproduction of one paper table/figure.

@@ -2,15 +2,16 @@
 # cover.sh — the coverage gate: run the -short suite with a statement
 # coverage profile and fail if total coverage drops below the recorded
 # floor. The floor sits 0.5pt under the value measured when it was last
-# set (73.3% at PR 17, which put the live figures and the testbed under
-# test; the parent measured 71.1%, under the 77.5% floor recorded at the
-# HTAP PR and not re-measured since) to absorb core-count-dependent
-# branches in the worker pool; raise it as coverage grows. Override with
+# set, to absorb core-count-dependent branches in the worker pool; raise it
+# as coverage grows. Last set at PR 20: 72.1%, down from the parent's 72.9%
+# only because the SQL front-end package — 90.6% covered, called by nothing
+# — was deleted and left the denominator; every remaining package reads at
+# least its parent value (internal/engine 70.7 -> 71.0%). Override with
 # COVER_MIN=NN.N for local experiments.
 set -eu
 cd "$(dirname "$0")/.."
 
-min="${COVER_MIN:-72.8}"
+min="${COVER_MIN:-71.6}"
 go test -short -coverprofile=cover.out ./...
 total="$(go tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$3); print $3}')"
 echo "total statement coverage: ${total}% (floor ${min}%)"
