@@ -105,6 +105,9 @@ type shard struct {
 	idx  index.Index
 	rows *storage.RowStore
 	heap *storage.HeapFile
+	// home is the socket loadShard claims the shard's data for, -1 for none
+	// (fixed when the table is created: it depends only on the machine).
+	home int
 }
 
 const (
@@ -277,15 +280,18 @@ func (e *Engine) createTable(schema *catalog.Schema, idxKind IndexKind, keyCols 
 	}
 	t.shards = make([]shard, e.cfg.Partitions)
 	for i := range t.shards {
-		t.shards[i] = e.newShard(t, idxKind)
+		t.shards[i] = e.newShard(t, i, idxKind)
 	}
 	e.tables = append(e.tables, t)
 	e.byName[schema.Name] = t
 	return t
 }
 
-func (e *Engine) newShard(t *Table, idxKind IndexKind) shard {
-	var s shard
+func (e *Engine) newShard(t *Table, p int, idxKind IndexKind) shard {
+	s := shard{home: -1}
+	if hcfg := e.mach.Hier.Config(); hcfg.Placement == core.PlacePartitioned && hcfg.Sockets > 1 {
+		s.home = e.mach.SocketOf(p % hcfg.Cores)
+	}
 	switch e.cfg.Storage {
 	case StorageHeap:
 		s.heap = storage.NewHeapFile(e.mach.Arena, e.bp, t.Schema)
@@ -392,13 +398,15 @@ func (t *Table) Count() uint64 {
 	return n
 }
 
-// IndexHeightHint reports the primary index height of shard 0 when the index
-// is a tree (0 otherwise); used by reports and tests.
-func (t *Table) IndexHeightHint() int {
-	if tr, ok := t.shards[0].idx.(*index.Tree); ok {
-		return tr.Height()
+// IndexShape reports the entry count of shard p's primary index and, when
+// the index is a tree, its height (0 otherwise); used by the populated-image
+// fence.
+func (t *Table) IndexShape(p int) (count uint64, height int) {
+	idx := t.shards[p].idx
+	if tr, ok := idx.(*index.Tree); ok {
+		height = tr.Height()
 	}
-	return 0
+	return idx.Count(), height
 }
 
 // Load bulk-inserts a row during population: no concurrency control, no
@@ -434,18 +442,15 @@ func (t *Table) Load(row catalog.Row) {
 // partition p's data.
 func (t *Table) loadShard(p int, keyVals []catalog.Value, row catalog.Row) {
 	sh := &t.shards[p]
-	e := t.e
-	claim := -1
-	var before simmem.Addr
-	if hcfg := e.mach.Hier.Config(); hcfg.Placement == core.PlacePartitioned && hcfg.Sockets > 1 {
-		claim = e.mach.SocketOf(p % hcfg.Cores)
-		before = e.mach.Arena.DataTop()
+	if sh.home < 0 {
+		t.loadShardInto(sh, keyVals, row)
+		return
 	}
+	mach := t.e.mach
+	before := mach.Arena.DataTop()
 	t.loadShardInto(sh, keyVals, row)
-	if claim >= 0 {
-		if top := e.mach.Arena.DataTop(); top > before {
-			e.mach.ClaimHome(before, int(top-before), claim)
-		}
+	if top := mach.Arena.DataTop(); top > before {
+		mach.ClaimHome(before, int(top-before), sh.home)
 	}
 }
 

@@ -296,6 +296,36 @@ func TestPartitionedRoutingEnforced(t *testing.T) {
 	}
 }
 
+// TestLoadHomesShardDataOnItsSocket: under partitioned placement on two
+// sockets every byte a Load allocates is homed on the socket of the core that
+// drives the row's partition (the claim is fixed per shard when the table is
+// created); without it data stays on the interleaved default.
+func TestLoadHomesShardDataOnItsSocket(t *testing.T) {
+	e := systems.New(systems.VoltDB, systems.Options{Cores: 4, Sockets: 2, Placement: core.PlacePartitioned})
+	tbl := e.CreateTable(microSchema(), "key")
+	mach := e.Machine()
+	claimed := 0
+	for i := 0; i < 4000; i++ {
+		before := mach.Arena.DataTop()
+		tbl.Load(catalog.Row{catalog.LongVal(int64(i)), catalog.LongVal(0)})
+		p := i % 4
+		for a := before; a < mach.Arena.DataTop(); a += core.LineBytes {
+			claimed++
+			if got, want := mach.Hier.HomeOf(a), mach.SocketOf(p); got != want {
+				t.Fatalf("row %d (partition %d): line %#x homed on socket %d, want %d", i, p, uint64(a), got, want)
+			}
+		}
+	}
+	if claimed == 0 {
+		t.Fatal("4000 loads allocated nothing")
+	}
+	for p := 0; p < 4; p++ {
+		if count, height := tbl.IndexShape(p); count != 1000 || height < 3 {
+			t.Errorf("shard %d: %d entries at height %d, want 1000 at height >= 3", p, count, height)
+		}
+	}
+}
+
 func TestHashIndexRejectsScan(t *testing.T) {
 	e := systems.New(systems.DBMSM, systems.Options{}) // hash index default
 	tbl := buildMicro(e, 100)

@@ -13,35 +13,74 @@ import (
 
 const benchKeys = 1 << 17
 
-func benchIndexes(b *testing.B) map[string]Index {
-	b.Helper()
-	m := simmem.New()
-	return map[string]Index{
-		"btree8k":   NewBTree(m, storage.NewBufferPool(m, 1<<15), 8),
-		"cctree64":  NewCCTree(simmem.New(), 8, 64),
-		"cctree512": NewCCTree(simmem.New(), 8, 512),
-		"hash":      NewHashIndex(simmem.New(), 8, benchKeys),
-		"art":       NewART(simmem.New(), 8),
+// benchIndexes are the five index configurations, in the order the rungs
+// report them; every call of mk builds a fresh empty index.
+var benchIndexes = []struct {
+	name string
+	mk   func() Index
+}{
+	{"btree8k", func() Index { m := simmem.New(); return NewBTree(m, storage.NewBufferPool(m, 1<<15), 8) }},
+	{"cctree64", func() Index { return NewCCTree(simmem.New(), 8, 64) }},
+	{"cctree512", func() Index { return NewCCTree(simmem.New(), 8, 512) }},
+	{"hash", func() Index { return NewHashIndex(simmem.New(), 8, benchKeys) }},
+	{"art", func() Index { return NewART(simmem.New(), 8) }},
+}
+
+// BenchmarkIndexLoadAscending is the rung for load-path work: every round
+// loads a fresh untraced index with 2^17 ascending keys, as Table.Load does.
+// slow-inserts/row is the share of a tree's inserts that left the appendPath
+// fast path for insertSlow: 1 in 2^17 (the first, into the empty tree).
+func BenchmarkIndexLoadAscending(b *testing.B) {
+	for _, ix := range benchIndexes {
+		b.Run(ix.name, func(b *testing.B) {
+			key := make([]byte, 8)
+			var slow uint64
+			for i := 0; i < b.N; i++ {
+				idx := ix.mk()
+				for k := int64(0); k < benchKeys; k++ {
+					catalog.PutKeyLong(key, k)
+					idx.Insert(key, uint64(k))
+				}
+				if tr, ok := idx.(*Tree); ok {
+					slow += tr.slowInserts
+				}
+			}
+			rows := float64(b.N) * benchKeys
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+			if slow > 0 { // a tree: its first insert always descends
+				b.ReportMetric(float64(slow)/rows, "slow-inserts/row")
+			}
+		})
 	}
 }
 
-func BenchmarkIndexInsert(b *testing.B) {
-	for name, idx := range benchIndexes(b) {
-		b.Run(name, func(b *testing.B) {
+// BenchmarkIndexInsertRandom inserts the benchmark ladder's multiplicative
+// key sequence (index.insert_ns_*): 2^16 distinct keys in scattered order,
+// then a fresh index, so every insert is new and none is an append.
+func BenchmarkIndexInsertRandom(b *testing.B) {
+	const keys = 1 << 16
+	for _, ix := range benchIndexes {
+		b.Run(ix.name, func(b *testing.B) {
+			key := make([]byte, 8)
+			var idx Index
 			for i := 0; i < b.N; i++ {
-				k := uint64(i) % (benchKeys * 4)
-				idx.Insert(key8(k), k)
+				if i%keys == 0 {
+					idx = ix.mk()
+				}
+				catalog.PutKeyLong(key, int64(uint32(i%keys)*2654435761%keys))
+				idx.Insert(key, uint64(i))
 			}
 		})
 	}
 }
 
 func BenchmarkIndexLookup(b *testing.B) {
-	for name, idx := range benchIndexes(b) {
+	for _, ix := range benchIndexes {
+		idx := ix.mk()
 		for i := uint64(0); i < benchKeys; i++ {
 			idx.Insert(key8(i), i)
 		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(ix.name, func(b *testing.B) {
 			var hits uint64
 			for i := 0; i < b.N; i++ {
 				k := uint64(i*2654435761) % benchKeys

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
@@ -94,14 +95,72 @@ func (t *Tree) check() error {
 // fuzzTrees are the differential subjects: the pooled tree on a pool so small
 // that every operation evicts, with keys so wide that a page holds 31 of them
 // and a few thousand keys split inner pages; and both direct node sizes, one
-// on the 8-byte-key search path, one on the general one.
+// on the 8-byte-key search path, one on the general one. Each comes as twins
+// at indexes 2i and 2i+1: the first untraced, so ascending inserts take the
+// appendPath fast path, the second on an arena tracing into a no-op tracer,
+// where every insert takes insertSlow. Both record their meter charges.
 func fuzzTrees() []*Tree {
-	m := simmem.New()
-	return []*Tree{
-		NewBTree(m, storage.NewBufferPool(m, 8), 255),
-		NewCCTree(simmem.New(), 8, 64),
-		NewCCTree(simmem.New(), 50, 512),
+	var trees []*Tree
+	for _, mk := range []func(m *simmem.Arena) *Tree{
+		func(m *simmem.Arena) *Tree { return NewBTree(m, storage.NewBufferPool(m, 8), 255) },
+		func(m *simmem.Arena) *Tree { return NewCCTree(m, 8, 64) },
+		func(m *simmem.Arena) *Tree { return NewCCTree(m, 50, 512) },
+	} {
+		for _, traced := range []bool{false, true} {
+			m := simmem.New()
+			if traced {
+				m.SetTracer(nopTracer{})
+				m.EnableTracing(true)
+			}
+			tr := mk(m)
+			tr.SetMeter(&eventRecorder{h: fnv.New64a()})
+			trees = append(trees, tr)
+		}
 	}
+	return trees
+}
+
+type nopTracer struct{}
+
+func (nopTracer) OnData(simmem.Addr, int, bool) {}
+
+// twinsDiffer returns the first difference between an untraced tree and its
+// traced twin after the same operation sequence: shape, every meter charge in
+// order, every arena byte (nodes, and for the pooled pair the frames and the
+// page table — which frame the clock evicted depends on the order of fixes
+// and unfixes) and the pool's statistics. The fast path may differ from the
+// full descent in nothing but the reads it skips.
+func twinsDiffer(fast, slow *Tree) error {
+	if fast.root != slow.root || fast.height != slow.height || fast.count != slow.count {
+		return fmt.Errorf("root %#x height %d count %d, traced twin %#x %d %d",
+			fast.root, fast.height, fast.count, slow.root, slow.height, slow.count)
+	}
+	fm, sm := fast.meter.(*eventRecorder), slow.meter.(*eventRecorder)
+	if fm.n != sm.n || fm.h.Sum64() != sm.h.Sum64() {
+		return fmt.Errorf("%d meter charges hashing to %016x, traced twin %d to %016x", fm.n, fm.h.Sum64(), sm.n, sm.h.Sum64())
+	}
+	if fast.m.DataTop() != slow.m.DataTop() {
+		return fmt.Errorf("data top %#x, traced twin %#x", fast.m.DataTop(), slow.m.DataTop())
+	}
+	image := func(m *simmem.Arena) map[simmem.Addr][]byte {
+		pages := map[simmem.Addr][]byte{}
+		m.EachPage(func(base simmem.Addr, data []byte) { pages[base] = data })
+		return pages
+	}
+	fi, si := image(fast.m), image(slow.m)
+	for base, data := range fi {
+		if !bytes.Equal(data, si[base]) {
+			return fmt.Errorf("arena page %#x differs from the traced twin's", base)
+		}
+	}
+	if len(fi) != len(si) {
+		return fmt.Errorf("%d arena pages materialized, traced twin %d", len(fi), len(si))
+	}
+	if fp, sp := fast.bp, slow.bp; fp != nil && (fp.Hits != sp.Hits || fp.Misses != sp.Misses || fp.Evictions != sp.Evictions) {
+		return fmt.Errorf("pool hits/misses/evictions %d/%d/%d, traced twin %d/%d/%d",
+			fp.Hits, fp.Misses, fp.Evictions, sp.Hits, sp.Misses, sp.Evictions)
+	}
+	return nil
 }
 
 // treeKey encodes key number id at the tree's width (order-preserving: zero
@@ -128,7 +187,8 @@ type fzEntry struct{ key, val uint64 }
 
 // FuzzTree applies one decoded operation sequence to every tree of fuzzTrees
 // and to a sorted-slice oracle; after every operation all agree on its
-// result, and at the end every tree passes check.
+// result, and at the end every tree passes check and no untraced tree differs
+// from its traced twin (twinsDiffer).
 func FuzzTree(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Join([][]byte{fuzzOp(fzInsert, 5), fuzzOp(fzInsert, 5), fuzzOp(fzLookup, 5),
@@ -158,6 +218,37 @@ func FuzzTree(f *testing.F) {
 	seed = append(seed, fuzzOp(fzScan, 300_000)...)
 	seed = append(seed, fuzzOp(fzScan|31<<3, 0)...)
 	seed = append(seed, fuzzOp(fzScan|7<<3, 999_990)...)
+	f.Add(seed)
+	// Long ascending runs — the appendPath fast path through leaf, inner and
+	// root splits, 8400 keys in all — each followed by something that does or
+	// does not invalidate the cached path.
+	rng = rand.New(rand.NewSource(23))
+	seed = nil
+	next := uint64(1)
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 700; i++ {
+			seed = append(seed, fuzzOp(fzInsert, next)...)
+			next += 1 + uint64(rng.Intn(3))
+			if i%25 == 24 { // reads leave the path valid and, on 8 frames, evict its pages
+				seed = append(seed, fuzzOp(fzLookup, uint64(rng.Intn(int(next))))...)
+				seed = append(seed, fuzzOp(fzLookup, uint64(rng.Intn(int(next))))...)
+			}
+		}
+		switch round % 4 {
+		case 0: // the maximum and keys near it go: the next append is above a shrunken leaf
+			for back := uint64(1); back <= 12; back++ {
+				seed = append(seed, fuzzOp(fzDelete, next-back)...)
+			}
+		case 1:
+			seed = append(seed, fuzzOp(fzInsert, next-1-uint64(rng.Intn(3)))...) // replace or insert just below the maximum
+		case 2:
+			for i := 0; i < 40; i++ {
+				seed = append(seed, fuzzOp(fzInsert, uint64(rng.Intn(int(next))))...) // out of order
+			}
+		case 3:
+			seed = append(seed, fuzzOp(fzScan|31<<3, next-20)...)
+		}
+	}
 	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -223,6 +314,11 @@ func FuzzTree(f *testing.F) {
 			}
 			if err := tr.check(); err != nil {
 				t.Fatalf("%s: %v", tr.Name(), err)
+			}
+		}
+		for i := 0; i < len(trees); i += 2 {
+			if err := twinsDiffer(trees[i], trees[i+1]); err != nil {
+				t.Fatalf("%s: %v", trees[i].Name(), err)
 			}
 		}
 	})

@@ -11,7 +11,11 @@
 // data-side cache behaviour the paper attributes to each structure.
 package index
 
-import "oltpsim/internal/simmem"
+import (
+	"math/bits"
+
+	"oltpsim/internal/simmem"
+)
 
 // Index is a unique-key ordered (except hash) index from fixed-width byte
 // keys to 64-bit values (row addresses or RIDs).
@@ -71,18 +75,11 @@ func meterOrNop(m Meter) Meter {
 
 // searchSteps returns the number of probe iterations the trees' lowerBound
 // performs when the searched key is greater than every key in an n-entry
-// node (the bulk-append case: the binary search always moves right). The
-// bulk-append fast path uses it to issue the exact meter charges the full
-// search would have issued.
-func searchSteps(n int) int {
-	steps := 0
-	for lo, hi := 0, n; lo < hi; {
-		mid := (lo + hi) / 2
-		lo = mid + 1
-		steps++
-	}
-	return steps
-}
+// node (the bulk-append case: the binary search always moves right, and each
+// step takes the remaining r entries to floor((r-1)/2), so r+1 halves until
+// it is 1). The bulk-append fast path uses it to issue the exact meter
+// charges the full search would have issued.
+func searchSteps(n int) int { return bits.Len(uint(n)+1) - 1 }
 
 // keyWord interprets an 8-byte key as its big-endian word; comparing words
 // is then exactly bytewise key comparison. Used by the trees' 8-byte-key

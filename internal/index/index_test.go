@@ -292,6 +292,52 @@ func TestBTreeNoPinLeaks(t *testing.T) {
 	}
 }
 
+// TestAscendingLoadStaysOnAppendPath pins the mechanism of the bulk-append
+// fast path: on an untraced tree fed strictly ascending keys only the first
+// insert (into the empty tree, no path cached yet) takes insertSlow, however
+// many leaf, inner and root splits the load causes; a traced insert and an
+// insert below the maximum take it exactly as before.
+func TestAscendingLoadStaysOnAppendPath(t *testing.T) {
+	for _, cfg := range treeEventConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			const kw, n = 50, 12_000 // the 140-entry page tree splits its root twice by 9871 keys
+			m := simmem.New()
+			tr := cfg.make(m, kw).(*Tree)
+			for i := uint64(0); i < n; i++ {
+				tr.Insert(eventKey(kw, 2*i), i)
+			}
+			if tr.slowInserts != 1 || tr.Height() < 3 {
+				t.Fatalf("%d ascending inserts: %d took insertSlow (want 1), height %d (want >= 3)", n, tr.slowInserts, tr.Height())
+			}
+			tr.Insert(eventKey(kw, 2*n-3), 0) // below the maximum
+			tr.Insert(eventKey(kw, 2*n), 0)   // ascending again: the one rebuild, no descent
+			m.SetTracer(nopTracer{})
+			m.EnableTracing(true)
+			tr.Insert(eventKey(kw, 2*n+2), 0) // ascending but traced
+			if tr.slowInserts != 3 {
+				t.Fatalf("%d inserts took insertSlow, want 3: the first, the out-of-order one and the traced one", tr.slowInserts)
+			}
+			if err := tr.check(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSearchStepsMatchesLowerBound holds searchSteps' closed form against the
+// loop it stands for: lowerBound's, for a key above every key of the node.
+func TestSearchStepsMatchesLowerBound(t *testing.T) {
+	for n := 0; n <= 1<<13; n++ {
+		steps := 0
+		for lo, hi := 0, n; lo < hi; steps++ {
+			lo = (lo+hi)/2 + 1
+		}
+		if got := searchSteps(n); got != steps {
+			t.Fatalf("searchSteps(%d) = %d, the search takes %d", n, got, steps)
+		}
+	}
+}
+
 func TestCCTreeNodeSizing(t *testing.T) {
 	m := simmem.New()
 	// 64-byte nodes with 8-byte keys: header 16 + 2x16 entries = 48 <= 64.

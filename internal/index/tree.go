@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"oltpsim/internal/simmem"
 	"oltpsim/internal/storage"
@@ -61,16 +62,19 @@ type Tree struct {
 	scanBuf []byte // Scan's callback key (valid only during the callback)
 
 	fa appendPath // bulk-append fast path (untraced ascending loads)
+
+	slowInserts uint64 // Inserts that took insertSlow; read by tests and the load rung
 }
 
 // appendPath caches the rightmost root-to-leaf path (node references and the
 // entry count of each node) plus the current maximum key. While the arena is
-// untraced — bulk population — an insert of a key greater than maxKey whose
-// path has no full node is a pure leaf append: the descent reads have no
-// observable effect (no trace events, quiet meter charges are reproduced
-// exactly), so the fast path skips them and performs only the writes, page
-// fixes and counter updates the normal path would perform. Any other mutation
-// invalidates the cache; it is rebuilt with read-only probes.
+// untraced — bulk population — an insert of a key greater than maxKey never
+// leaves that path, splits included: the descent reads have no observable
+// effect (no trace events, quiet meter charges are reproduced exactly), so
+// the fast path skips them and performs only the splits, writes, page fixes
+// and counter updates the normal path would perform, in its order, keeping
+// the cached path current as it goes. Any other mutation invalidates the
+// cache; it is rebuilt with read-only probes.
 type appendPath struct {
 	valid  bool
 	refs   []uint64 // root..leaf
@@ -304,27 +308,37 @@ func (t *Tree) Insert(key []byte, val uint64) {
 		return
 	}
 	t.fa.valid = false
+	t.slowInserts++
 	t.insertSlow(key, val)
 	t.rebuildAppendPath()
 }
 
 // tryFastAppend performs the untraced ascending-load append (see appendPath):
-// same page fixes, same meter charges, same writes as the full descent —
-// minus the descent's unobservable reads.
+// same splits, same page fixes, same meter charges, same writes as
+// insertSlow in the same order — minus the descent's unobservable reads.
 func (t *Tree) tryFastAppend(key []byte, val uint64) bool {
 	fa := &t.fa
 	if !fa.valid || t.m.Tracing() || bytes.Compare(key, fa.maxKey) <= 0 {
 		return false
 	}
-	for _, n := range fa.ns {
-		if n >= t.cap {
-			return false // a split is due: take the full descent
-		}
-	}
 	cur := t.fix(fa.refs[0])
+	if fa.ns[0] >= t.cap {
+		// The old root's right half takes its place on the path, below the
+		// new root and its one separator.
+		cur, fa.refs[0], fa.ns[0] = t.splitRoot(cur)
+		fa.refs = slices.Insert(fa.refs, 0, t.root)
+		fa.ns = slices.Insert(fa.ns, 0, 1)
+	}
 	for lvl := 0; lvl+1 < len(fa.refs); lvl++ {
 		t.meter.NodeVisit(t.kw * searchSteps(fa.ns[lvl])) // childFor's search
 		child := t.fix(fa.refs[lvl+1])
+		if fa.ns[lvl+1] >= t.cap {
+			fa.refs[lvl+1], fa.ns[lvl+1] = t.splitChild(cur, child)
+			t.unfix(child, true)
+			fa.ns[lvl]++
+			t.meter.NodeVisit(t.kw * searchSteps(fa.ns[lvl])) // re-choose: the key is above the separator
+			child = t.fix(fa.refs[lvl+1])
+		}
 		t.unfix(cur, true)
 		cur = child
 	}
@@ -382,15 +396,8 @@ func (t *Tree) rebuildAppendPath() {
 // the child is fixed: a split writes into both.
 func (t *Tree) insertSlow(key []byte, val uint64) {
 	cur := t.fix(t.root)
-	if t.nKeys(cur) >= t.cap { // split a full root first
-		newRoot, newRootAddr := t.newNode()
-		t.initNode(newRootAddr, false)
-		t.m.WriteU64(newRootAddr+8, t.root)
-		t.splitChild(newRootAddr, cur)
-		t.unfix(cur, true)
-		cur = newRootAddr
-		t.root = newRoot
-		t.height++
+	if t.nKeys(cur) >= t.cap {
+		cur, _, _ = t.splitRoot(cur)
 	}
 	for !t.isLeaf(cur) {
 		child := t.fix(t.childFor(cur, key))
@@ -416,6 +423,20 @@ func (t *Tree) insertSlow(key []byte, val uint64) {
 	t.unfix(cur, true)
 }
 
+// splitRoot splits the full root, fixed at cur, under a new root (allocated
+// before the right sibling) and returns the new root's fixed address in cur's
+// place, plus what splitChild returns.
+func (t *Tree) splitRoot(cur simmem.Addr) (simmem.Addr, uint64, int) {
+	newRoot, newRootAddr := t.newNode()
+	t.initNode(newRootAddr, false)
+	t.m.WriteU64(newRootAddr+8, t.root)
+	right, rn := t.splitChild(newRootAddr, cur)
+	t.unfix(cur, true)
+	t.root = newRoot
+	t.height++
+	return newRootAddr, right, rn
+}
+
 // shiftRight opens a gap at position pos in a node with n entries.
 func (t *Tree) shiftRight(addr simmem.Addr, pos, n int) {
 	if pos >= n {
@@ -427,9 +448,9 @@ func (t *Tree) shiftRight(addr simmem.Addr, pos, n int) {
 }
 
 // splitChild splits the full node at child, whose parent is the node at
-// parent (both fixed by the caller), and inserts the separator into the
-// parent.
-func (t *Tree) splitChild(parent, child simmem.Addr) {
+// parent (both fixed by the caller), inserts the separator into the parent
+// and returns the new right node's reference and entry count.
+func (t *Tree) splitChild(parent, child simmem.Addr) (uint64, int) {
 	right, rightAddr := t.newNode()
 	leaf := t.isLeaf(child)
 	t.initNode(rightAddr, leaf)
@@ -465,6 +486,7 @@ func (t *Tree) splitChild(parent, child simmem.Addr) {
 	t.setValAt(parent, lb, right)
 	t.setNKeys(parent, pn+1)
 	t.unfix(rightAddr, true)
+	return right, n - from
 }
 
 // Delete implements Index (lazy: no merging).

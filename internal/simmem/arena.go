@@ -270,6 +270,25 @@ func (m *Arena) pageSlow(id Addr) *pageBuf {
 	return p
 }
 
+// EachPage calls fn, in address order and untraced, with the base address and
+// backing bytes of every materialized page. It lets an image fence hash what a
+// population wrote without materializing reserved ranges nothing touched (a
+// buffer pool's unused frames). Like DataTop it is meaningful only while no
+// other goroutine writes.
+func (m *Arena) EachPage(fn func(base Addr, data []byte)) {
+	for ci := range m.sh.chunks {
+		ch := m.sh.chunks[ci].Load()
+		if ch == nil {
+			continue
+		}
+		for pi := range ch {
+			if p := ch[pi].Load(); p != nil {
+				fn((dataBasePage+Addr(ci<<chunkShift|pi))<<pageShift, p[:])
+			}
+		}
+	}
+}
+
 func (m *Arena) trace(addr Addr, size int, write bool) {
 	if m.tracefn != nil {
 		m.tracefn(addr, size, write)

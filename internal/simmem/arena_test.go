@@ -266,3 +266,28 @@ func BenchmarkReadU64Untraced(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestEachPage: exactly the pages that were touched, in address order, with
+// the bytes that were written — a reserved range nothing touched stays
+// unmaterialized and unvisited.
+func TestEachPage(t *testing.T) {
+	m := New()
+	a := m.AllocData(3*pageSize, pageSize)
+	m.AllocData(64*pageSize, pageSize) // reserved, never touched
+	b := m.AllocData(pageSize, pageSize)
+	m.WriteU64(b+8, 7)
+	m.WriteU64(a+2*pageSize, 9)
+	var bases []Addr
+	m.EachPage(func(base Addr, data []byte) {
+		bases = append(bases, base)
+		if len(data) != pageSize {
+			t.Fatalf("page %#x has %d bytes", base, len(data))
+		}
+		if base == b && data[8] != 7 || base == a+2*pageSize && data[0] != 9 {
+			t.Errorf("page %#x does not hold what was written", base)
+		}
+	})
+	if len(bases) != 2 || bases[0] != a+2*pageSize || bases[1] != b {
+		t.Fatalf("visited %#x, want [%#x %#x]", bases, a+2*pageSize, b)
+	}
+}

@@ -3,12 +3,10 @@ package workload_test
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
 	"oltpsim/internal/core"
-	"oltpsim/internal/engine"
 	"oltpsim/internal/systems"
 	"oltpsim/internal/workload"
 )
@@ -59,50 +57,23 @@ var chargeTPCC = workload.TPCCConfig{Warehouses: 2, Items: 150, CustomersPerDist
 // moves, drops or reorders a charge fails here in about a second instead of
 // in the goldens. Never regenerate the file outside a deliberate re-baseline.
 func TestFrontEndCharges(t *testing.T) {
-	file, err := os.ReadFile(frontEndChargesFile)
-	if err != nil && !*updateFrontEndCharges {
-		t.Fatal(err)
+	names := make([]string, len(chargeWorkloads))
+	for i, wl := range chargeWorkloads {
+		names[i] = wl.name
 	}
-	want := map[string]string{}
-	for _, line := range strings.Split(string(file), "\n") {
-		name, rest, _ := strings.Cut(line, " ")
-		want[name] = rest
-	}
-	var out strings.Builder
-	out.WriteString("# system/workload tx aborts module=instructions/istall-cycles... (generated; see TestFrontEndCharges)\n")
-	for _, kind := range systems.All() {
-		for _, wl := range chargeWorkloads {
-			name := strings.ReplaceAll(kind.String(), " ", "") + "/" + wl.name
-			t.Run(name, func(t *testing.T) {
-				got := runChargeCell(t, kind, wl.cores, wl.make(), wl.n)
-				fmt.Fprintf(&out, "%s %s\n", name, got)
-				if got != want[name] && !*updateFrontEndCharges {
-					t.Fatalf("charges diverged:\n got %s\nwant %s", got, want[name])
-				}
-			})
-		}
-	}
-	if *updateFrontEndCharges {
-		if err := os.WriteFile(frontEndChargesFile, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runLineFence(t, frontEndChargesFile,
+		"# system/workload tx aborts module=instructions/istall-cycles... (generated; see TestFrontEndCharges)",
+		*updateFrontEndCharges, names, func(t *testing.T, kind systems.Kind, i int) string {
+			wl := chargeWorkloads[i]
+			return runChargeCell(t, kind, wl.cores, wl.make(), wl.n)
+		})
 }
 
 // runChargeCell populates one engine untraced, runs n generated requests on
 // it and renders the cell's line.
 func runChargeCell(t *testing.T, kind systems.Kind, cores int, w workload.Workload, n int) string {
 	t.Helper()
-	// DBMS M indexes the scannable workloads with its B-tree variant, as the
-	// harness does.
-	opts := systems.Options{Cores: cores}
-	if _, micro := w.(*workload.Micro); kind == systems.DBMSM && !micro {
-		opts.Index, opts.HasIndexOverride = engine.IndexCCTree512, true
-	}
-	e := systems.New(kind, opts)
-	w.Setup(e)
-	e.Machine().Arena.EnableTracing(false)
-	w.Populate(e)
+	e := populateUntraced(kind, systems.Options{Cores: cores}, w)
 	e.Machine().Arena.EnableTracing(true)
 
 	parts := e.Partitions()

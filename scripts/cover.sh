@@ -3,15 +3,16 @@
 # coverage profile and fail if total coverage drops below the recorded
 # floor. The floor sits 0.5pt under the value measured when it was last
 # set, to absorb core-count-dependent branches in the worker pool; raise it
-# as coverage grows. Last set at PR 20: 72.1%, down from the parent's 72.9%
-# only because the SQL front-end package — 90.6% covered, called by nothing
-# — was deleted and left the denominator; every remaining package reads at
-# least its parent value (internal/engine 70.7 -> 71.0%). Override with
+# as coverage grows. Last set at PR 23: 72.3% (parent 72.1%; every package
+# reads at least its parent value — internal/engine 71.0 -> 71.8%,
+# internal/simmem 86.7 -> 87.2%). PR 20 had lowered it 72.8 -> 71.6 only
+# because the SQL front-end package — 90.6% covered, called by nothing — was
+# deleted and left the denominator. Override with
 # COVER_MIN=NN.N for local experiments.
 set -eu
 cd "$(dirname "$0")/.."
 
-min="${COVER_MIN:-71.6}"
+min="${COVER_MIN:-71.8}"
 go test -short -coverprofile=cover.out ./...
 total="$(go tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$3); print $3}')"
 echo "total statement coverage: ${total}% (floor ${min}%)"
