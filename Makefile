@@ -101,6 +101,8 @@ drive:
 serve_tests = \
 	"./internal/server ./internal/driver ./internal/wire ./internal/metrics ./internal/testbed" \
 	"-count=20 -run TestServeErrors ./internal/server" \
+	"-count=10 -run TestBatchAnswersOneWritePerRun|TestPrepare2PCMidBatchFlushesExecsAhead|TestGracefulShutdownPipelined|FuzzServeConn ./internal/server" \
+	"-count=3 -run TestSenderWritesPerBurst|TestDrivePipelineDepths|TestDriveAgainstDrainingServer ./internal/driver" \
 	"-run TestSession ./internal/engine"
 concurrent_tests = \
 	"-run TestConcurrent|TestEnterConcurrent ./internal/core ./internal/engine" \

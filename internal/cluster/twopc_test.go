@@ -135,6 +135,12 @@ func TestTwoPCFaultPoints(t *testing.T) {
 		t.Fatalf("skip-commit-ack: %v", err)
 	}
 	conn.Faults.SkipCommitAck = nil
+	// Nobody awaited partition 0's commit, so it may still be resolving: a
+	// write to another partition-0 key, queued behind it on the same
+	// connection, returns only after it.
+	if err := conn.Exec(0, "micro_rw", []catalog.Value{catalog.LongVal(k1 - 4), catalog.LongVal(1)}); err != nil {
+		t.Fatalf("exec after unacked commit: %v", err)
+	}
 	if v := microVal(t, m, srvs, k1); v != 7003 {
 		t.Fatalf("k1 = %d after unacked commit, want 7003", v)
 	}

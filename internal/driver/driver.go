@@ -231,7 +231,7 @@ func run(cfg Config, obs *observer) (*Report, error) {
 		}
 	}
 	for i := 0; i < cfg.Conns; i++ {
-		c, err := dial(cfg, i)
+		c, err := dial(cfg, i, wire.Dial)
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("driver: conn %d: %w", i, err)
@@ -410,10 +410,10 @@ type clientConn struct {
 	lastMeasured atomic.Int64
 }
 
-// dial connects one driver connection to the target — a wire.Client
-// (verifying the Hello's workload spec and preparing every procedure the
-// generator can emit) or a cluster.Conn, which does the same per node.
-func dial(cfg Config, idx int) (*clientConn, error) {
+// dial connects one driver connection to the target — a wire.Client from
+// dialWire (verifying the Hello's workload spec and preparing every procedure
+// the generator can emit) or a cluster.Conn, which does the same per node.
+func dial(cfg Config, idx int, dialWire func(addr string) (*wire.Client, error)) (*clientConn, error) {
 	c := &clientConn{
 		cfg:    cfg,
 		idx:    idx,
@@ -435,7 +435,7 @@ func dial(cfg Config, idx int) (*clientConn, error) {
 		}
 		c.cc, c.shards = cc, cfg.Map.Parts
 	} else {
-		wc, err := wire.Dial(cfg.Addr)
+		wc, err := dialWire(cfg.Addr)
 		if err != nil {
 			return nil, err
 		}
@@ -471,7 +471,10 @@ func (c *clientConn) close() {
 
 // sendLoop generates and issues requests until the measurement window ends
 // (or the server starts draining), then waits out the in-flight tail and
-// closes the connection to release the reader.
+// closes the connection to release the reader. A request is queued, not
+// written: whatever is queued is flushed before the sender waits for a slot,
+// before the pacer's sleep and in finish — one Write per burst, one frame per
+// Write at Pipeline 1.
 func (c *clientConn) sendLoop(base time.Time, warmEnd, end int64) {
 	defer c.finish()
 
@@ -488,10 +491,16 @@ func (c *clientConn) sendLoop(base time.Time, warmEnd, end int64) {
 		if pc != nil {
 			sched = warmEnd + int64(pc.next()*measure)
 			if sched > now {
+				if !c.flush() {
+					return
+				}
 				time.Sleep(time.Duration(sched-now) * time.Nanosecond)
 			}
 		}
 		if sched >= end {
+			return
+		}
+		if len(c.tokens) == 0 && !c.flush() { // about to wait for a slot
 			return
 		}
 		var slotIdx int
@@ -532,11 +541,20 @@ func (c *clientConn) sendLoop(base time.Time, warmEnd, end int64) {
 		if c.cc != nil {
 			err := c.route(sl, p, call)
 			c.complete(slotIdx, err, time.Since(base).Nanoseconds())
-		} else if err := c.wc.Exec(uint32(slotIdx), pr.id, p, call.Args); err != nil { // request ID = the owned slot index
-			c.stop.Store(true)
-			return
+		} else {
+			c.wc.QueueExec(uint32(slotIdx), pr.id, p, call.Args) // request ID = the owned slot index
 		}
 	}
+}
+
+// flush writes the requests the sender queued (a cluster.Conn writes inside
+// each call); false means the socket is gone and the sender stops.
+func (c *clientConn) flush() bool {
+	if c.wc != nil && c.wc.Flush() != nil {
+		c.stop.Store(true)
+		return false
+	}
+	return true
 }
 
 // route issues one generated call on the cluster target and waits for its
@@ -574,11 +592,13 @@ func (c *clientConn) route(sl *slot, p int, call workload.Call) error {
 	}
 }
 
-// finish reclaims the in-flight tail (bounded) and closes the connection. A
-// deadline firing means tokens went missing or the server sat on responses —
-// it is recorded in dirty and surfaces as Report.DirtyDrains.
+// finish flushes what the sender still holds, reclaims the in-flight tail
+// (bounded) and closes the connection. A deadline firing means tokens went
+// missing or the server sat on responses — it is recorded in dirty and
+// surfaces as Report.DirtyDrains.
 func (c *clientConn) finish() {
 	defer c.close()
+	c.flush()
 	deadline := time.NewTimer(5 * time.Second)
 	defer deadline.Stop()
 	for c.inflight.Load() > 0 {

@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -264,30 +265,69 @@ func TestDriveSpecMismatch(t *testing.T) {
 }
 
 // TestDriveAgainstDrainingServer: shutting the server down mid-run must not
-// hang the driver; refused requests are reported as rejected, not errors.
+// hang the driver; refused requests are reported as rejected, not errors —
+// with one request in flight per connection, and with 16, where the server
+// answers in batches and the sender writes in bursts.
 func TestDriveAgainstDrainingServer(t *testing.T) {
-	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1}
-	bed := startBed(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
+	for _, pipeline := range []int{1, 16} {
+		t.Run(fmt.Sprintf("pipeline%d", pipeline), func(t *testing.T) {
+			spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1}
+			bed := startBed(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
 
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		bed.Nodes[0].Shutdown()
-	}()
-	rep, err := driver.Run(bed.Target(driver.Config{
-		Conns:   2,
-		Warmup:  10 * time.Millisecond,
-		Measure: 2 * time.Second,
-		Seed:    3,
-	}))
-	if err != nil {
-		t.Fatalf("driver.Run: %v", err)
+			go func() {
+				time.Sleep(100 * time.Millisecond)
+				bed.Nodes[0].Shutdown()
+			}()
+			rep, err := driver.Run(bed.Target(driver.Config{
+				Conns:    2,
+				Pipeline: pipeline,
+				Warmup:   10 * time.Millisecond,
+				Measure:  2 * time.Second,
+				Seed:     3,
+			}))
+			if err != nil {
+				t.Fatalf("driver.Run: %v", err)
+			}
+			if rep.Ops == 0 {
+				t.Fatal("no ops completed before the drain")
+			}
+			// Every connection must drain cleanly through the done channel — a
+			// sender stuck on the token ring until the 5s deadline marks the
+			// drain dirty.
+			if rep.DirtyDrains != 0 {
+				t.Fatalf("%d connections hit the drain deadline instead of draining cleanly", rep.DirtyDrains)
+			}
+		})
 	}
-	if rep.Ops == 0 {
-		t.Fatal("no ops completed before the drain")
-	}
-	// Every connection must drain cleanly through the done channel — a sender
-	// stuck on the token ring until the 5s deadline marks the drain dirty.
-	if rep.DirtyDrains != 0 {
-		t.Fatalf("%d connections hit the drain deadline instead of draining cleanly", rep.DirtyDrains)
+}
+
+// TestDrivePipelineDepths runs the one sender rule — queue, and flush before
+// blocking — at every depth and in open loop against a live node: every run
+// completes without errors or a dirty drain, and the node's books balance at
+// Stop (every request it admitted was answered).
+func TestDrivePipelineDepths(t *testing.T) {
+	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1}
+	for _, tc := range []struct {
+		name string
+		cfg  driver.Config
+	}{
+		{"closed/pipeline1", driver.Config{Pipeline: 1}},
+		{"closed/pipeline16", driver.Config{Pipeline: 16}},
+		{"closed/pipeline128", driver.Config{Pipeline: 128}},
+		{"open/poisson", driver.Config{Rate: 4000, Poisson: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bed := startBed(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
+			cfg := tc.cfg
+			cfg.Conns, cfg.Seed = 2, 6
+			cfg.Warmup, cfg.Measure = 30*time.Millisecond*raceWindowScale, 200*time.Millisecond*raceWindowScale
+			rep, err := driver.Run(bed.Target(cfg))
+			if err != nil {
+				t.Fatalf("driver.Run: %v", err)
+			}
+			if rep.Ops == 0 || rep.Errors != 0 || rep.Rejected != 0 || rep.DirtyDrains != 0 {
+				t.Fatalf("ops=%d errors=%d rejected=%d dirty=%d", rep.Ops, rep.Errors, rep.Rejected, rep.DirtyDrains)
+			}
+		})
 	}
 }

@@ -23,6 +23,7 @@ var gatedRoots = []struct{ dir, recv, fn string }{
 	{"internal/metrics", "Histogram", "Record"},   // TestRecordAllocs
 	{"internal/olog", "ConnLog", "Record"},        // TestRecordAllocs (olog)
 	{"internal/wire", "Buffer", "Reset"},          // TestBufferReuse
+	{"internal/wire", "Buffer", "Begin"},          // TestBufferReuse
 	{"internal/wire", "Buffer", "U32"},            // TestBufferReuse
 	{"internal/wire", "Buffer", "Bytes"},          // TestBufferReuse
 	{"internal/wire", "Client", "Exec"},           // TestClientExecAllocs

@@ -12,18 +12,19 @@ import (
 	"oltpsim/internal/wire"
 )
 
-// writeTimeout bounds every response/hello write. A client that pipelines
-// requests but never drains responses eventually fills its TCP window; an
-// unbounded Write there would head-of-line-block the whole shard worker and
-// make Shutdown's drain wait forever. On timeout the connection is closed —
-// the client forfeited its responses, everyone else's keep flowing.
+// writeTimeout bounds every flush — one Write of all the frames pending on a
+// connection. A client that pipelines requests but never drains responses
+// eventually fills its TCP window; an unbounded Write there would
+// head-of-line-block the whole shard worker and make Shutdown's drain wait
+// forever. On timeout the connection is closed — the client forfeited its
+// responses, everyone else's keep flowing.
 const writeTimeout = 15 * time.Second
 
 // conn is one client connection: a reader goroutine that decodes frames and
 // admits requests, plus a mutex-guarded writer shared with the shard workers
-// that deliver responses. Each connection gets its own engine Session: the
-// shard workers tally executed requests into it, so per-connection
-// throughput/error accounting survives request batching.
+// that deliver responses; every frame is queued into wbuf and leaves through
+// flush. Each connection gets its own engine Session: the shard workers tally executed requests into it, so
+// per-connection throughput/error accounting survives request batching.
 type conn struct {
 	s    *Server
 	nc   net.Conn
@@ -31,7 +32,7 @@ type conn struct {
 	sess *engine.Session
 
 	writeMu sync.Mutex
-	wbuf    wire.Buffer
+	wbuf    wire.Buffer //oltpsim:guarded-by writeMu
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
@@ -47,11 +48,11 @@ func (c *conn) serve() {
 	// Hello announces the topology and workload so the driver can verify it
 	// generates matching traffic before sending anything.
 	c.writeMu.Lock()
-	c.wbuf.Reset(wire.MsgHello)
+	c.wbuf.Begin(wire.MsgHello)
 	c.wbuf.U8(wire.Version)
 	c.wbuf.U16(uint16(c.s.Shards()))
 	c.wbuf.Str(c.s.Spec())
-	err := c.write(c.wbuf.Bytes())
+	_, err := c.flush()
 	c.writeMu.Unlock()
 	if err != nil {
 		return
@@ -103,11 +104,11 @@ func (c *conn) handlePrepare(payload []byte) bool {
 		return true
 	}
 	c.writeMu.Lock()
-	c.wbuf.Reset(wire.MsgPrepared)
+	defer c.writeMu.Unlock()
+	c.wbuf.Begin(wire.MsgPrepared)
 	c.wbuf.U32(reqID)
 	c.wbuf.U32(id)
-	err := c.write(c.wbuf.Bytes())
-	c.writeMu.Unlock()
+	_, err := c.flush()
 	return err == nil
 }
 
@@ -253,29 +254,21 @@ func (c *conn) handleDecision(typ byte, payload []byte) bool {
 	return c.respondID(reqID, nil)
 }
 
-// respond delivers a request's result frame; called from shard workers.
-func (c *conn) respond(req *request, err error) {
-	c.respondID(req.id, err)
-}
-
-// respondID writes an OK/Err frame for reqID; returns false if the
+// respondID writes an OK/Err frame for reqID at once; returns false if the
 // connection is gone.
 func (c *conn) respondID(reqID uint32, err error) bool {
-	if err != nil {
-		return c.sendErr(reqID, err.Error())
-	}
 	c.writeMu.Lock()
-	c.wbuf.Reset(wire.MsgOK)
-	c.wbuf.U32(reqID)
-	werr := c.write(c.wbuf.Bytes())
-	c.writeMu.Unlock()
+	defer c.writeMu.Unlock()
+	c.queueResult(reqID, err)
+	_, werr := c.flush()
 	return werr == nil
 }
 
-// sendVote writes a 2PC Vote frame; called from shard workers.
+// sendVote writes a 2PC Vote frame at once; called from shard workers.
 func (c *conn) sendVote(reqID uint32, commit bool, reason string) bool {
 	c.writeMu.Lock()
-	c.wbuf.Reset(wire.MsgVote)
+	defer c.writeMu.Unlock()
+	c.wbuf.Begin(wire.MsgVote)
 	c.wbuf.U32(reqID)
 	if commit {
 		c.wbuf.U8(1)
@@ -283,30 +276,46 @@ func (c *conn) sendVote(reqID uint32, commit bool, reason string) bool {
 		c.wbuf.U8(0)
 		c.wbuf.Str(reason)
 	}
-	err := c.write(c.wbuf.Bytes())
-	c.writeMu.Unlock()
+	_, err := c.flush()
 	return err == nil
 }
 
-// sendErr writes an Err frame; returns false if the connection is gone.
+// sendErr writes an Err frame at once; returns false if the connection is
+// gone.
 func (c *conn) sendErr(reqID uint32, msg string) bool {
-	c.writeMu.Lock()
-	c.wbuf.Reset(wire.MsgErr)
-	c.wbuf.U32(reqID)
-	c.wbuf.Str(msg)
-	err := c.write(c.wbuf.Bytes())
-	c.writeMu.Unlock()
-	return err == nil
+	return c.respondID(reqID, wire.ServerError(msg))
 }
 
-// write sends one frame under writeTimeout; callers hold writeMu. A timeout
+// queueResult queues reqID's OK frame, or its Err frame when err is set.
+//
+//oltpsim:holds writeMu
+func (c *conn) queueResult(reqID uint32, err error) {
+	if err == nil {
+		c.wbuf.Begin(wire.MsgOK)
+		c.wbuf.U32(reqID)
+		return
+	}
+	c.wbuf.Begin(wire.MsgErr)
+	c.wbuf.U32(reqID)
+	c.wbuf.Str(err.Error())
+}
+
+// flush is the connection's one frame writer: every pending frame leaves in
+// one Write under writeTimeout; it reports whether it issued one. A timeout
 // or error closes the connection so a non-draining client can never wedge a
 // shard worker (its reader then exits on the closed socket).
-func (c *conn) write(frame []byte) error {
+//
+//oltpsim:holds writeMu
+func (c *conn) flush() (wrote bool, err error) {
+	b := c.wbuf.Bytes()
+	if len(b) == 0 {
+		return false, nil
+	}
 	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, err := c.nc.Write(frame)
+	_, err = c.nc.Write(b)
+	c.wbuf.Clear()
 	if err != nil {
 		c.nc.Close()
 	}
-	return err
+	return true, err
 }

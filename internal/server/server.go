@@ -17,6 +17,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -138,6 +139,7 @@ type Server struct {
 	reqTotal     []atomic.Uint64      // per-shard admitted requests
 	errTotal     []atomic.Uint64      // per-shard failed requests
 	batchTotal   []atomic.Uint64      // per-shard executed batches
+	writeTotal   []atomic.Uint64      // per-shard socket writes issued by the shard worker
 	prep2pcTotal []atomic.Uint64      // per-shard 2PC YES votes
 	cmt2pcTotal  []atomic.Uint64      // per-shard 2PC branch commits
 	abt2pcTotal  []atomic.Uint64      // per-shard 2PC branch aborts (NO votes, abort decisions, timeouts)
@@ -226,6 +228,7 @@ func New(cfg Config) (*Server, error) {
 	s.reqTotal = make([]atomic.Uint64, shards)
 	s.errTotal = make([]atomic.Uint64, shards)
 	s.batchTotal = make([]atomic.Uint64, shards)
+	s.writeTotal = make([]atomic.Uint64, shards)
 	s.prep2pcTotal = make([]atomic.Uint64, shards)
 	s.cmt2pcTotal = make([]atomic.Uint64, shards)
 	s.abt2pcTotal = make([]atomic.Uint64, shards)
@@ -294,27 +297,30 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed: drain in progress
 		}
-		// Register under the drain lock: a connection that races the
-		// listener close is either in the map before Shutdown's sweep (and
-		// gets closed by it) or sees draining here and is refused — so
-		// connWG.Add can never race connWG.Wait, and no socket outlives the
-		// drain.
-		s.mu.RLock()
-		if s.draining {
-			s.mu.RUnlock()
-			nc.Close()
-			continue
-		}
-		s.connsTotal.Add(1)
-		s.connsLive.Add(1)
-		c := newConn(s, nc)
-		s.connMu.Lock()
-		s.conns[c] = struct{}{}
-		s.connMu.Unlock()
-		s.connWG.Add(1)
-		s.mu.RUnlock()
-		go c.serve()
+		s.serveConn(nc)
 	}
+}
+
+// serveConn registers an accepted connection and serves it on its own
+// goroutine. Registration happens under the drain lock: a connection that
+// races the listener close is either in the map before Shutdown's sweep (and
+// gets closed by it) or sees draining here and is refused — so connWG.Add can
+// never race connWG.Wait, and no socket outlives the drain.
+func (s *Server) serveConn(nc net.Conn) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.draining {
+		nc.Close()
+		return
+	}
+	s.connsTotal.Add(1)
+	s.connsLive.Add(1)
+	c := newConn(s, nc)
+	s.connMu.Lock()
+	s.conns[c] = struct{}{}
+	s.connMu.Unlock()
+	s.connWG.Add(1)
+	go c.serve()
 }
 
 func (s *Server) dropConn(c *conn) {
@@ -381,7 +387,7 @@ func (s *Server) noteLatency(w int, d time.Duration) {
 // shardWorker is the group-execute loop for one shard: it owns simulated
 // core w, drains its queue in batches of up to batchMax, executes each batch
 // under a single engine acquisition through its Session, and writes the
-// responses.
+// responses — queued per connection, then one flush per connection answered.
 func (s *Server) shardWorker(w int) {
 	defer s.workers.Done()
 	sess := s.eng.NewSession()
@@ -389,6 +395,7 @@ func (s *Server) shardWorker(w int) {
 	batch := make([]*request, 0, batchMax)
 	ereqs := make([]engine.Request, batchMax)
 	errs := make([]error, batchMax)
+	answered := make([]*conn, 0, batchMax) // connections holding this run's answers
 
 	for {
 		r, ok := <-q
@@ -428,6 +435,7 @@ func (s *Server) shardWorker(w int) {
 			s.batchTotal[w].Add(1)
 
 			now := time.Now()
+			answered = answered[:0]
 			for k := i; k < j; k++ {
 				br := batch[k]
 				err := errs[k-i]
@@ -436,10 +444,26 @@ func (s *Server) shardWorker(w int) {
 					s.errTotal[w].Add(1)
 					br.c.sess.Errs.Add(1)
 				}
-				br.c.respond(br, err)
+				br.c.writeMu.Lock()
+				br.c.queueResult(br.id, err)
+				br.c.writeMu.Unlock()
+				if !slices.Contains(answered, br.c) {
+					answered = append(answered, br.c)
+				}
 				s.noteLatency(w, now.Sub(br.arrived))
+			}
+			// One flush per connection answered, before the requests retire
+			// (reqWG) and before a 2PC prepare after the run can park us.
+			for _, c := range answered {
+				c.writeMu.Lock()
+				if wrote, _ := c.flush(); wrote {
+					s.writeTotal[w].Add(1)
+				}
+				c.writeMu.Unlock()
+			}
+			for k := i; k < j; k++ {
 				s.reqWG.Done()
-				putRequest(br)
+				putRequest(batch[k])
 			}
 			i = j
 		}
@@ -481,6 +505,7 @@ func (s *Server) run2PCPrepare(w int, sess *engine.Session, r *request) {
 		r.c.sess.Errs.Add(1)
 		s.abt2pcTotal[w].Add(1)
 		r.c.sendVote(r.id, false, err.Error())
+		s.writeTotal[w].Add(1)
 		s.finishReq(w, r)
 		return
 	}
@@ -494,6 +519,7 @@ func (s *Server) run2PCPrepare(w int, sess *engine.Session, r *request) {
 	// vote write even returns. A failed vote write still parks — the
 	// decision timeout is the backstop either way.
 	r.c.sendVote(r.id, true, "")
+	s.writeTotal[w].Add(1)
 
 	var d decision
 	timer := time.NewTimer(s.cfg.TwoPCTimeout)
@@ -522,6 +548,7 @@ func (s *Server) run2PCPrepare(w int, sess *engine.Session, r *request) {
 	}
 	if d.c != nil {
 		d.c.respondID(d.reqID, rerr)
+		s.writeTotal[w].Add(1)
 	}
 	s.finishReq(w, r)
 }
@@ -674,6 +701,8 @@ func (s *Server) registerMetrics() {
 		perShard("oltpd_request_errors_total", func(i int) float64 { return float64(s.errTotal[i].Load()) }))
 	serving.Register("oltpd_batches_total", "counter", "group-execute batches per shard",
 		perShard("oltpd_batches_total", func(i int) float64 { return float64(s.batchTotal[i].Load()) }))
+	serving.Register("oltpd_writes_total", "counter", "socket writes issued by each shard's worker (responses per write = answered requests / writes)",
+		perShard("oltpd_writes_total", func(i int) float64 { return float64(s.writeTotal[i].Load()) }))
 	twopc.Register("oltpd_2pc_prepares_total", "counter", "2PC branches prepared (YES votes) per shard",
 		perShard("oltpd_2pc_prepares_total", func(i int) float64 { return float64(s.prep2pcTotal[i].Load()) }))
 	twopc.Register("oltpd_2pc_commits_total", "counter", "2PC branches committed per shard",

@@ -368,7 +368,7 @@ func TestMetricsCollectorGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fam := range []string{"oltpd_info", "oltpd_requests_total", "oltpd_connections", "oltpd_request_seconds"} {
+	for _, fam := range []string{"oltpd_info", "oltpd_requests_total", "oltpd_batches_total", "oltpd_writes_total", "oltpd_connections", "oltpd_request_seconds"} {
 		if !strings.Contains(serving, fam) {
 			t.Fatalf("serving scrape lacks %s:\n%s", fam, serving)
 		}
@@ -475,8 +475,14 @@ func TestConcurrentServing4Shards(t *testing.T) {
 	}
 	var tx float64
 	for _, shard := range []string{"0", "1", "2", "3"} {
-		if v := parsed[`oltpd_batches_total{shard="`+shard+`"}`]; v <= 0 {
+		batches := parsed[`oltpd_batches_total{shard="`+shard+`"}`]
+		if batches <= 0 {
 			t.Errorf("shard %s executed no batches", shard)
+		}
+		// One client per shard: at most one write per batch. (A worker counts
+		// a write once it returns, so the last may not be counted yet.)
+		if w := parsed[`oltpd_writes_total{shard="`+shard+`"}`]; w > batches {
+			t.Errorf("shard %s answered %g batches in %g writes", shard, batches, w)
 		}
 		if v := parsed[`oltpd_requests_total{shard="`+shard+`"}`]; v != perClient {
 			t.Errorf("shard %s requests_total = %g, want %d", shard, v, perClient)

@@ -21,11 +21,13 @@ func (e ServerError) Error() string { return string(e) }
 // procedure names, and encodes every request frame; Recv hands responses
 // back tagged with the request ID the caller chose.
 //
-// The send methods (Exec, Prepare2PC, Commit2PC, Abort2PC) share one encode
-// buffer and Recv owns the decode buffer, so one goroutine may send while
-// another receives: pipelining is the caller keeping several request IDs in
-// flight, and responses to different shards may come back in either order.
-// Prepare does both and must not overlap other traffic.
+// The send methods (Exec, Prepare2PC, Commit2PC, Abort2PC) encode one frame
+// into the pending buffer and Flush it; a pipelining caller uses QueueExec
+// and Flushes once before it would block. The sender owns the pending buffer
+// and Recv owns the decode buffer, so one goroutine may send while another
+// receives: pipelining is the caller keeping several request IDs in flight,
+// and responses to different shards may come back in either order. Prepare
+// does both and must not overlap other traffic.
 type Client struct {
 	nc    net.Conn
 	br    *bufio.Reader
@@ -83,10 +85,10 @@ func (c *Client) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadlin
 // Prepare resolves a procedure name to the ID Exec and Prepare2PC take. It
 // is a synchronous exchange: no other request may be in flight.
 func (c *Client) Prepare(name string) (uint32, error) {
-	c.wbuf.Reset(MsgPrepare)
+	c.wbuf.Begin(MsgPrepare)
 	c.wbuf.U32(0)
 	c.wbuf.Str(name)
-	if _, err := c.nc.Write(c.wbuf.Bytes()); err != nil {
+	if err := c.Flush(); err != nil {
 		return 0, err
 	}
 	_, typ, r, err := c.Recv()
@@ -108,22 +110,28 @@ func (c *Client) Prepare(name string) (uint32, error) {
 //
 //oltpsim:hotpath
 func (c *Client) Exec(id, procID uint32, part int, args []catalog.Value) error {
-	return c.call(MsgExec, id, 0, procID, part, args)
+	c.QueueExec(id, procID, part, args)
+	return c.Flush()
+}
+
+// QueueExec encodes one single-partition call into the pending buffer;
+// nothing reaches the socket until Flush.
+func (c *Client) QueueExec(id, procID uint32, part int, args []catalog.Value) {
+	c.encodeCall(MsgExec, id, 0, procID, part, args)
 }
 
 // Prepare2PC sends one branch of global transaction gtid to execute with
 // staged writes; the participant answers with a Vote (or an Err when
 // admission refuses the branch outright).
 func (c *Client) Prepare2PC(id uint32, gtid uint64, procID uint32, part int, args []catalog.Value) error {
-	return c.call(MsgPrepare2PC, id, gtid, procID, part, args)
+	c.encodeCall(MsgPrepare2PC, id, gtid, procID, part, args)
+	return c.Flush()
 }
 
-// call encodes and writes an Exec or Prepare2PC frame — they differ by the
-// gtid field — and is the one encoder of TagLong/TagBytes arguments.
-//
-//oltpsim:hotpath
-func (c *Client) call(msg byte, id uint32, gtid uint64, procID uint32, part int, args []catalog.Value) error {
-	c.wbuf.Reset(msg)
+// encodeCall appends an Exec or Prepare2PC frame — they differ by the gtid
+// field — and is the one encoder of TagLong/TagBytes arguments.
+func (c *Client) encodeCall(msg byte, id uint32, gtid uint64, procID uint32, part int, args []catalog.Value) {
+	c.wbuf.Begin(msg)
 	c.wbuf.U32(id)
 	if msg == MsgPrepare2PC {
 		c.wbuf.U64(gtid)
@@ -140,8 +148,6 @@ func (c *Client) call(msg byte, id uint32, gtid uint64, procID uint32, part int,
 			c.wbuf.I64(a.I)
 		}
 	}
-	_, err := c.nc.Write(c.wbuf.Bytes())
-	return err
 }
 
 // Commit2PC tells part to install gtid's staged writes; acked with OK.
@@ -155,11 +161,22 @@ func (c *Client) Abort2PC(id uint32, gtid uint64, part int) error {
 }
 
 func (c *Client) decision(msg byte, id uint32, gtid uint64, part int) error {
-	c.wbuf.Reset(msg)
+	c.wbuf.Begin(msg)
 	c.wbuf.U32(id)
 	c.wbuf.U64(gtid)
 	c.wbuf.U16(uint16(part))
-	_, err := c.nc.Write(c.wbuf.Bytes())
+	return c.Flush()
+}
+
+// Flush writes every pending frame in one Write (nothing, when none is
+// pending) and empties the buffer; after an error the connection is unusable.
+func (c *Client) Flush() error {
+	b := c.wbuf.Bytes()
+	if len(b) == 0 {
+		return nil
+	}
+	_, err := c.nc.Write(b)
+	c.wbuf.Clear()
 	return err
 }
 

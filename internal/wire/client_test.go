@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -212,5 +213,96 @@ func TestClientExecAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("Client.Exec allocates %.1f times per request, want 0", avg)
+	}
+}
+
+// countingConn records the bytes of every Write on the wrapped socket, one
+// entry per call (the client writes from one goroutine).
+type countingConn struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes = append(c.writes, append([]byte(nil), b...))
+	return c.Conn.Write(b)
+}
+
+// frameTypes splits one Write's bytes into its frames' types.
+func frameTypes(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var types []byte
+	for r := bytes.NewReader(b); r.Len() > 0; {
+		typ, _, _, err := ReadFrame(r, nil)
+		if err != nil {
+			t.Fatalf("write does not split into whole frames: %v", err)
+		}
+		types = append(types, typ)
+	}
+	return types
+}
+
+// TestClientWritesPerFlush is the client half of the one-write-per-burst
+// rule: N queued Execs plus one Flush are one Write carrying N frames, a
+// Flush with nothing queued writes nothing, and each send method alone is one
+// Write of one frame.
+func TestClientWritesPerFlush(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	go func() {
+		if _, err := srv.Write(goodHello()); err != nil {
+			return
+		}
+		for {
+			if _, _, _, err := ReadFrame(srv, nil); err != nil {
+				return
+			}
+		}
+	}()
+	cc := &countingConn{Conn: cli}
+	c, err := NewClient(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 16
+	args := []catalog.Value{catalog.LongVal(42)}
+	for id := uint32(0); id < n; id++ {
+		c.QueueExec(id, 7, int(id)%4, args)
+	}
+	if len(cc.writes) != 0 {
+		t.Fatalf("QueueExec wrote %d times before Flush", len(cc.writes))
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(cc.writes) != 1 || len(frameTypes(t, cc.writes[0])) != n {
+		t.Fatalf("%d queued Execs and two Flushes made %d writes, want one carrying all %d frames", n, len(cc.writes), n)
+	}
+
+	cc.writes = nil
+	for _, send := range []struct {
+		typ  byte
+		call func() error
+	}{
+		{MsgExec, func() error { return c.Exec(n, 7, 1, args) }},
+		{MsgPrepare2PC, func() error { return c.Prepare2PC(n+1, 5, 7, 1, args) }},
+		{MsgCommit2PC, func() error { return c.Commit2PC(n+2, 5, 1) }},
+		{MsgAbort2PC, func() error { return c.Abort2PC(n+3, 6, 1) }},
+	} {
+		if err := send.call(); err != nil {
+			t.Fatal(err)
+		}
+		last := cc.writes[len(cc.writes)-1]
+		if got := frameTypes(t, last); len(got) != 1 || got[0] != send.typ {
+			t.Fatalf("send of frame %#x wrote frames %x", send.typ, got)
+		}
+	}
+	if len(cc.writes) != 4 {
+		t.Fatalf("four sends made %d writes, want 4", len(cc.writes))
 	}
 }

@@ -40,6 +40,10 @@
 // Responses carry the client-assigned request ID because oltpd executes
 // requests in per-shard batches: two requests pipelined on one connection to
 // different shards may complete in either order.
+//
+// Several frames may share one socket write, in either direction: both ends
+// queue frames in a Buffer and write whatever is pending when their writer
+// would otherwise block.
 package wire
 
 import (
@@ -89,27 +93,47 @@ const ErrDraining = "oltpd: draining"
 // errors and keep their offered schedule.
 const ErrOverload = "oltpd: overload"
 
-// Buffer accumulates one outgoing frame. The zero value is ready; the
-// backing array is reused across frames, so steady-state encoding does not
-// allocate. Not safe for concurrent use — each connection/worker owns one.
+// Buffer accumulates outgoing frames: Begin opens a frame after those already
+// held, the appenders fill it, and Bytes returns every held frame back to
+// back — one socket Write's worth, which ReadFrame splits again; Reset…Bytes
+// is the single-frame case. The zero value is ready; the backing array is
+// reused, so steady-state encoding does not allocate. Not safe for
+// concurrent use — each connection/worker owns one.
 type Buffer struct {
-	b []byte
+	b    []byte
+	open int // offset of the open (last begun) frame's length prefix
 }
 
-// Reset begins a frame of the given type, reserving the length prefix.
+// Begin opens a frame of the given type after the frames already held,
+// reserving its length prefix.
 //
 //oltpsim:hotpath
-func (w *Buffer) Reset(msgType byte) {
-	w.b = append(w.b[:0], 0, 0, 0, 0, msgType)
+func (w *Buffer) Begin(msgType byte) {
+	w.seal()
+	w.open = len(w.b)
+	w.b = append(w.b, 0, 0, 0, 0, msgType)
 }
 
-// Bytes finalizes the frame (patching the length prefix) and returns it.
-// The slice is valid until the next Reset.
+// Reset empties the buffer and begins a frame of the given type.
 //
 //oltpsim:hotpath
-func (w *Buffer) Bytes() []byte {
-	binary.LittleEndian.PutUint32(w.b[:4], uint32(len(w.b)-4))
-	return w.b
+func (w *Buffer) Reset(msgType byte) { w.Clear(); w.Begin(msgType) }
+
+// Clear drops every held frame, keeping the backing array.
+func (w *Buffer) Clear() { w.b, w.open = w.b[:0], 0 }
+
+// Bytes seals the open frame (patching its length prefix) and returns every
+// held frame; empty when nothing was begun since the last Clear. The slice is
+// valid until the next Begin, Reset or Clear.
+//
+//oltpsim:hotpath
+func (w *Buffer) Bytes() []byte { w.seal(); return w.b }
+
+// seal patches the open frame's length prefix; sealing twice is harmless.
+func (w *Buffer) seal() {
+	if len(w.b) > 0 {
+		binary.LittleEndian.PutUint32(w.b[w.open:], uint32(len(w.b)-w.open-4))
+	}
 }
 
 // U8 appends one byte.

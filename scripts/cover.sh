@@ -3,16 +3,16 @@
 # coverage profile and fail if total coverage drops below the recorded
 # floor. The floor sits 0.5pt under the value measured when it was last
 # set, to absorb core-count-dependent branches in the worker pool; raise it
-# as coverage grows. Last set at PR 23: 72.3% (parent 72.1%; every package
-# reads at least its parent value — internal/engine 71.0 -> 71.8%,
-# internal/simmem 86.7 -> 87.2%). PR 20 had lowered it 72.8 -> 71.6 only
+# as coverage grows. Last set at PR 25: 72.6% (PR 23 had set it at 72.3%;
+# internal/wire 94.6 -> 95.7%, internal/server 85.2 -> 89.4%,
+# internal/driver 90.4 -> 90.1%). PR 20 had lowered it 72.8 -> 71.6 only
 # because the SQL front-end package — 90.6% covered, called by nothing — was
 # deleted and left the denominator. Override with
 # COVER_MIN=NN.N for local experiments.
 set -eu
 cd "$(dirname "$0")/.."
 
-min="${COVER_MIN:-71.8}"
+min="${COVER_MIN:-72.1}"
 go test -short -coverprofile=cover.out ./...
 total="$(go tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$3); print $3}')"
 echo "total statement coverage: ${total}% (floor ${min}%)"
