@@ -112,9 +112,9 @@ func main() {
 		}()
 	}
 
-	// All requested figures build concurrently against the shared worker
-	// pool; cells shared between figures are simulated once, and the output
-	// below is printed in request order, identical to a -workers 1 run.
+	// Every cell of the requested figures is simulated first on the shared
+	// worker pool, each once; the figures then render in request order,
+	// identical to a -workers 1 run.
 	figs, err := harness.BuildFigures(runner, ids)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v (use -list)\n", err)

@@ -4,38 +4,67 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"oltpsim/internal/harness"
 )
 
-// TestGoldenFiguresQuickScale locks the rendered output of
-// `oltpsim -figure all -scale quick` (text and markdown) to committed golden
-// files. The simulation is deterministic by construction, so any divergence
-// means a change altered modeled behavior — the performance work on the
-// simulator hot path carries a hard byte-identity invariant, and this is its
-// gate. Regenerate the goldens (deliberately, with review) via:
+// TestGoldenFigures locks the rendered quick-scale output of every
+// deterministic figure family to committed golden files: the paper set (text
+// and markdown), the two-socket NUMA set and the HTAP set. The simulation is
+// deterministic by construction, so any divergence means a change altered
+// modeled behavior — the paper figures (all single-socket) must not move at
+// all, and the two-socket and analytical figures must stay deterministic.
+// Each family's cells are listed by FigureCells and simulated before the
+// build, which then must simulate nothing: the listing is complete.
+// Regenerate the goldens (deliberately, with review) via:
 //
 //	go run ./cmd/oltpsim -figure all -scale quick > testdata/golden_quick.txt
 //	go run ./cmd/oltpsim -figure all -scale quick -markdown > testdata/golden_quick.md
-func TestGoldenFiguresQuickScale(t *testing.T) {
+//	go run ./cmd/oltpsim -figure numa -scale quick > testdata/golden_numa.txt
+//	go run ./cmd/oltpsim -figure htap -scale quick > testdata/golden_olap.txt
+func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full quick-scale figure build; skipped in -short mode")
+		t.Skip("full quick-scale figure builds; skipped in -short mode")
 	}
 	if raceEnabled {
-		t.Skip("full quick-scale figure build; too slow under the race detector")
+		t.Skip("full quick-scale figure builds; too slow under the race detector")
 	}
-	r := NewRunner(QuickScale())
-	figs, err := BuildFigures(r, FigureIDs())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		family, text, md string
+		cells            int64
+	}{
+		{"all", "testdata/golden_quick.txt", "testdata/golden_quick.md", 95},
+		{"numa", "testdata/golden_numa.txt", "", 20},
+		{"htap", "testdata/golden_olap.txt", "", 10},
+	} {
+		t.Run(tc.family, func(t *testing.T) {
+			ids := harness.FamilyIDs(tc.family)
+			r := NewRunner(QuickScale())
+			cells := r.FigureCells(ids)
+			r.RunAll(cells)
+			prefetched := r.CellsExecuted()
+			if int64(len(cells)) != tc.cells || prefetched != tc.cells {
+				t.Errorf("FigureCells listed %d cells and the prefetch simulated %d, want %d",
+					len(cells), prefetched, tc.cells)
+			}
+			figs, err := BuildFigures(r, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := r.CellsExecuted() - prefetched; n != 0 {
+				t.Errorf("the build simulated %d cells FigureCells did not list", n)
+			}
+			var text, md strings.Builder
+			for _, fig := range figs {
+				text.WriteString(fig.String() + "\n")
+				md.WriteString(fig.Markdown() + "\n")
+			}
+			compareGolden(t, tc.text, text.String())
+			if tc.md != "" {
+				compareGolden(t, tc.md, md.String())
+			}
+		})
 	}
-	var text, md strings.Builder
-	for _, fig := range figs {
-		text.WriteString(fig.String())
-		text.WriteByte('\n')
-		md.WriteString(fig.Markdown())
-		md.WriteByte('\n')
-	}
-	compareGolden(t, "testdata/golden_quick.txt", text.String())
-	compareGolden(t, "testdata/golden_quick.md", md.String())
 }
 
 func compareGolden(t *testing.T, path, got string) {

@@ -331,6 +331,50 @@ func (r *Runner) NUMAMicroCell(cores int, partitioned, rw bool) CellSpec {
 	return spec
 }
 
+// OLAPMicroCell builds one cell of the analytical microbenchmark: the
+// scan/aggregate mix over the micro-style table at one of the paper's four
+// sizes, on the partitioned in-memory archetype.
+func (r *Runner) OLAPMicroCell(size SizeLabel) CellSpec {
+	rows := MicroRows(r.Scale.Bytes[size], false)
+	return CellSpec{
+		Sys: systems.VoltDB,
+		NewWorkload: func(parts int) workload.Workload {
+			return workload.NewOLAP(workload.OLAPConfig{Rows: rows})
+		},
+		Key:  fmt.Sprintf("olap/%s", size),
+		Warm: 40, Measure: 80,
+		WarmPopulate: r.warmPopulate(size),
+		Seed:         45,
+	}
+}
+
+// HTAPCell builds one cell of the hybrid grid: TPC-C writers interleaved
+// with analytical readers at olapPct percent, on the partitioned in-memory
+// archetype at the 10GB proxy size, with each partition homed on its
+// worker's socket (the placement a partitioned engine gets for free).
+func (r *Runner) HTAPCell(cores, olapPct int) CellSpec {
+	bytes := r.Scale.Bytes[Size10GB]
+	return CellSpec{
+		Sys:     systems.VoltDB,
+		SysOpts: systems.Options{Cores: cores, Placement: core.PlacePartitioned},
+		NewWorkload: func(parts int) workload.Workload {
+			return workload.NewHybrid(workload.HybridConfig{
+				TPCC: workload.TPCCConfig{
+					Warehouses:           TPCCWarehouses(bytes, parts),
+					Items:                10_000,
+					CustomersPerDistrict: 600,
+					OrdersPerDistrict:    600,
+				},
+				OLAPPercent: olapPct,
+			})
+		},
+		Key:   fmt.Sprintf("htap/10GB/p%d", olapPct),
+		Cores: cores,
+		Warm:  40, Measure: 100,
+		Seed: 46,
+	}
+}
+
 // TPCBCell builds the spec for a TPC-B cell.
 func (r *Runner) TPCBCell(sys systems.Kind, size SizeLabel) CellSpec {
 	branches := TPCBBranches(r.Scale.Bytes[size])

@@ -34,21 +34,11 @@ type NamedBuilder struct {
 // HTAP extensions and the live families (wall clock, never golden-locked)
 // are reached only through their own keywords or explicit IDs.
 var Families = []Family{
-	{"all", "Available reproductions (paper table/figure numbers):", []NamedBuilder{
-		{"T1", TableT1},
-		{"1", Fig01}, {"2", Fig02}, {"3", Fig03}, {"4", Fig04}, {"5", Fig05},
-		{"6", Fig06}, {"7", Fig07}, {"8", Fig08}, {"9", Fig09}, {"10", Fig10},
-		{"11", Fig11}, {"12", Fig12}, {"13", Fig13}, {"14", Fig14}, {"15", Fig15},
-		{"16", Fig16}, {"17", Fig17}, {"18", Fig18}, {"19", Fig19},
-		{"20", Fig20}, {"21", Fig21}, {"22", Fig22}, {"23", Fig23}, {"24", Fig24},
-		{"25", Fig25}, {"26", Fig26}, {"27", Fig27},
-	}},
-	{"numa", "NUMA scaling figures (2x10-core topology; -figure numa):", []NamedBuilder{
-		{"N1", FigN1}, {"N2", FigN2}, {"N3", FigN3},
-	}},
-	{"htap", "HTAP figures (OLAP micro + TPC-C x analytical mix; -figure htap):", []NamedBuilder{
-		{"H1", FigH1}, {"H2", FigH2}, {"H3", FigH3},
-	}},
+	{"all", "Available reproductions (paper table/figure numbers):", append([]NamedBuilder{{"T1", TableT1}},
+		simulated("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14",
+			"15", "16", "17", "18", "19", "20", "21", "22", "23", "24", "25", "26", "27")...)},
+	{"numa", "NUMA scaling figures (2x10-core topology; -figure numa):", simulated("N1", "N2", "N3")},
+	{"htap", "HTAP figures (OLAP micro + TPC-C x analytical mix; -figure htap):", simulated("H1", "H2", "H3")},
 	{"serve", "Serving figures (live oltpd/oltpdrive loopback runs; -figure serve):", []NamedBuilder{
 		{"S1", FigS1}, {"S2", FigS2}, {"S3", FigS3},
 	}},
@@ -107,44 +97,6 @@ func ExpandFigureIDs(arg string) ([]string, error) {
 	return ids, nil
 }
 
-// figRow is one declared figure row: the cell that produces it plus the
-// leading label cells identifying it on the figure's axes.
-type figRow struct {
-	labels []string
-	spec   CellSpec
-}
-
-// cellList accumulates a figure's rows in presentation order.
-type cellList struct {
-	rows []figRow
-}
-
-func (c *cellList) add(spec CellSpec, labels ...string) {
-	c.rows = append(c.rows, figRow{labels: labels, spec: spec})
-}
-
-// render submits every declared cell to the runner's worker pool at once and
-// renders the rows in declaration order, so the figure is identical to a
-// serial run regardless of worker count.
-func (c *cellList) render(r *Runner, cells func(*Result) []string) [][]string {
-	specs := make([]CellSpec, len(c.rows))
-	for i := range c.rows {
-		specs[i] = c.rows[i].spec
-	}
-	results := r.RunAll(specs)
-	out := make([][]string, len(c.rows))
-	for i := range c.rows {
-		out[i] = append(append([]string{}, c.rows[i].labels...), cells(results[i])...)
-	}
-	return out
-}
-
-func ipcCell(res *Result) []string { return []string{f2(res.IPC())} }
-
-func stallsPerKICells(res *Result) []string { return stallCells(res.StallsPerKI()) }
-
-func stallsPerTxCells(res *Result) []string { return stallCells(res.StallsPerTx()) }
-
 // TableT1 prints the simulated server parameters (paper Table 1).
 func TableT1(r *Runner) *Figure {
 	cfg := core.IvyBridge(1)
@@ -170,424 +122,345 @@ func TableT1(r *Runner) *Figure {
 	return f
 }
 
-func microIPCBySize(r *Runner, rw bool) *Figure {
-	mode := "read-only"
-	id := "1"
-	if rw {
-		mode, id = "read-write", "20"
+// simFigure declares one simulated figure: rows generated at the runner's
+// scale, each a cell plus the label cells that lead it, and one column
+// formatter over every row's Result. rw is handed to the row generator, so a
+// read-only figure and its read-write twin are two entries over one
+// generator. A "{cores}" in the title is the scale's multi-threaded core
+// count.
+type simFigure struct {
+	id, title string
+	header    []string
+	rw        bool
+	rows      func(r *Runner, rw bool) []figRow
+	cols      func(*Result) []string
+	notes     []string
+}
+
+// figRow is one declared figure row: the leading label cells identifying it
+// on the figure's axes, and the cell that measures it.
+type figRow struct {
+	labels []string
+	spec   CellSpec
+}
+
+// build submits every row's cell to the runner's worker pool at once and
+// renders the rows in declaration order, so the figure is identical to a
+// serial run regardless of worker count.
+func (f *simFigure) build(r *Runner) *Figure {
+	rows := f.rows(r, f.rw)
+	specs := make([]CellSpec, len(rows))
+	for i := range rows {
+		specs[i] = rows[i].spec
 	}
-	f := &Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Effect of database size on IPC (micro, %s, 1 row/txn)", mode),
-		Header: []string{"System", "Size", "IPC"},
+	fig := &Figure{
+		ID:     f.id,
+		Title:  strings.ReplaceAll(f.title, "{cores}", fmt.Sprint(r.Scale.MTCores)),
+		Header: append([]string(nil), f.header...),
+		Notes:  append([]string(nil), f.notes...),
 	}
-	var cl cellList
+	for i, res := range r.RunAll(specs) {
+		fig.Rows = append(fig.Rows, append(append([]string{}, rows[i].labels...), f.cols(res)...))
+	}
+	return fig
+}
+
+// simFigureByID finds a simulated figure's declaration; nil for Table 1, the
+// live figures and unknown IDs.
+func simFigureByID(id string) *simFigure {
+	for i := range simFigures {
+		if simFigures[i].id == id {
+			return &simFigures[i]
+		}
+	}
+	return nil
+}
+
+// simulated returns the named builders of the given simulated figures.
+func simulated(ids ...string) []NamedBuilder {
+	out := make([]NamedBuilder, len(ids))
+	for i, id := range ids {
+		f := simFigureByID(id)
+		if f == nil {
+			panic("harness: no simulated figure " + id)
+		}
+		out[i] = NamedBuilder{id, f.build}
+	}
+	return out
+}
+
+func ipcCell(res *Result) []string { return []string{f2(res.IPC())} }
+
+func tputCell(res *Result) []string { return []string{f2(res.TxPerMCycle())} }
+
+func engineShareCell(res *Result) []string { return []string{pct(res.EngineFraction())} }
+
+func stallsPerKICells(res *Result) []string { return stallCells(res.StallsPerKI()) }
+
+func stallsPerTxCells(res *Result) []string { return stallCells(res.StallsPerTx()) }
+
+func numaStallsPerKICells(res *Result) []string { return numaStallCells(res.StallsPerKI()) }
+
+// simFigures is every simulated figure: the paper's (Figures 1-27), the
+// NUMA scaling figures N1-N3 and the HTAP figures H1-H3.
+//
+// The N figures extend the paper's multicore analysis (section 7) to the
+// two-socket topology of its own server (Table 1): throughput, IPC and the
+// stall breakdown as the worker count grows from a few cores on one socket
+// to the full 2x10-core machine, with the database either partitioned across
+// sockets (each partition homed with its worker) or spread uniformly. The
+// paper's follow-up ("Micro-architectural Analysis of OLAP") shows the same
+// stall taxonomy splitting sharply at the socket boundary; these figures are
+// that experiment for OLTP.
+//
+// The H figures open the HTAP axis: the same engine serving the paper's
+// TPC-C write mix, a pure analytical scan/aggregate load, and an interleaved
+// hybrid of the two — across one and two sockets. The OLAP study finds scans
+// inverting the OLTP stall profile (data-bound, near-zero L1i pressure);
+// these figures show both profiles, and their mixture, from one engine on
+// one machine.
+var simFigures = []simFigure{
+	{id: "1", title: "Effect of database size on IPC (micro, read-only, 1 row/txn)",
+		header: []string{"System", "Size", "IPC"}, rows: microBySize, cols: ipcCell,
+		notes: []string{"paper: IPC barely reaches 1 of 4; drops once data outgrows the 20MB LLC"}},
+	{id: "20", title: "Effect of database size on IPC (micro, read-write, 1 row/txn)",
+		header: []string{"System", "Size", "IPC"}, rw: true, rows: microBySize, cols: ipcCell,
+		notes: []string{"paper: IPC barely reaches 1 of 4; drops once data outgrows the 20MB LLC"}},
+	{id: "2", title: "Stall cycles per k-instruction vs database size (micro, read-only)",
+		header: stallHeader("System", "Size"), rows: microBySize, cols: stallsPerKICells,
+		notes: []string{"paper: L1I stalls dominate everywhere except HyPer; HyPer's LLC-D per kI explodes beyond LLC capacity"}},
+	{id: "21", title: "Stall cycles per k-instruction vs database size (micro, read-write)",
+		header: stallHeader("System", "Size"), rw: true, rows: microBySize, cols: stallsPerKICells,
+		notes: []string{"paper: L1I stalls dominate everywhere except HyPer; HyPer's LLC-D per kI explodes beyond LLC capacity"}},
+	{id: "3", title: "Stall cycles per transaction at 100GB (micro, read-only, 1 row/txn)",
+		header: stallHeader("System"), rows: micro100GB, cols: stallsPerTxCells,
+		notes: []string{"paper: HyPer's LLC-D flips from worst per-kI to among the best per-txn; DBMS D's instruction stalls are the largest"}},
+	{id: "22", title: "Stall cycles per transaction at 100GB (micro, read-write, 1 row/txn)",
+		header: stallHeader("System"), rw: true, rows: micro100GB, cols: stallsPerTxCells,
+		notes: []string{"paper: HyPer's LLC-D flips from worst per-kI to among the best per-txn; DBMS D's instruction stalls are the largest"}},
+	{id: "4", title: "Effect of work per transaction on IPC (micro, read-only, 100GB)",
+		header: []string{"System", "Rows/txn", "IPC"}, rows: microByWork(systems.All()), cols: ipcCell,
+		notes: []string{"paper: disk-based IPC rises slightly with work per txn; in-memory IPC falls"}},
+	{id: "23", title: "Effect of work per transaction on IPC (micro, read-write, 100GB)",
+		header: []string{"System", "Rows/txn", "IPC"}, rw: true, rows: microByWork(systems.All()), cols: ipcCell,
+		notes: []string{"paper: disk-based IPC rises slightly with work per txn; in-memory IPC falls"}},
+	{id: "5", title: "Stall cycles per k-instruction vs work per transaction (micro, read-only, 100GB)",
+		header: stallHeader("System", "Rows/txn"), rows: microByWork(systems.All()), cols: stallsPerKICells,
+		notes: []string{"paper: I-stalls per kI fall with more rows per txn (loop locality); D-stalls rise"}},
+	{id: "24", title: "Stall cycles per k-instruction vs work per transaction (micro, read-write, 100GB)",
+		header: stallHeader("System", "Rows/txn"), rw: true, rows: microByWork(systems.All()), cols: stallsPerKICells,
+		notes: []string{"paper: I-stalls per kI fall with more rows per txn (loop locality); D-stalls rise"}},
+	{id: "6", title: "Stall cycles per transaction vs work per transaction (micro, read-only, 100GB)",
+		header: stallHeader("System", "Rows/txn"), rows: microByWork(systems.All()), cols: stallsPerTxCells,
+		notes: []string{"paper: LLC-D per txn grows ~linearly with rows probed; Shore-MT largest (non-cache-conscious index)"}},
+	{id: "25", title: "Stall cycles per transaction vs work per transaction (micro, read-write, 100GB)",
+		header: stallHeader("System", "Rows/txn"), rw: true, rows: microByWork(systems.All()), cols: stallsPerTxCells,
+		notes: []string{"paper: LLC-D per txn grows ~linearly with rows probed; Shore-MT largest (non-cache-conscious index)"}},
+	{id: "7", title: "Share of time inside the OLTP engine vs work per transaction (micro RO, 100GB)",
+		header: []string{"System", "Rows/txn", "Inside engine"},
+		rows:   microByWork([]systems.Kind{systems.DBMSD, systems.VoltDB, systems.DBMSM}), cols: engineShareCell,
+		notes: []string{"paper: engine share grows with rows/txn; smallest growth for DBMS D (heavy outside-engine stack)"}},
+	{id: "8", title: "IPC while running TPC-B (100GB)",
+		header: []string{"System", "IPC"}, rows: tpcb, cols: ipcCell,
+		notes: []string{"paper: IPC above the 1-row micro-benchmark thanks to branch/teller/history locality; HyPer highest"}},
+	{id: "9", title: "Stall cycles per k-instruction while running TPC-B (100GB)",
+		header: stallHeader("System"), rows: tpcb, cols: stallsPerKICells,
+		notes: []string{"paper: instruction stalls dominate for every system; no severe long-latency data misses"}},
+	{id: "10", title: "IPC while running TPC-C (100GB)",
+		header: []string{"System", "IPC"}, rows: tpcc(systems.All(), false), cols: ipcCell},
+	{id: "11", title: "Stall cycles per k-instruction while running TPC-C (100GB)",
+		header: stallHeader("System"), rows: tpcc(systems.All(), false), cols: stallsPerKICells,
+		notes: []string{"paper: instruction stalls well below TPC-B (longer txns, scan loops); HyPer's LLC-D reappears"}},
+	{id: "12", title: "Stall cycles per transaction while running TPC-C (100GB)",
+		header: stallHeader("System"), rows: tpcc(systems.All(), false), cols: stallsPerTxCells},
+	{id: "13", title: "DBMS M index/compilation ablation, micro read-only 10 rows (100GB), stalls per k-instruction",
+		header: stallHeader("Configuration"), rows: ablationMicro, cols: stallsPerKICells,
+		notes: []string{"paper: compilation halves instruction stalls; the B-tree has 2-4x the hash index's LLC-D stalls"}},
+	{id: "26", title: "DBMS M index/compilation ablation, micro read-write 10 rows (100GB), stalls per k-instruction",
+		header: stallHeader("Configuration"), rw: true, rows: ablationMicro, cols: stallsPerKICells,
+		notes: []string{"paper: compilation halves instruction stalls; the B-tree has 2-4x the hash index's LLC-D stalls"}},
+	{id: "14", title: "DBMS M index/compilation ablation, TPC-C (100GB), stalls per k-instruction",
+		header: stallHeader("Configuration"), rows: ablationTPCC, cols: stallsPerKICells,
+		notes: []string{
+			"hash configuration keeps the B-tree on the scanned tables (order_line/new_order), as DBMS M's dual-index design allows",
+			"paper: compilation cuts instruction stalls for both; no significant data stalls for TPC-C either way",
+		}},
+	{id: "15", title: "String vs Long columns, micro read-only 1 row (100GB), stalls per k-instruction",
+		header: stallHeader("System", "Type"), rows: dataTypes, cols: stallsPerKICells,
+		notes: []string{"paper: LLC-D per kI lower for String on the tree-indexed systems (better spatial locality per compare); no real change for hash-indexed DBMS M"}},
+	{id: "27", title: "String vs Long columns, micro read-write 1 row (100GB), stalls per k-instruction",
+		header: stallHeader("System", "Type"), rw: true, rows: dataTypes, cols: stallsPerKICells,
+		notes: []string{"paper: LLC-D per kI lower for String on the tree-indexed systems (better spatial locality per compare); no real change for hash-indexed DBMS M"}},
+	{id: "16", title: "Multi-threaded IPC, micro RO 1 row (100GB, {cores} cores)",
+		header: []string{"System", "IPC"}, rows: mtMicro, cols: ipcCell,
+		notes: []string{"paper: multi-threaded IPC stays below 1, matching the single-threaded conclusions"}},
+	{id: "17", title: "Multi-threaded IPC, TPC-C (100GB, {cores} cores)",
+		header: []string{"System", "IPC"}, rows: tpcc(mtSystems, true), cols: ipcCell},
+	{id: "18", title: "Multi-threaded stall cycles per k-instruction, micro RO 1 row (100GB, {cores} cores)",
+		header: stallHeader("System"), rows: mtMicro, cols: stallsPerKICells},
+	{id: "19", title: "Multi-threaded stall cycles per k-instruction, TPC-C (100GB, {cores} cores)",
+		header: stallHeader("System"), rows: tpcc(mtSystems, true), cols: stallsPerKICells,
+		notes: []string{"paper: same stall profile as the single-threaded runs"}},
+
+	{id: "N1", title: "Multi-socket throughput scaling (micro RO 1 row, 10GB, VoltDB, 2x10-core Ivy Bridge)",
+		header: []string{"Placement", "Cores", "Sockets", "Tx/Mcycle"}, rows: numaGrid, cols: tputCell,
+		notes: []string{"partitioned placement keeps every DRAM fill on the worker's socket; uniform placement sends about half of them over QPI once both sockets are active"}},
+	{id: "N2", title: "Multi-socket IPC (micro RO 1 row, 10GB, VoltDB, 2x10-core Ivy Bridge)",
+		header: []string{"Placement", "Cores", "Sockets", "IPC"}, rows: numaGrid, cols: ipcCell,
+		notes: []string{"per-core IPC holds within a socket and dips when uniform placement crosses it (remote-DRAM fills join the stall mix)"}},
+	// N3 splits the cross-socket stall components out over the read-write
+	// grid, which also exercises ownership transfers.
+	{id: "N3", title: "Multi-socket stall cycles per k-instruction (micro RW 1 row, 10GB, VoltDB, 2x10-core Ivy Bridge)",
+		header: numaStallHeader("Placement", "Cores", "Sockets"), rw: true, rows: numaGrid, cols: numaStallsPerKICells,
+		notes: []string{"Rem-I/Rem-D are the cross-socket share: remote-LLC forwards, remote-DRAM fills and write ownership transfers; zero on one socket by construction"}},
+
+	{id: "H1", title: "HTAP throughput (OLAP micro by size; TPC-C x analytical mix, 10GB, VoltDB, partitioned placement)",
+		header: []string{"Workload", "Cores", "Sockets", "Tx/Mcycle"}, rows: htapGrid, cols: tputCell,
+		notes: []string{
+			"requests/Mcycle falls as the analytical share rises: one scan query costs thousands of point transactions' worth of cycles",
+			"olap-micro throughput collapses past the 20MB LLC — every scanned line beyond it is a DRAM fill",
+		}},
+	{id: "H2", title: "HTAP IPC (OLAP micro by size; TPC-C x analytical mix, 10GB, VoltDB, partitioned placement)",
+		header: []string{"Workload", "Cores", "Sockets", "IPC"}, rows: htapGrid, cols: ipcCell,
+		notes: []string{"scan loops retire from a few hot lines, so OLAP IPC is set almost entirely by data stalls — high while the table fits the LLC, low beyond it"}},
+	// H3 splits the cross-socket components out, since the two-socket rows
+	// ship scan traffic over the interconnect.
+	{id: "H3", title: "HTAP stall cycles per k-instruction (OLAP micro by size; TPC-C x analytical mix, 10GB, VoltDB)",
+		header: numaStallHeader("Workload", "Cores", "Sockets"), rows: htapGrid, cols: numaStallsPerKICells,
+		notes: []string{
+			"the analytical rows invert the paper's OLTP balance: data stalls (LLC-D, and Rem-D on two sockets) dwarf the instruction side that dominates point transactions",
+			"full scans read every partition, so even partitioned placement ships remote lines once the second socket holds half the data",
+		}},
+}
+
+// The row generators of simFigures.
+
+// microBySize: every system at the paper's four sizes, 1 row/txn.
+func microBySize(r *Runner, rw bool) (rows []figRow) {
 	for _, sys := range systems.All() {
 		for _, size := range SizeLabels() {
-			cl.add(r.MicroCell(sys, size, 1, rw, false), sys.String(), string(size))
+			rows = append(rows, figRow{[]string{sys.String(), string(size)}, r.MicroCell(sys, size, 1, rw, false)})
 		}
 	}
-	f.Rows = cl.render(r, ipcCell)
-	f.Notes = append(f.Notes, "paper: IPC barely reaches 1 of 4; drops once data outgrows the 20MB LLC")
-	return f
+	return rows
 }
 
-// Fig01 reproduces Figure 1 (read-only panel; Figure 20 is the RW twin).
-func Fig01(r *Runner) *Figure { return microIPCBySize(r, false) }
-
-// Fig20 reproduces appendix Figure 20 (read-write IPC by size).
-func Fig20(r *Runner) *Figure { return microIPCBySize(r, true) }
-
-func microStallsBySize(r *Runner, rw bool) *Figure {
-	mode, id := "read-only", "2"
-	if rw {
-		mode, id = "read-write", "21"
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Stall cycles per k-instruction vs database size (micro, %s)", mode),
-		Header: stallHeader("System", "Size"),
-	}
-	var cl cellList
+// micro100GB: every system at 100GB, 1 row/txn.
+func micro100GB(r *Runner, rw bool) (rows []figRow) {
 	for _, sys := range systems.All() {
-		for _, size := range SizeLabels() {
-			cl.add(r.MicroCell(sys, size, 1, rw, false), sys.String(), string(size))
-		}
+		rows = append(rows, figRow{[]string{sys.String()}, r.MicroCell(sys, Size100GB, 1, rw, false)})
 	}
-	f.Rows = cl.render(r, stallsPerKICells)
-	f.Notes = append(f.Notes, "paper: L1I stalls dominate everywhere except HyPer; HyPer's LLC-D per kI explodes beyond LLC capacity")
-	return f
+	return rows
 }
 
-// Fig02 reproduces Figure 2 (read-only; Figure 21 is the RW twin).
-func Fig02(r *Runner) *Figure { return microStallsBySize(r, false) }
-
-// Fig21 reproduces appendix Figure 21.
-func Fig21(r *Runner) *Figure { return microStallsBySize(r, true) }
-
-func microStallsPerTx(r *Runner, rw bool) *Figure {
-	mode, id := "read-only", "3"
-	if rw {
-		mode, id = "read-write", "22"
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Stall cycles per transaction at 100GB (micro, %s, 1 row/txn)", mode),
-		Header: stallHeader("System"),
-	}
-	var cl cellList
-	for _, sys := range systems.All() {
-		cl.add(r.MicroCell(sys, Size100GB, 1, rw, false), sys.String())
-	}
-	f.Rows = cl.render(r, stallsPerTxCells)
-	f.Notes = append(f.Notes, "paper: HyPer's LLC-D flips from worst per-kI to among the best per-txn; DBMS D's instruction stalls are the largest")
-	return f
-}
-
-// Fig03 reproduces Figure 3 (Figure 22 is the RW twin).
-func Fig03(r *Runner) *Figure { return microStallsPerTx(r, false) }
-
-// Fig22 reproduces appendix Figure 22.
-func Fig22(r *Runner) *Figure { return microStallsPerTx(r, true) }
-
-var workRows = []int{1, 10, 100}
-
-func microIPCByWork(r *Runner, rw bool) *Figure {
-	mode, id := "read-only", "4"
-	if rw {
-		mode, id = "read-write", "23"
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Effect of work per transaction on IPC (micro, %s, 100GB)", mode),
-		Header: []string{"System", "Rows/txn", "IPC"},
-	}
-	var cl cellList
-	for _, sys := range systems.All() {
-		for _, n := range workRows {
-			cl.add(r.MicroCell(sys, Size100GB, n, rw, false), sys.String(), fmt.Sprint(n))
-		}
-	}
-	f.Rows = cl.render(r, ipcCell)
-	f.Notes = append(f.Notes, "paper: disk-based IPC rises slightly with work per txn; in-memory IPC falls")
-	return f
-}
-
-// Fig04 reproduces Figure 4 (Figure 23 is the RW twin).
-func Fig04(r *Runner) *Figure { return microIPCByWork(r, false) }
-
-// Fig23 reproduces appendix Figure 23.
-func Fig23(r *Runner) *Figure { return microIPCByWork(r, true) }
-
-func microStallsByWork(r *Runner, rw bool, perTx bool) *Figure {
-	mode := "read-only"
-	if rw {
-		mode = "read-write"
-	}
-	unit, id := "k-instruction", "5"
-	switch {
-	case !perTx && rw:
-		id = "24"
-	case perTx && !rw:
-		unit, id = "transaction", "6"
-	case perTx && rw:
-		unit, id = "transaction", "25"
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Stall cycles per %s vs work per transaction (micro, %s, 100GB)", unit, mode),
-		Header: stallHeader("System", "Rows/txn"),
-	}
-	var cl cellList
-	for _, sys := range systems.All() {
-		for _, n := range workRows {
-			cl.add(r.MicroCell(sys, Size100GB, n, rw, false), sys.String(), fmt.Sprint(n))
-		}
-	}
-	cells := stallsPerKICells
-	if perTx {
-		cells = stallsPerTxCells
-	}
-	f.Rows = cl.render(r, cells)
-	if perTx {
-		f.Notes = append(f.Notes, "paper: LLC-D per txn grows ~linearly with rows probed; Shore-MT largest (non-cache-conscious index)")
-	} else {
-		f.Notes = append(f.Notes, "paper: I-stalls per kI fall with more rows per txn (loop locality); D-stalls rise")
-	}
-	return f
-}
-
-// Fig05 reproduces Figure 5 (Figure 24 is the RW twin).
-func Fig05(r *Runner) *Figure { return microStallsByWork(r, false, false) }
-
-// Fig24 reproduces appendix Figure 24.
-func Fig24(r *Runner) *Figure { return microStallsByWork(r, true, false) }
-
-// Fig06 reproduces Figure 6 (Figure 25 is the RW twin).
-func Fig06(r *Runner) *Figure { return microStallsByWork(r, false, true) }
-
-// Fig25 reproduces appendix Figure 25.
-func Fig25(r *Runner) *Figure { return microStallsByWork(r, true, true) }
-
-// Fig07 reproduces Figure 7: % of execution time inside the OLTP engine.
-func Fig07(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "7",
-		Title:  "Share of time inside the OLTP engine vs work per transaction (micro RO, 100GB)",
-		Header: []string{"System", "Rows/txn", "Inside engine"},
-	}
-	var cl cellList
-	for _, sys := range []systems.Kind{systems.DBMSD, systems.VoltDB, systems.DBMSM} {
-		for _, n := range workRows {
-			cl.add(r.MicroCell(sys, Size100GB, n, false, false), sys.String(), fmt.Sprint(n))
-		}
-	}
-	f.Rows = cl.render(r, func(res *Result) []string {
-		return []string{pct(res.EngineFraction())}
-	})
-	f.Notes = append(f.Notes, "paper: engine share grows with rows/txn; smallest growth for DBMS D (heavy outside-engine stack)")
-	return f
-}
-
-// Fig08 reproduces Figure 8: TPC-B IPC.
-func Fig08(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "8",
-		Title:  "IPC while running TPC-B (100GB)",
-		Header: []string{"System", "IPC"},
-	}
-	var cl cellList
-	for _, sys := range systems.All() {
-		cl.add(r.TPCBCell(sys, Size100GB), sys.String())
-	}
-	f.Rows = cl.render(r, ipcCell)
-	f.Notes = append(f.Notes, "paper: IPC above the 1-row micro-benchmark thanks to branch/teller/history locality; HyPer highest")
-	return f
-}
-
-// Fig09 reproduces Figure 9: TPC-B stall cycles per k-instruction.
-func Fig09(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "9",
-		Title:  "Stall cycles per k-instruction while running TPC-B (100GB)",
-		Header: stallHeader("System"),
-	}
-	var cl cellList
-	for _, sys := range systems.All() {
-		cl.add(r.TPCBCell(sys, Size100GB), sys.String())
-	}
-	f.Rows = cl.render(r, stallsPerKICells)
-	f.Notes = append(f.Notes, "paper: instruction stalls dominate for every system; no severe long-latency data misses")
-	return f
-}
-
-// tpccAllSystems declares the shared TPC-C cells behind Figures 10-12.
-func tpccAllSystems(r *Runner) cellList {
-	var cl cellList
-	for _, sys := range systems.All() {
-		cl.add(r.TPCCCell(sys, systems.Options{}, Size100GB, 1), sys.String())
-	}
-	return cl
-}
-
-// Fig10 reproduces Figure 10: TPC-C IPC.
-func Fig10(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "10",
-		Title:  "IPC while running TPC-C (100GB)",
-		Header: []string{"System", "IPC"},
-	}
-	cl := tpccAllSystems(r)
-	f.Rows = cl.render(r, ipcCell)
-	return f
-}
-
-// Fig11 reproduces Figure 11: TPC-C stall cycles per k-instruction.
-func Fig11(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "11",
-		Title:  "Stall cycles per k-instruction while running TPC-C (100GB)",
-		Header: stallHeader("System"),
-	}
-	cl := tpccAllSystems(r)
-	f.Rows = cl.render(r, stallsPerKICells)
-	f.Notes = append(f.Notes, "paper: instruction stalls well below TPC-B (longer txns, scan loops); HyPer's LLC-D reappears")
-	return f
-}
-
-// Fig12 reproduces Figure 12: TPC-C stall cycles per transaction.
-func Fig12(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "12",
-		Title:  "Stall cycles per transaction while running TPC-C (100GB)",
-		Header: stallHeader("System"),
-	}
-	cl := tpccAllSystems(r)
-	f.Rows = cl.render(r, stallsPerTxCells)
-	return f
-}
-
-// dbmsMConfigs are the four index x compilation ablation points of
-// Figures 13/14/26.
-func dbmsMConfigs() []struct {
-	Label string
-	Opts  systems.Options
-} {
-	return []struct {
-		Label string
-		Opts  systems.Options
-	}{
-		{"Hash w/ compilation", systems.Options{Index: engine.IndexHash, HasIndexOverride: true}},
-		{"Hash w/o compilation", systems.Options{Index: engine.IndexHash, HasIndexOverride: true, DisableCompilation: true}},
-		{"B-tree w/ compilation", systems.Options{Index: engine.IndexCCTree512, HasIndexOverride: true}},
-		{"B-tree w/o compilation", systems.Options{Index: engine.IndexCCTree512, HasIndexOverride: true, DisableCompilation: true}},
-	}
-}
-
-func indexCompileMicro(r *Runner, rw bool) *Figure {
-	mode, id := "read-only", "13"
-	if rw {
-		mode, id = "read-write", "26"
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("DBMS M index/compilation ablation, micro %s 10 rows (100GB), stalls per k-instruction", mode),
-		Header: stallHeader("Configuration"),
-	}
-	var cl cellList
-	for _, c := range dbmsMConfigs() {
-		cl.add(r.MicroCellOpts(systems.DBMSM, c.Opts, Size100GB, 10, rw, 1), c.Label)
-	}
-	f.Rows = cl.render(r, stallsPerKICells)
-	f.Notes = append(f.Notes, "paper: compilation halves instruction stalls; the B-tree has 2-4x the hash index's LLC-D stalls")
-	return f
-}
-
-// Fig13 reproduces Figure 13 (Figure 26 is the RW twin).
-func Fig13(r *Runner) *Figure { return indexCompileMicro(r, false) }
-
-// Fig26 reproduces appendix Figure 26.
-func Fig26(r *Runner) *Figure { return indexCompileMicro(r, true) }
-
-// Fig14 reproduces Figure 14: the same ablation under TPC-C.
-func Fig14(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "14",
-		Title:  "DBMS M index/compilation ablation, TPC-C (100GB), stalls per k-instruction",
-		Header: stallHeader("Configuration"),
-	}
-	var cl cellList
-	for _, c := range dbmsMConfigs() {
-		cl.add(r.TPCCCell(systems.DBMSM, c.Opts, Size100GB, 1), c.Label)
-	}
-	f.Rows = cl.render(r, stallsPerKICells)
-	f.Notes = append(f.Notes,
-		"hash configuration keeps the B-tree on the scanned tables (order_line/new_order), as DBMS M's dual-index design allows",
-		"paper: compilation cuts instruction stalls for both; no significant data stalls for TPC-C either way")
-	return f
-}
-
-func dataTypeFig(r *Runner, rw bool) *Figure {
-	mode, id := "read-only", "15"
-	if rw {
-		mode, id = "read-write", "27"
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("String vs Long columns, micro %s 1 row (100GB), stalls per k-instruction", mode),
-		Header: stallHeader("System", "Type"),
-	}
-	var cl cellList
-	for _, sys := range []systems.Kind{systems.VoltDB, systems.HyPer, systems.DBMSM} {
-		for _, str := range []bool{true, false} {
-			label := "Long"
-			if str {
-				label = "String"
+// microByWork: the given systems at 1, 10 and 100 rows/txn, 100GB.
+func microByWork(kinds []systems.Kind) func(*Runner, bool) []figRow {
+	return func(r *Runner, rw bool) (rows []figRow) {
+		for _, sys := range kinds {
+			for _, n := range []int{1, 10, 100} {
+				rows = append(rows, figRow{[]string{sys.String(), fmt.Sprint(n)}, r.MicroCell(sys, Size100GB, n, rw, false)})
 			}
-			cl.add(r.MicroCell(sys, Size100GB, 1, rw, str), sys.String(), label)
 		}
+		return rows
 	}
-	f.Rows = cl.render(r, stallsPerKICells)
-	f.Notes = append(f.Notes, "paper: LLC-D per kI lower for String on the tree-indexed systems (better spatial locality per compare); no real change for hash-indexed DBMS M")
-	return f
 }
 
-// Fig15 reproduces Figure 15 (Figure 27 is the RW twin).
-func Fig15(r *Runner) *Figure { return dataTypeFig(r, false) }
+func tpcb(r *Runner, _ bool) (rows []figRow) {
+	for _, sys := range systems.All() {
+		rows = append(rows, figRow{[]string{sys.String()}, r.TPCBCell(sys, Size100GB)})
+	}
+	return rows
+}
 
-// Fig27 reproduces appendix Figure 27.
-func Fig27(r *Runner) *Figure { return dataTypeFig(r, true) }
+// tpcc: the given systems on TPC-C at 100GB, one core or the scale's
+// multi-threaded count.
+func tpcc(kinds []systems.Kind, mt bool) func(*Runner, bool) []figRow {
+	return func(r *Runner, _ bool) (rows []figRow) {
+		cores := 1
+		if mt {
+			cores = r.Scale.MTCores
+		}
+		for _, sys := range kinds {
+			rows = append(rows, figRow{[]string{sys.String()}, r.TPCCCell(sys, systems.Options{}, Size100GB, cores)})
+		}
+		return rows
+	}
+}
 
 // mtSystems are the systems of the multi-threaded experiments (the paper
 // excludes HyPer, whose demo build was single-threaded).
 var mtSystems = []systems.Kind{systems.ShoreMT, systems.DBMSD, systems.VoltDB, systems.DBMSM}
 
-// mtMicroCells declares the shared multi-threaded micro cells of
-// Figures 16/18.
-func mtMicroCells(r *Runner) cellList {
-	var cl cellList
+func mtMicro(r *Runner, _ bool) (rows []figRow) {
 	for _, sys := range mtSystems {
-		cl.add(r.MicroCellOpts(sys, systems.Options{}, Size100GB, 1, false, r.Scale.MTCores), sys.String())
+		rows = append(rows, figRow{[]string{sys.String()}, r.MicroCellOpts(sys, systems.Options{}, Size100GB, 1, false, r.Scale.MTCores)})
 	}
-	return cl
+	return rows
 }
 
-// mtTPCCCells declares the shared multi-threaded TPC-C cells of
-// Figures 17/19.
-func mtTPCCCells(r *Runner) cellList {
-	var cl cellList
-	for _, sys := range mtSystems {
-		cl.add(r.TPCCCell(sys, systems.Options{}, Size100GB, r.Scale.MTCores), sys.String())
-	}
-	return cl
+// dbmsMConfigs are the four index x compilation ablation points of
+// Figures 13, 14 and 26.
+var dbmsMConfigs = []struct {
+	label string
+	opts  systems.Options
+}{
+	{"Hash w/ compilation", systems.Options{Index: engine.IndexHash, HasIndexOverride: true}},
+	{"Hash w/o compilation", systems.Options{Index: engine.IndexHash, HasIndexOverride: true, DisableCompilation: true}},
+	{"B-tree w/ compilation", systems.Options{Index: engine.IndexCCTree512, HasIndexOverride: true}},
+	{"B-tree w/o compilation", systems.Options{Index: engine.IndexCCTree512, HasIndexOverride: true, DisableCompilation: true}},
 }
 
-// Fig16 reproduces Figure 16: multi-threaded IPC, micro RO.
-func Fig16(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "16",
-		Title:  fmt.Sprintf("Multi-threaded IPC, micro RO 1 row (100GB, %d cores)", r.Scale.MTCores),
-		Header: []string{"System", "IPC"},
+func ablationMicro(r *Runner, rw bool) (rows []figRow) {
+	for _, c := range dbmsMConfigs {
+		rows = append(rows, figRow{[]string{c.label}, r.MicroCellOpts(systems.DBMSM, c.opts, Size100GB, 10, rw, 1)})
 	}
-	cl := mtMicroCells(r)
-	f.Rows = cl.render(r, ipcCell)
-	f.Notes = append(f.Notes, "paper: multi-threaded IPC stays below 1, matching the single-threaded conclusions")
-	return f
+	return rows
 }
 
-// Fig17 reproduces Figure 17: multi-threaded IPC, TPC-C.
-func Fig17(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "17",
-		Title:  fmt.Sprintf("Multi-threaded IPC, TPC-C (100GB, %d cores)", r.Scale.MTCores),
-		Header: []string{"System", "IPC"},
+func ablationTPCC(r *Runner, _ bool) (rows []figRow) {
+	for _, c := range dbmsMConfigs {
+		rows = append(rows, figRow{[]string{c.label}, r.TPCCCell(systems.DBMSM, c.opts, Size100GB, 1)})
 	}
-	cl := mtTPCCCells(r)
-	f.Rows = cl.render(r, ipcCell)
-	return f
+	return rows
 }
 
-// Fig18 reproduces Figure 18: multi-threaded stalls/kI, micro RO.
-func Fig18(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "18",
-		Title:  fmt.Sprintf("Multi-threaded stall cycles per k-instruction, micro RO 1 row (100GB, %d cores)", r.Scale.MTCores),
-		Header: stallHeader("System"),
+// dataTypes: the tree- and hash-indexed in-memory systems with String and
+// Long columns, 1 row/txn at 100GB.
+func dataTypes(r *Runner, rw bool) (rows []figRow) {
+	for _, sys := range []systems.Kind{systems.VoltDB, systems.HyPer, systems.DBMSM} {
+		rows = append(rows,
+			figRow{[]string{sys.String(), "String"}, r.MicroCell(sys, Size100GB, 1, rw, true)},
+			figRow{[]string{sys.String(), "Long"}, r.MicroCell(sys, Size100GB, 1, rw, false)})
 	}
-	cl := mtMicroCells(r)
-	f.Rows = cl.render(r, stallsPerKICells)
-	return f
+	return rows
 }
 
-// Fig19 reproduces Figure 19: multi-threaded stalls/kI, TPC-C.
-func Fig19(r *Runner) *Figure {
-	f := &Figure{
-		ID:     "19",
-		Title:  fmt.Sprintf("Multi-threaded stall cycles per k-instruction, TPC-C (100GB, %d cores)", r.Scale.MTCores),
-		Header: stallHeader("System"),
+// numaGrid: partitioned then uniform placement at 2, 5 and 10 cores (one
+// socket) and 12 and 20 (across the boundary; 20 is the full machine).
+func numaGrid(r *Runner, rw bool) (rows []figRow) {
+	for _, placement := range []core.HomePlacement{core.PlacePartitioned, core.PlaceInterleaved} {
+		for _, cores := range []int{2, 5, 10, 12, 20} {
+			rows = append(rows, figRow{[]string{placement.String(), fmt.Sprint(cores), sockets(cores)},
+				r.NUMAMicroCell(cores, placement == core.PlacePartitioned, rw)})
+		}
 	}
-	cl := mtTPCCCells(r)
-	f.Rows = cl.render(r, stallsPerKICells)
-	f.Notes = append(f.Notes, "paper: same stall profile as the single-threaded runs")
-	return f
+	return rows
 }
+
+// htapGrid: the OLAP microbenchmark at the paper's four sizes, then the
+// hybrid at 0, 20 and 100% analytical share (pure OLTP, a mixed dashboard
+// load, pure OLAP) on 2 cores (one socket) and 12 (two).
+func htapGrid(r *Runner, _ bool) (rows []figRow) {
+	for _, size := range SizeLabels() {
+		rows = append(rows, figRow{[]string{"olap-micro/" + string(size), "1", "1"}, r.OLAPMicroCell(size)})
+	}
+	for _, cores := range []int{2, 12} {
+		for _, olapPct := range []int{0, 20, 100} {
+			rows = append(rows, figRow{[]string{fmt.Sprintf("htap/%d%%olap", olapPct), fmt.Sprint(cores), sockets(cores)},
+				r.HTAPCell(cores, olapPct)})
+		}
+	}
+	return rows
+}
+
+func sockets(cores int) string { return fmt.Sprint(core.IvyBridge(cores).Sockets) }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"oltpsim/internal/cluster"
@@ -61,13 +60,6 @@ type liveResult struct {
 	nodes      []metrics.Samples    // scrape cells, by node ID
 }
 
-// serveMu serializes live measurements: BuildFigures builds figures
-// concurrently, and two oltpd+oltpdrive pairs racing for the same cores
-// would corrupt each other's wall-clock latency numbers. (Simulation cells
-// requested alongside a live family still contend — prefer running `-figure
-// serve` on its own for clean numbers; the figures' note says as much.)
-var serveMu sync.Mutex
-
 // scenarioSimDuration is the simulated length of every scenario figure: a
 // five-minute story, compressed onto the wall clock by serveWindows' factor.
 const scenarioSimDuration = 5 * time.Minute
@@ -89,10 +81,10 @@ func serveWindows(s Scale) (warm, measure time.Duration, timeScale float64) {
 
 // runLive measures one cell: start the deployment, drive it between two
 // simulated-PMU snapshots, scrape it if the cell asks, and stop it — which
-// also checks that every node answered every request it admitted.
+// also checks that every node answered every request it admitted. Cells
+// measure one at a time: BuildFigures renders figures in order, after every
+// simulated cell has run, so nothing else competes for the cores.
 func runLive(r *Runner, c liveCell) (res liveResult, err error) {
-	serveMu.Lock()
-	defer serveMu.Unlock()
 	bed, err := testbed.Start(c.server)
 	if err != nil {
 		return res, err

@@ -74,6 +74,10 @@ func TestBuildFiguresOrderedAndDeduped(t *testing.T) {
 	if got := r.CellsExecuted(); got != 20 {
 		t.Errorf("shared cells not deduped across figures: %d cells executed, want 20", got)
 	}
+	// FigureCells lists those 20 once each; live figures add none.
+	if got := len(r.FigureCells(append(ids, "S1", "C1", "I1"))); got != 20 {
+		t.Errorf("FigureCells listed %d distinct cells, want 20", got)
+	}
 
 	one := NewRunner(tinyScale())
 	one.Workers = 1

@@ -82,10 +82,32 @@ func (r *Runner) CellsExecuted() int64 {
 	return r.executed.Load()
 }
 
-// BuildFigures renders the given figures against one shared runner, building
-// them concurrently so cells from different figures fill the worker pool
-// together (the single-flight cache computes cells shared between figures
-// once). The returned slice matches ids order; output is identical to
+// FigureCells lists every distinct cell the given figures render, in order of
+// first use, without running any. Table 1 and the live figures contribute
+// none, and neither do unknown IDs.
+func (r *Runner) FigureCells(ids []string) []CellSpec {
+	var specs []CellSpec
+	seen := make(map[string]bool)
+	for _, id := range ids {
+		f := simFigureByID(id)
+		if f == nil {
+			continue
+		}
+		for _, row := range f.rows(r, f.rw) {
+			if k := row.spec.cacheKey(); !seen[k] {
+				seen[k] = true
+				specs = append(specs, row.spec)
+			}
+		}
+	}
+	return specs
+}
+
+// BuildFigures renders the given figures against one shared runner. Every
+// cell they render is simulated first, in one RunAll that fills the worker
+// pool; then the figures render one after another in ids order, the
+// simulated ones from the cache and the live ones measuring as they go, so
+// no live measurement contends with a simulation. Output is identical to
 // building the figures one at a time.
 func BuildFigures(r *Runner, ids []string) ([]*Figure, error) {
 	builders := make([]Builder, len(ids))
@@ -96,15 +118,10 @@ func BuildFigures(r *Runner, ids []string) ([]*Figure, error) {
 		}
 		builders[i] = b
 	}
+	r.RunAll(r.FigureCells(ids))
 	figs := make([]*Figure, len(ids))
-	var wg sync.WaitGroup
-	wg.Add(len(builders))
-	for i := range builders {
-		go func(i int) {
-			defer wg.Done()
-			figs[i] = builders[i](r)
-		}(i)
+	for i, b := range builders {
+		figs[i] = b(r)
 	}
-	wg.Wait()
 	return figs, nil
 }

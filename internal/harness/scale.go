@@ -99,8 +99,8 @@ func ScaleByName(name string) (Scale, error) {
 
 // Bytes-per-row footprint models used to convert byte targets into
 // cardinalities. They fold in tuple bytes, index entries and structure
-// amplification, and are validated by TestSizingModels against the arena's
-// actual allocation.
+// amplification, and are validated by TestSizingModelMatchesArena against
+// the arena's actual allocation.
 const (
 	microLongBytesPerRow   = 128
 	microStringBytesPerRow = 384

@@ -6,80 +6,52 @@ package harness
 // numbers, which is also how the paper's conclusions are stated.
 
 import (
-	"flag"
+	"slices"
 	"sync"
 	"testing"
 
 	"oltpsim/internal/systems"
 )
 
-var (
-	sharedRunnerOnce sync.Once
-	sharedRunner     *Runner
-)
+// sharedRunner is one process-wide runner, so the shape tests — which run in
+// parallel — share cached cells: its single-flight cache simulates each cell
+// once, and its worker pool keeps the simulations GOMAXPROCS-wide.
+var sharedRunner = sync.OnceValue(func() *Runner { return NewRunner(QuickScale()) })
 
-// runner returns a process-wide runner so all shape tests share cached cells.
-// On a full-suite run the first caller prefetches every cell the tests below
-// consult through the worker pool, so the package's dominant cost —
-// simulating ~40 quick-scale cells — runs GOMAXPROCS-wide instead of
-// serially, test by test. A filtered run (`go test -run Foo`) skips the
-// prefetch and computes only the cells its tests actually read.
 func runner(t *testing.T) *Runner {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("shape tests run full experiment cells; skipped with -short")
 	}
-	sharedRunnerOnce.Do(func() {
-		sharedRunner = NewRunner(QuickScale())
-		if f := flag.Lookup("test.run"); f == nil || f.Value.String() == "" {
-			sharedRunner.RunAll(shapeTestCells(sharedRunner))
+	return sharedRunner()
+}
+
+// figCell returns the measurement behind one row of a simulated figure, found
+// by the figure's ID and the row's label cells: a finding's evidence is, by
+// construction, a cell some figure renders.
+func figCell(t *testing.T, r *Runner, id string, labels ...string) *Result {
+	t.Helper()
+	f := simFigureByID(id)
+	if f == nil {
+		t.Fatalf("figure %s is not a simulated figure", id)
+	}
+	for _, row := range f.rows(r, f.rw) {
+		if slices.Equal(row.labels, labels) {
+			return r.Run(row.spec)
 		}
-	})
-	return sharedRunner
-}
-
-// shapeTestCells declares the union of cells the shape tests (and the figure
-// smoke test in harness_test.go) measure.
-func shapeTestCells(r *Runner) []CellSpec {
-	var specs []CellSpec
-	for _, sys := range systems.All() {
-		specs = append(specs,
-			r.MicroCell(sys, Size1MB, 1, false, false),
-			r.MicroCell(sys, Size100GB, 1, false, false),
-			r.MicroCell(sys, Size100GB, 100, false, false),
-			r.MicroCell(sys, Size100GB, 1, true, false),
-			r.TPCBCell(sys, Size100GB),
-			r.TPCCCell(sys, systems.Options{}, Size100GB, 1),
-		)
 	}
-	for _, sys := range []systems.Kind{systems.DBMSD, systems.VoltDB, systems.DBMSM} {
-		specs = append(specs, r.MicroCell(sys, Size100GB, 10, false, false))
-	}
-	for _, sys := range []systems.Kind{systems.VoltDB, systems.HyPer, systems.DBMSM} {
-		specs = append(specs, r.MicroCell(sys, Size100GB, 1, false, true))
-	}
-	for _, c := range dbmsMConfigs() {
-		specs = append(specs,
-			r.MicroCellOpts(systems.DBMSM, c.Opts, Size100GB, 10, false, 1),
-			r.MicroCellOpts(systems.DBMSM, c.Opts, Size100GB, 10, true, 1))
-	}
-	for _, sys := range mtSystems {
-		specs = append(specs, r.MicroCellOpts(sys, systems.Options{}, Size100GB, 1, false, r.Scale.MTCores))
-	}
-	return specs
-}
-
-func microRO(r *Runner, sys systems.Kind, size SizeLabel, rows int) *Result {
-	return r.Run(r.MicroCell(sys, size, rows, false, false))
+	t.Fatalf("figure %s has no row %q", id, labels)
+	return nil
 }
 
 // Finding 1: every system's IPC stays well below the machine's 4-wide peak
 // (and, except HyPer on cache-resident data, barely reaches ~1), with a large
 // share of cycles in memory stalls.
 func TestShapeIPCBarelyReachesOne(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
 	for _, sys := range systems.All() {
-		res := microRO(r, sys, Size100GB, 1)
+		res := figCell(t, r, "3", sys.String())
 		if ipc := res.IPC(); ipc > 1.35 {
 			t.Errorf("%s: IPC %.2f at 100GB, expected ~1 or below", sys, ipc)
 		}
@@ -93,10 +65,11 @@ func TestShapeIPCBarelyReachesOne(t *testing.T) {
 // per transaction DBMS D's instruction stalls are the largest, with the
 // in-memory systems below the disk-based ones and HyPer near zero.
 func TestShapeInstructionStalls(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
 	iPerTx := map[systems.Kind]float64{}
 	for _, sys := range systems.All() {
-		res := microRO(r, sys, Size100GB, 1)
+		res := figCell(t, r, "3", sys.String())
 		s := res.StallsPerKI()
 		if sys == systems.HyPer {
 			if s.Instr() > 30 {
@@ -135,10 +108,11 @@ func TestShapeInstructionStalls(t *testing.T) {
 // else's on LLC-exceeding data, yet per transaction they are among the
 // lowest — the paper's throughput-normalization flip.
 func TestShapeHyperInversion(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
-	hyper := microRO(r, systems.HyPer, Size100GB, 1)
+	hyper := figCell(t, r, "3", "HyPer")
 	for _, other := range []systems.Kind{systems.ShoreMT, systems.DBMSD, systems.VoltDB, systems.DBMSM} {
-		o := microRO(r, other, Size100GB, 1)
+		o := figCell(t, r, "3", other.String())
 		if !(hyper.StallsPerKI().LLCD > 3*o.StallsPerKI().LLCD) {
 			t.Errorf("HyPer LLC-D/kI (%.0f) not >> %s (%.0f)",
 				hyper.StallsPerKI().LLCD, other, o.StallsPerKI().LLCD)
@@ -146,7 +120,7 @@ func TestShapeHyperInversion(t *testing.T) {
 	}
 	// Per transaction HyPer must be at or below the tree-indexed systems.
 	for _, other := range []systems.Kind{systems.ShoreMT, systems.DBMSD, systems.VoltDB} {
-		o := microRO(r, other, Size100GB, 1)
+		o := figCell(t, r, "3", other.String())
 		if !(hyper.StallsPerTx().LLCD < o.StallsPerTx().LLCD) {
 			t.Errorf("HyPer LLC-D/tx (%.0f) not below %s (%.0f)",
 				hyper.StallsPerTx().LLCD, other, o.StallsPerTx().LLCD)
@@ -158,23 +132,24 @@ func TestShapeHyperInversion(t *testing.T) {
 // is most dramatic for HyPer ("twice as high IPC ... when the data fits in
 // the last-level cache").
 func TestShapeLLCCapacityCliff(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
 	for _, sys := range systems.All() {
-		small := microRO(r, sys, Size1MB, 1)
-		big := microRO(r, sys, Size100GB, 1)
+		small := figCell(t, r, "1", sys.String(), "1MB")
+		big := figCell(t, r, "3", sys.String())
 		if !(small.IPC() >= big.IPC()) {
 			t.Errorf("%s: IPC grew with data size: %.2f (1MB) < %.2f (100GB)",
 				sys, small.IPC(), big.IPC())
 		}
 	}
-	hyperSmall := microRO(r, systems.HyPer, Size1MB, 1)
-	hyperBig := microRO(r, systems.HyPer, Size100GB, 1)
+	hyperSmall := figCell(t, r, "1", "HyPer", "1MB")
+	hyperBig := figCell(t, r, "3", "HyPer")
 	if ratio := hyperSmall.IPC() / hyperBig.IPC(); ratio < 2 {
 		t.Errorf("HyPer LLC cliff ratio = %.2f, want >= 2", ratio)
 	}
 	// On cache-resident data HyPer clearly leads every other system.
 	for _, other := range []systems.Kind{systems.ShoreMT, systems.DBMSD, systems.VoltDB, systems.DBMSM} {
-		o := microRO(r, other, Size1MB, 1)
+		o := figCell(t, r, "1", other.String(), "1MB")
 		if !(hyperSmall.IPC() > 1.3*o.IPC()) {
 			t.Errorf("HyPer 1MB IPC %.2f not well above %s %.2f",
 				hyperSmall.IPC(), other, o.IPC())
@@ -187,10 +162,11 @@ func TestShapeLLCCapacityCliff(t *testing.T) {
 // stalls per transaction grow roughly linearly with rows probed, with
 // Shore-MT's non-cache-conscious index the largest.
 func TestShapeWorkPerTransaction(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
 	for _, sys := range systems.All() {
-		one := microRO(r, sys, Size100GB, 1)
-		hundred := microRO(r, sys, Size100GB, 100)
+		one := figCell(t, r, "4", sys.String(), "1")
+		hundred := figCell(t, r, "4", sys.String(), "100")
 		if sys != systems.HyPer { // HyPer's I-stalls are ~0 at both ends
 			if !(hundred.StallsPerKI().Instr() < one.StallsPerKI().Instr()) {
 				t.Errorf("%s: I-stalls/kI did not fall with work: %.0f -> %.0f",
@@ -203,9 +179,9 @@ func TestShapeWorkPerTransaction(t *testing.T) {
 				sys, growth)
 		}
 	}
-	shore := microRO(r, systems.ShoreMT, Size100GB, 100)
+	shore := figCell(t, r, "4", "Shore-MT", "100")
 	for _, other := range []systems.Kind{systems.HyPer, systems.DBMSM} {
-		o := microRO(r, other, Size100GB, 100)
+		o := figCell(t, r, "4", other.String(), "100")
 		if !(shore.StallsPerTx().LLCD > o.StallsPerTx().LLCD) {
 			t.Errorf("Shore-MT LLC-D/tx at 100 rows (%.0f) not above %s (%.0f)",
 				shore.StallsPerTx().LLCD, other, o.StallsPerTx().LLCD)
@@ -213,15 +189,15 @@ func TestShapeWorkPerTransaction(t *testing.T) {
 	}
 	// In-memory systems lose IPC with more work; DBMS D does not.
 	for _, sys := range []systems.Kind{systems.HyPer, systems.DBMSM} {
-		one := microRO(r, sys, Size100GB, 1)
-		hundred := microRO(r, sys, Size100GB, 100)
+		one := figCell(t, r, "4", sys.String(), "1")
+		hundred := figCell(t, r, "4", sys.String(), "100")
 		if !(hundred.IPC() < one.IPC()) {
 			t.Errorf("%s: IPC did not fall with work: %.2f -> %.2f",
 				sys, one.IPC(), hundred.IPC())
 		}
 	}
-	d1 := microRO(r, systems.DBMSD, Size100GB, 1)
-	d100 := microRO(r, systems.DBMSD, Size100GB, 100)
+	d1 := figCell(t, r, "4", "DBMS D", "1")
+	d100 := figCell(t, r, "4", "DBMS D", "100")
 	if d100.IPC() < 0.9*d1.IPC() {
 		t.Errorf("DBMS D IPC fell with work (%.2f -> %.2f); paper shows a slight rise",
 			d1.IPC(), d100.IPC())
@@ -232,20 +208,20 @@ func TestShapeWorkPerTransaction(t *testing.T) {
 // transaction for DBMS D, VoltDB and DBMS M, and is smallest at one row for
 // the legacy-heavy systems.
 func TestShapeEngineShare(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
 	for _, sys := range []systems.Kind{systems.DBMSD, systems.VoltDB, systems.DBMSM} {
 		prev := -1.0
-		for _, rows := range []int{1, 10, 100} {
-			res := microRO(r, sys, Size100GB, rows)
-			frac := res.EngineFraction()
+		for _, rows := range []string{"1", "10", "100"} {
+			frac := figCell(t, r, "7", sys.String(), rows).EngineFraction()
 			if frac <= prev {
-				t.Errorf("%s: engine share not increasing at %d rows: %.2f <= %.2f",
+				t.Errorf("%s: engine share not increasing at %s rows: %.2f <= %.2f",
 					sys, rows, frac, prev)
 			}
 			prev = frac
 		}
 	}
-	m1 := microRO(r, systems.DBMSM, Size100GB, 1)
+	m1 := figCell(t, r, "7", "DBMS M", "1")
 	if m1.EngineFraction() > 0.5 {
 		t.Errorf("DBMS M engine share at 1 row = %.2f; legacy code should dominate",
 			m1.EngineFraction())
@@ -256,11 +232,12 @@ func TestShapeEngineShare(t *testing.T) {
 // teller/history locality), instruction stalls dominate, and HyPer sits at
 // the top of the IPC ranking.
 func TestShapeTPCB(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
-	hyper := r.Run(r.TPCBCell(systems.HyPer, Size100GB))
+	hyper := figCell(t, r, "8", "HyPer")
 	for _, sys := range systems.All() {
-		tb := r.Run(r.TPCBCell(sys, Size100GB))
-		micro := microRO(r, sys, Size100GB, 1)
+		tb := figCell(t, r, "8", sys.String())
+		micro := figCell(t, r, "3", sys.String())
 		if !(tb.IPC() > micro.IPC()) {
 			t.Errorf("%s: TPC-B IPC %.2f not above 1-row micro %.2f",
 				sys, tb.IPC(), micro.IPC())
@@ -284,10 +261,11 @@ func TestShapeTPCB(t *testing.T) {
 // per kI below TPC-B for every system, while HyPer's long-latency data
 // stalls come back (lower data locality than TPC-B).
 func TestShapeTPCC(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
 	for _, sys := range systems.All() {
-		tc := r.Run(r.TPCCCell(sys, systems.Options{}, Size100GB, 1))
-		tb := r.Run(r.TPCBCell(sys, Size100GB))
+		tc := figCell(t, r, "10", sys.String())
+		tb := figCell(t, r, "8", sys.String())
 		if sys == systems.HyPer {
 			if !(tc.StallsPerKI().LLCD > tb.StallsPerKI().LLCD) {
 				t.Errorf("HyPer: TPC-C LLC-D/kI (%.0f) not above TPC-B (%.0f)",
@@ -301,9 +279,9 @@ func TestShapeTPCC(t *testing.T) {
 		}
 	}
 	// Per transaction, DBMS D's instruction stalls are the highest.
-	d := r.Run(r.TPCCCell(systems.DBMSD, systems.Options{}, Size100GB, 1))
+	d := figCell(t, r, "10", "DBMS D")
 	for _, sys := range []systems.Kind{systems.ShoreMT, systems.VoltDB, systems.HyPer, systems.DBMSM} {
-		o := r.Run(r.TPCCCell(sys, systems.Options{}, Size100GB, 1))
+		o := figCell(t, r, "10", sys.String())
 		if !(d.StallsPerTx().Instr() > o.StallsPerTx().Instr()) {
 			t.Errorf("DBMS D TPC-C I-stalls/tx (%.0f) not above %s (%.0f)",
 				d.StallsPerTx().Instr(), sys, o.StallsPerTx().Instr())
@@ -315,12 +293,10 @@ func TestShapeTPCC(t *testing.T) {
 // k-instruction substantially for both index types, and the B-tree pays more
 // LLC data stalls than the hash index on the random-probe micro-benchmark.
 func TestShapeIndexAndCompilation(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
-	cfgs := dbmsMConfigs()
-	get := func(i int) *Result {
-		return r.Run(r.MicroCellOpts(systems.DBMSM, cfgs[i].Opts, Size100GB, 10, false, 1))
-	}
-	hashC, hashNC, btreeC, btreeNC := get(0), get(1), get(2), get(3)
+	hashC, hashNC := figCell(t, r, "13", "Hash w/ compilation"), figCell(t, r, "13", "Hash w/o compilation")
+	btreeC, btreeNC := figCell(t, r, "13", "B-tree w/ compilation"), figCell(t, r, "13", "B-tree w/o compilation")
 
 	if !(hashC.StallsPerKI().Instr() < 0.6*hashNC.StallsPerKI().Instr()) {
 		t.Errorf("hash: compilation did not cut I-stalls/kI: %.0f vs %.0f",
@@ -343,9 +319,10 @@ func TestShapeIndexAndCompilation(t *testing.T) {
 // Finding 10: the data type does not change the conclusions; the hash-indexed
 // DBMS M is insensitive to String vs Long columns.
 func TestShapeDataTypes(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
-	mLong := r.Run(r.MicroCell(systems.DBMSM, Size100GB, 1, false, false))
-	mStr := r.Run(r.MicroCell(systems.DBMSM, Size100GB, 1, false, true))
+	mLong := figCell(t, r, "15", "DBMS M", "Long")
+	mStr := figCell(t, r, "15", "DBMS M", "String")
 	lo, hi := mLong.StallsPerKI().LLCD, mStr.StallsPerKI().LLCD
 	if lo > hi {
 		lo, hi = hi, lo
@@ -357,7 +334,7 @@ func TestShapeDataTypes(t *testing.T) {
 	// For every system the fundamental picture (IPC < ~1.3 at 100GB) holds
 	// for both data types.
 	for _, sys := range []systems.Kind{systems.VoltDB, systems.HyPer, systems.DBMSM} {
-		str := r.Run(r.MicroCell(sys, Size100GB, 1, false, true))
+		str := figCell(t, r, "15", sys.String(), "String")
 		if str.IPC() > 1.35 {
 			t.Errorf("%s: String-column IPC %.2f breaks the paper's conclusion", sys, str.IPC())
 		}
@@ -368,10 +345,11 @@ func TestShapeDataTypes(t *testing.T) {
 // single-threaded conclusions: IPC stays below ~1.3 and the per-worker stall
 // profile stays close to the single-threaded one.
 func TestShapeMultiThreaded(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
 	for _, sys := range []systems.Kind{systems.ShoreMT, systems.DBMSD, systems.VoltDB, systems.DBMSM} {
-		st := microRO(r, sys, Size100GB, 1)
-		mt := r.Run(r.MicroCellOpts(sys, systems.Options{}, Size100GB, 1, false, r.Scale.MTCores))
+		st := figCell(t, r, "3", sys.String())
+		mt := figCell(t, r, "16", sys.String())
 		if mt.IPC() > 1.35 {
 			t.Errorf("%s MT: IPC %.2f above the paper's ceiling", sys, mt.IPC())
 		}
@@ -394,16 +372,17 @@ func TestShapeMultiThreaded(t *testing.T) {
 // qualitative picture: larger instruction footprint than read-only, IPC
 // still around or below one.
 func TestShapeReadWriteVariant(t *testing.T) {
+	t.Parallel()
 	r := runner(t)
 	for _, sys := range systems.All() {
-		rw := r.Run(r.MicroCell(sys, Size100GB, 1, true, false))
+		rw := figCell(t, r, "22", sys.String())
 		if rw.IPC() > 1.35 {
 			t.Errorf("%s RW: IPC %.2f above ceiling", sys, rw.IPC())
 		}
 		if sys == systems.HyPer {
 			continue
 		}
-		ro := microRO(r, sys, Size100GB, 1)
+		ro := figCell(t, r, "3", sys.String())
 		if rw.InstructionsPerTx() < ro.InstructionsPerTx() {
 			t.Errorf("%s: RW instructions/tx (%.0f) below RO (%.0f); updates do extra work",
 				sys, rw.InstructionsPerTx(), ro.InstructionsPerTx())

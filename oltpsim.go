@@ -253,18 +253,20 @@ func ReproduceFigure(id string, s Scale) (*Figure, error) {
 	return BuildFigure(NewRunner(s), id)
 }
 
-// BuildFigures renders several figures concurrently against one shared
-// runner (cells shared between figures are simulated once); the returned
-// slice matches ids order.
+// BuildFigures renders several figures against one shared runner: every
+// cell they render (Runner.FigureCells) is simulated first on the worker
+// pool, each once, then the figures render in ids order, which the returned
+// slice matches.
 func BuildFigures(r *Runner, ids []string) ([]*Figure, error) {
 	return harness.BuildFigures(r, ids)
 }
 
-// BuildFigure renders one paper or NUMA figure using r's cell cache.
+// BuildFigure renders one figure of any family — paper, NUMA, HTAP or one of
+// the live serve, scenario and islands families — using r's cell cache.
 func BuildFigure(r *Runner, id string) (*Figure, error) {
 	b, ok := harness.FigureBuilder(id)
 	if !ok {
-		return nil, fmt.Errorf("oltpsim: unknown figure %q (see FigureIDs, NUMAFigureIDs)", id)
+		return nil, fmt.Errorf("oltpsim: unknown figure %q (see FigureIDs, NUMAFigureIDs, HTAPFigureIDs; `oltpsim -list` names every figure)", id)
 	}
 	return b(r), nil
 }

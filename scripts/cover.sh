@@ -9,6 +9,9 @@
 # because the SQL front-end package — 90.6% covered, called by nothing — was
 # deleted and left the denominator. Override with
 # COVER_MIN=NN.N for local experiments.
+# Latest measurement: 73.8%, with the floor left at 72.1%. The rise came
+# when the 33 simulated figure builders, most of which the -short suite
+# never ran, became one declared table whose shared build path it does run.
 set -eu
 cd "$(dirname "$0")/.."
 
