@@ -19,8 +19,9 @@ type CacheStats struct {
 
 // Cache is a set-associative cache with true-LRU replacement. Lines are
 // identified by line IDs (virtual address >> LineShift). The zero value is
-// not usable; construct with NewCache. It serves every L1D, L2 and LLC; a
-// core's L1I is an icache, the same policy without the search.
+// not usable; construct with NewCache. It serves every L1D and LLC. A core's
+// L1I and L2 are wayCaches, the same policy without the search, and Cache is
+// the reference they are tested against.
 type Cache struct {
 	geom CacheGeom
 	sets int
@@ -77,13 +78,13 @@ func (c *Cache) setIndex(lineID uint64) int {
 // updated in place (one base computation per access, no move on an MRU hit).
 //
 // The body is duplicated in AccessEvict rather than delegated: the four
-// bodies serve every L1D, L2 and LLC lookup (the L1I is an icache) and the
-// call indirection costs ~2ns/op (a third of the whole scan). Any
+// bodies serve every L1D and LLC lookup (the L1I and L2 are wayCaches) and
+// the call indirection costs ~2ns/op (a third of the whole scan). Any
 // replacement-policy change must be applied to Access, AccessEvict, FillQuiet
-// and FillQuietEvict together — and to icache.touch, which
-// TestICacheMatchesCache holds to this function; the coherence invariant
-// suite and the golden figure gates fail on any divergence between the
-// coherent (Evict) and non-coherent paths.
+// and FillQuietEvict together — and to wayCache, which
+// TestICacheMatchesCache and TestL2MatchesCache hold to these functions; the
+// coherence invariant suite and the golden figure gates fail on any
+// divergence between the coherent (Evict) and non-coherent paths.
 //
 //oltpsim:hotpath
 func (c *Cache) Access(lineID uint64, class AccessClass) bool {
@@ -135,7 +136,9 @@ func (c *Cache) AccessEvict(lineID uint64, class AccessClass) (hit bool, evicted
 }
 
 // Probe reports whether lineID is resident without updating counters or LRU
-// state. Intended for tests and coherence checks.
+// state. The data path calls it on every private-cache eviction
+// (evictPrivate, inside readMiss and writeLine) and serveMiss on every
+// remote-LLC lookup.
 func (c *Cache) Probe(lineID uint64) bool {
 	tag := lineID + 1
 	base := c.setIndex(lineID) * c.ways

@@ -81,8 +81,8 @@ type HierarchyConfig struct {
 	// pre-NUMA configuration (remote penalties are then never charged).
 	Sockets int
 	// L1I, L1D, L2 are per-core; LLC describes one socket's last-level cache.
-	// L1I.Assoc is at most 16 (the icache keeps a set's LRU order in one word
-	// of 4-bit lanes); NewHierarchy panics above that.
+	// L1I.Assoc and L2.Assoc are at most 16 (a wayCache keeps a set's LRU
+	// order in one word of 4-bit lanes); NewHierarchy panics above that.
 	L1I, L1D, L2, LLC CacheGeom
 	// IPrefetchLines is the depth of the sequential next-line instruction
 	// prefetcher: on an L1I miss the following N lines are filled quietly.

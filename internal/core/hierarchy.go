@@ -1,6 +1,10 @@
 package core
 
-import "oltpsim/internal/simmem"
+import (
+	"fmt"
+
+	"oltpsim/internal/simmem"
+)
 
 // MissCounts holds per-level, per-class miss counters for one core — the raw
 // events a hardware PMU would report.
@@ -61,9 +65,9 @@ func (m MissCounts) Sub(other MissCounts) MissCounts {
 }
 
 type coreCaches struct {
-	l1i *icache
+	l1i *wayCache // code lines only
 	l1d *Cache
-	l2  *Cache
+	l2  *wayCache // unified: code and data lines
 }
 
 // Hierarchy is the simulated memory hierarchy: per-core private L1I/L1D/L2 in
@@ -227,9 +231,9 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	h.sockOf = make([]int, cfg.Cores)
 	for i := range h.cores {
 		h.cores[i] = coreCaches{
-			l1i: newICache(cfg.L1I),
+			l1i: newWayCache("L1I", cfg.L1I),
 			l1d: NewCache(cfg.L1D),
-			l2:  NewCache(cfg.L2),
+			l2:  newWayCache("L2", cfg.L2),
 		}
 		h.sockOf[i] = i / h.cps
 	}
@@ -319,15 +323,21 @@ func (h *Hierarchy) TotalCounts() MissCounts {
 // Only the LLC needs the guard (code is never invalidated, so the private
 // caches are the core's alone); its lookup and the prefetch fills share one
 // guarded section. L1I misses are the paper's headline stall and this walk is
-// where the simulator spends most of its host time, so the L1I is an icache
-// (no set search), the miss walk stays inline rather than in a helper like
-// the data side's, and the per-line counters are summed once per call.
-// addr must lie in the code segment (icache.grow panics otherwise).
+// where the simulator spends most of its host time, so the L1I and the L2
+// are wayCaches (a code line is found without a set search), the miss walk
+// stays inline rather than in a helper like the data side's, and the
+// per-line counters are summed once per call. The run must lie in the code
+// segment; FetchCode panics naming the address otherwise.
 //
 //oltpsim:hotpath
 func (h *Hierarchy) FetchCode(core int, addr simmem.Addr, nLines int) int {
 	if nLines <= 0 {
 		return 0
+	}
+	first := uint64(addr) >> LineShift
+	if i := first - codeLineBase; i >= codeLineLimit || uint64(nLines) > codeLineLimit-i {
+		panic(fmt.Sprintf("core: instruction fetch at %#x is outside the code segment [%#x, %#x)",
+			uint64(addr), uint64(simmem.CodeBase), uint64(simmem.DataBase)))
 	}
 	cc := &h.cores[core]
 	l1i, l2 := cc.l1i, cc.l2
@@ -344,13 +354,13 @@ func (h *Hierarchy) FetchCode(core int, addr simmem.Addr, nLines int) int {
 		skip = 0
 	}
 	stall, misses := 0, 0
-	first := uint64(addr) >> LineShift
 	for id, end := first, first+uint64(nLines); id < end; id++ {
-		if l1i.touch(id) {
+		if hit, _ := l1i.fill(id); hit {
 			continue
 		}
 		misses++
-		l2hit := l2.Access(id, ClassInstr)
+		l2hit, _ := l2.fill(id)
+		l2.count(ClassInstr, l2hit)
 		llcHit := true
 		h.guard(s)
 		if !l2hit {
@@ -359,8 +369,8 @@ func (h *Hierarchy) FetchCode(core int, addr simmem.Addr, nLines int) int {
 		// Sequential next-line prefetch: fill the following lines quietly so
 		// straight-line code does not miss on every line.
 		for pid := id + 1; pid <= id+pf; pid++ {
-			l1i.touch(pid)
-			l2.FillQuiet(pid)
+			l1i.fill(pid)
+			l2.fill(pid)
 			llc.FillQuiet(pid)
 		}
 		h.unguard(s)
@@ -409,22 +419,29 @@ func (h *Hierarchy) serveMiss(s int, id uint64, class AccessClass, ct *MissCount
 	return h.cfg.LLC.MissPenalty
 }
 
-// evictPrivate records that line ev-1 (a tag reported by AccessEvict or
-// FillQuietEvict) left one of core's private data caches; if the other
-// private cache no longer holds it either, the core's directory bit clears.
-// This is what keeps the directory exact rather than a may-hold superset.
+// evictPrivate records that lines ev1-1 and ev2-1 (the evicted tags the
+// L1D's AccessEvict or FillQuietEvict and the L2's fill report, 0 for none)
+// left core's L1D and L2 respectively; a line the other private cache no
+// longer holds either leaves the core's directory entry. This is what keeps
+// the directory exact rather than a may-hold superset. Caller holds
+// guard(socket).
+func (h *Hierarchy) evictPrivate(core, socket int, ev1, ev2 uint64) {
+	cc := &h.cores[core]
+	if ev1 != 0 && !cc.l2.Probe(ev1-1) {
+		h.dropSharer(core, socket, ev1-1)
+	}
+	if ev2 != 0 && !cc.l1d.Probe(ev2-1) {
+		h.dropSharer(core, socket, ev2-1)
+	}
+}
+
+// dropSharer clears core's bit in socket's directory entry for line id.
 // Caller holds guard(socket).
-func (h *Hierarchy) evictPrivate(core, socket int, ev uint64, other *Cache) {
-	if ev == 0 {
-		return
-	}
-	line := ev - 1
-	if other.Probe(line) {
-		return
-	}
+func (h *Hierarchy) dropSharer(core, socket int, id uint64) {
 	d := h.dirs[socket]
-	if m := d.get(line); m&(uint64(1)<<uint(core)) != 0 {
-		d.set(line, m&^(uint64(1)<<uint(core)))
+	bit := uint64(1) << uint(core)
+	if m := d.get(id); m&bit != 0 {
+		d.set(id, m&^bit)
 	}
 }
 
@@ -459,6 +476,7 @@ func (h *Hierarchy) invalidate(t int, id, mask uint64, ct *MissCounts) {
 		q := &h.mt.inq[c]
 		q.mu.Lock()
 		q.pending = append(q.pending, id)
+		q.n.Store(int32(len(q.pending)))
 		q.mu.Unlock()
 	}
 }
@@ -507,12 +525,12 @@ func (h *Hierarchy) readMiss(core int, id, ev uint64, ct *MissCounts) int {
 	s := h.sockOf[core]
 	ct.L1DMiss++
 	stall := h.cfg.L1D.MissPenalty
-	l2hit, ev2 := cc.l2.AccessEvict(id, ClassData)
+	l2hit, ev2 := cc.l2.fill(id)
+	cc.l2.count(ClassData, l2hit)
 	llcHit := true
 	h.guard(s)
 	if h.dirs != nil {
-		h.evictPrivate(core, s, ev, cc.l2)
-		h.evictPrivate(core, s, ev2, cc.l1d)
+		h.evictPrivate(core, s, ev, ev2)
 		h.dirs[s].set(id, h.dirs[s].get(id)|uint64(1)<<uint(core))
 	}
 	if !l2hit {
@@ -539,7 +557,7 @@ func (h *Hierarchy) writeLine(core int, id uint64, ct *MissCounts) int {
 	s := h.sockOf[core]
 	coherent := h.dirs != nil
 	ev1 := cc.l1d.FillQuietEvict(id)
-	ev2 := cc.l2.FillQuietEvict(id)
+	_, ev2 := cc.l2.fill(id)
 	h.guard(s)
 	if coherent {
 		self := uint64(1) << uint(core)
@@ -547,8 +565,7 @@ func (h *Hierarchy) writeLine(core int, id uint64, ct *MissCounts) int {
 		if others := d.get(id) &^ self; others != 0 {
 			h.invalidate(s, id, others, ct)
 		}
-		h.evictPrivate(core, s, ev1, cc.l2)
-		h.evictPrivate(core, s, ev2, cc.l1d)
+		h.evictPrivate(core, s, ev1, ev2)
 		d.set(id, self)
 	}
 	h.llcs[s].FillQuiet(id)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"oltpsim/internal/simmem"
 )
@@ -44,9 +45,15 @@ import (
 type invQueue struct {
 	mu      sync.Mutex
 	pending []uint64 //oltpsim:guarded-by mu
+	// n mirrors len(pending), stored under mu, so the owner finds an empty
+	// inbox — the common case, checked on every data access — with one load.
+	n atomic.Int32
 	// draining is the owner core's swap buffer: only the owning core's
 	// goroutine touches it, outside the lock.
 	draining []uint64
+	// Each core's inbox on its own cache line: the owner's load of n must
+	// not share one with a neighbour's lock traffic.
+	_ [64]byte
 }
 
 // hierMT is the synchronization state of concurrent mode; nil while the
@@ -109,24 +116,21 @@ func (h *Hierarchy) Concurrent() bool { return h.mt != nil }
 // Quiesce while the cores are stopped).
 func (h *Hierarchy) drainInvalidations(core int) {
 	q := &h.mt.inq[core]
-	q.mu.Lock()
-	if len(q.pending) == 0 {
-		q.mu.Unlock()
+	if q.n.Load() == 0 {
 		return
 	}
+	q.mu.Lock()
 	q.pending, q.draining = q.draining[:0], q.pending
+	q.n.Store(0)
 	q.mu.Unlock()
 
 	// Only a coherent write posts, so the directory exists here.
 	ct := &h.counts[core]
 	s := h.sockOf[core]
-	bit := uint64(1) << uint(core)
 	for _, id := range q.draining {
 		h.dropPrivate(core, id, ct)
 		h.guard(s)
-		if m := h.dirs[s].get(id); m&bit != 0 {
-			h.dirs[s].set(id, m&^bit)
-		}
+		h.dropSharer(core, s, id)
 		h.unguard(s)
 	}
 }
@@ -166,8 +170,8 @@ func (h *Hierarchy) CheckCoherent() error {
 	for c := range h.cores {
 		s := h.sockOf[c]
 		bit := uint64(1) << uint(c)
-		check := func(which string, cache *Cache) {
-			cache.Lines(func(id uint64) {
+		check := func(which string, lines func(visit func(id uint64))) {
+			lines(func(id uint64) {
 				if err != nil || id < dataBase {
 					return
 				}
@@ -177,8 +181,8 @@ func (h *Hierarchy) CheckCoherent() error {
 				}
 			})
 		}
-		check("l1d", h.cores[c].l1d)
-		check("l2", h.cores[c].l2)
+		check("l1d", h.cores[c].l1d.Lines)
+		check("l2", h.cores[c].l2.Lines)
 		if err != nil {
 			return err
 		}

@@ -151,6 +151,43 @@ func TestConcurrentLockstepMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPostedInvalidationAppliedAtNextAccess pins the inbox's handoff: an
+// invalidation posted before the owner's next access — ordered by a channel
+// handoff between the writer's goroutine and the owner's — is applied at that
+// access, every round, although the owner checks for an empty inbox without
+// taking its lock.
+func TestPostedInvalidationAppliedAtNextAccess(t *testing.T) {
+	h := NewHierarchy(smallHierCfg(2))
+	h.SetConcurrent(true)
+	addr := simmem.DataBase
+	write, written := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range write {
+			h.DataAccess(1, addr, 8, true) // posts to core 0's inbox
+			written <- struct{}{}
+		}
+	}()
+	cfg := h.Config()
+	want := cfg.L1D.MissPenalty + cfg.L2.MissPenalty // the LLC still holds the line
+	for round := 0; round < 2000; round++ {
+		h.DataAccess(0, addr, 8, false) // core 0 holds the line again
+		write <- struct{}{}
+		<-written
+		before := h.Counts(0)
+		stall := h.DataAccess(0, addr, 8, false)
+		if d := h.Counts(0).Sub(before); stall != want || d.L1DMiss != 1 || d.L2DMiss != 1 || d.Invalidations != 2 {
+			close(write)
+			<-done
+			t.Fatalf("round %d: the access after a posted invalidation stalled %d (want %d) with counts %+v: the inbox was not drained",
+				round, stall, want, d)
+		}
+	}
+	close(write)
+	<-done
+}
+
 // TestConcurrentWriteExclusivity checks invariant 2 of the serial coherence
 // suite in concurrent mode: after all cores quiesce, a line written last by
 // one core is held exclusively (other cores' private copies invalidated,

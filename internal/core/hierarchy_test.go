@@ -164,9 +164,9 @@ func TestMaxCoresBoundary(t *testing.T) {
 	NewHierarchy(cfg)
 }
 
-// TestL1IIndexBoundaries pins the two edges the L1I's index creates: its
-// order word caps the L1I at 16 ways, and a fetch outside the code segment is
-// refused by address rather than indexed.
+// TestL1IIndexBoundaries pins the two edges the L1I's and L2's index creates:
+// its order word caps either level at 16 ways, and a fetch outside the code
+// segment is refused by address rather than indexed.
 func TestL1IIndexBoundaries(t *testing.T) {
 	panicOf := func(f func()) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -174,21 +174,33 @@ func TestL1IIndexBoundaries(t *testing.T) {
 		return
 	}
 	cfg := smallHierCfg(1)
-	cfg.L1I = icacheGeom(4, 16)
+	cfg.L1I, cfg.L2 = geomOf(4, 16), geomOf(8, 16)
 	h := NewHierarchy(cfg)
-	if got := h.FetchCode(0, simmem.CodeBase, 4*16+1); got != (4*16+1)*194 {
-		t.Errorf("16-way L1I cold sweep stall = %d, want %d", got, (4*16+1)*194)
+	perLine := cfg.L1I.MissPenalty + cfg.L2.MissPenalty + cfg.LLC.MissPenalty
+	if got := h.FetchCode(0, simmem.CodeBase, 4*16+1); got != (4*16+1)*perLine {
+		t.Errorf("16-way L1I and L2 cold sweep stall = %d, want %d", got, (4*16+1)*perLine)
 	}
-	cfg.L1I = icacheGeom(4, 17)
-	if msg := panicOf(func() { NewHierarchy(cfg) }); !strings.Contains(msg, "16 ways") {
-		t.Errorf("NewHierarchy with a 17-way L1I: panic %q, want one naming the 16-way limit", msg)
+	for _, level := range []string{"L1I", "L2"} {
+		bad := cfg
+		if level == "L1I" {
+			bad.L1I = geomOf(4, 17)
+		} else {
+			bad.L2 = geomOf(4, 17)
+		}
+		if msg := panicOf(func() { NewHierarchy(bad) }); !strings.Contains(msg, level+" needs") || !strings.Contains(msg, "16 ways") {
+			t.Errorf("NewHierarchy with a 17-way %s: panic %q, want one naming the level and the 16-way limit", level, msg)
+		}
 	}
 
-	for _, addr := range []simmem.Addr{simmem.CodeBase - LineBytes, simmem.DataBase, simmem.DataBase + 4096, 0} {
-		want := fmt.Sprintf("%#x", uint64(addr))
-		msg := panicOf(func() { h.FetchCode(0, addr, 1) })
+	// The last case starts inside the segment and runs one line past it.
+	for _, run := range []struct {
+		addr simmem.Addr
+		n    int
+	}{{simmem.CodeBase - LineBytes, 1}, {simmem.DataBase, 1}, {simmem.DataBase + 4096, 1}, {0, 1}, {simmem.DataBase - LineBytes, 2}} {
+		want := fmt.Sprintf("%#x", uint64(run.addr))
+		msg := panicOf(func() { h.FetchCode(0, run.addr, run.n) })
 		if !strings.Contains(msg, want) || !strings.Contains(msg, "code segment") {
-			t.Errorf("FetchCode(%#x): panic %q, want one naming the address and the code segment", uint64(addr), msg)
+			t.Errorf("FetchCode(%#x, %d): panic %q, want one naming the address and the code segment", uint64(run.addr), run.n, msg)
 		}
 	}
 	if ct := h.Counts(0); ct.L1IAcc != 4*16+1 {
