@@ -456,21 +456,11 @@ func (t *Table) loadShard(p int, keyVals []catalog.Value, row catalog.Row) {
 
 func (t *Table) loadShardInto(sh *shard, keyVals []catalog.Value, row catalog.Row) {
 	key := t.EncodeKey(keyVals)
-	switch t.e.cfg.Storage {
-	case StorageHeap:
-		rid, err := sh.heap.Insert(row)
-		if err != nil {
-			panic(err)
-		}
-		sh.idx.Insert(key, uint64(rid))
-	case StorageRows:
-		addr := sh.rows.Insert(row)
-		sh.idx.Insert(key, uint64(addr))
-	case StorageMVCC:
-		addr := sh.rows.Insert(row)
-		anchor := t.e.mv.NewAnchor(addr)
-		sh.idx.Insert(key, uint64(anchor))
+	val, err := t.e.place(sh, row, nil)
+	if err != nil {
+		panic(err)
 	}
+	sh.idx.Insert(key, val)
 }
 
 // idxMeter translates index node visits into instruction execution on the

@@ -153,19 +153,29 @@ func resetPerTable[T bool | uint16](s []T, tables int) []T {
 //
 //oltpsim:hotpath
 func (e *Engine) invoke(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure, args []catalog.Value) error {
-	c := e.cfg.Costs
 	tx := e.begin(cx, cpu, part, p, args, nil)
-
-	if err := e.runBody(tx, p); err != nil {
-		e.abort(tx)
-		return err
+	err := e.runBody(tx, p)
+	if err == nil {
+		err = e.commit(tx)
 	}
+	if err != nil {
+		e.abort(tx)
+	}
+	return err
+}
 
-	// Commit path.
+// commit is the back half of every committing transaction, written once for
+// invoke and for installing a committed 2PC branch: MVCC validation and
+// version install, lock release, the commit log record. A failed validation
+// returns its error with nothing installed; the caller aborts.
+//
+//oltpsim:hotpath
+func (e *Engine) commit(tx *Tx) error {
+	c := e.cfg.Costs
+	cpu := tx.cpu
 	if e.mv != nil {
 		cpu.Exec(e.rMVCC, c.MVCCCommit)
 		if err := tx.mtx.Commit(); err != nil {
-			e.abort(tx)
 			return err
 		}
 	}
@@ -177,7 +187,7 @@ func (e *Engine) invoke(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure, args
 		e.lm.ReleaseAll(tx.id)
 	}
 	cpu.Exec(e.rLog, c.LogBase)
-	e.logs[part].Commit(tx.id)
+	e.logs[tx.part].Commit(tx.id)
 	cpu.Exec(e.rTxn, c.TxnCommit)
 	cpu.TxCount++
 	return nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -9,7 +10,6 @@ import (
 	"oltpsim/internal/catalog"
 	"oltpsim/internal/index"
 	"oltpsim/internal/simmem"
-	"oltpsim/internal/storage"
 	"oltpsim/internal/txn"
 )
 
@@ -62,12 +62,9 @@ type scanState struct {
 	rowBuf catalog.Row
 	strBuf []byte
 
-	// Streaming buffer-pool state: the scan holds its current heap page —
-	// one fix (charge and page-table probe) per page, not per row, like a
-	// real executor's scan latch.
-	lastPage uint64
-	pageBase simmem.Addr
-	havePage bool
+	// pin holds the scan's current heap page across its records: one fix
+	// (charge and page-table probe) per page, not per row.
+	pin rowPin
 
 	// Mode: either fn (row callback) or specs/accumulators (aggregate).
 	aggregating bool
@@ -271,7 +268,7 @@ func (tx *Tx) runScan(t *Table, from []catalog.Value) error {
 		}
 		st.sh = sh
 		oi.Scan(fromKey, st.visit)
-		st.releasePage() // drop the held heap page before leaving the shard
+		tx.release(sh, &st.pin, false) // drop the held heap page before leaving the shard
 		if st.err != nil || st.stopped {
 			break
 		}
@@ -284,43 +281,20 @@ func (tx *Tx) runScan(t *Table, from []catalog.Value) error {
 //
 //oltpsim:hotpath
 func (cx *ExecCtx) scanVisit(key []byte, val uint64) bool {
-	e := cx.e
 	st := &cx.scan
 	tx := st.tx
 	if st.toKey != nil && bytes.Compare(key, st.toKey) > 0 {
 		return false // past the upper bound; next shard restarts at fromKey
 	}
-	c := e.cfg.Costs
-	m := cx.mem
-	var addr simmem.Addr
-	switch e.cfg.Storage {
-	case StorageHeap:
-		// Streaming fix: the scan holds its current page — one buffer-pool
-		// probe and one BPFix charge per page, not per row, the sequential
-		// advantage a heap scan has over point probes.
-		rid := storage.RID(val)
-		if !st.havePage || rid.Page() != st.lastPage {
-			st.releasePage()
-			tx.cpu.Exec(e.rBP, c.BPFix)
-			base, err := st.sh.heap.FixPage(rid.Page())
-			if err != nil {
-				st.err = err
-				return false
-			}
-			st.havePage, st.lastPage, st.pageBase = true, rid.Page(), base
-		}
-		addr, _ = storage.PageRecord(m, st.pageBase, rid.Slot())
-	case StorageRows:
-		addr = simmem.Addr(val)
-	default: // StorageMVCC: snapshot read, no read-set growth
-		tx.cpu.Exec(e.rMVCC, c.MVCCRead)
-		a, ok := tx.mtx.ReadSnapshot(simmem.Addr(val))
-		if !ok {
+	addr, err := tx.resolve(st.sh, val, readScan, &st.pin)
+	if err != nil {
+		if errors.Is(err, ErrNotFound) {
 			return true // version invisible to this snapshot; skip
 		}
-		addr = a
+		st.err = err
+		return false
 	}
-
+	m := cx.mem
 	if st.aggregating {
 		st.foldRow(tx, m, addr)
 	} else {
@@ -332,14 +306,6 @@ func (cx *ExecCtx) scanVisit(key []byte, val uint64) bool {
 		}
 	}
 	return !st.stopped
-}
-
-// releasePage drops the scan's held heap page, if any.
-func (st *scanState) releasePage() {
-	if st.havePage {
-		st.sh.heap.UnfixPage(st.lastPage)
-		st.havePage = false
-	}
 }
 
 // foldRow accumulates one row into the aggregate state, reading only the
@@ -425,24 +391,15 @@ func (t *Table) LookupRow(keyVals []catalog.Value) (catalog.Row, bool) {
 	if !ok {
 		return nil, false
 	}
-	m := e.mach.Arena
-	switch e.cfg.Storage {
-	case StorageHeap:
-		rid := storage.RID(val)
-		addr, err := sh.heap.Fix(rid)
-		if err != nil {
-			return nil, false
-		}
-		row := t.Schema.ReadRow(m, addr)
-		sh.heap.Unfix(rid, false)
-		return row, true
-	case StorageRows:
-		return t.Schema.ReadRow(m, simmem.Addr(val)), true
-	default: // StorageMVCC
-		addr, ok := e.mv.ReadLatest(simmem.Addr(val))
-		if !ok {
-			return nil, false
-		}
-		return t.Schema.ReadRow(m, addr), true
+	// An inspection read through the serialized context: it resolves the
+	// newest committed version and charges nothing.
+	tx := Tx{e: e, ctx: &e.ctx0}
+	var pin rowPin
+	addr, err := tx.resolve(sh, val, readLatest, &pin)
+	if err != nil {
+		return nil, false
 	}
+	row := t.Schema.ReadRow(e.mach.Arena, addr)
+	tx.release(sh, &pin, false)
+	return row, true
 }

@@ -6,7 +6,6 @@ import (
 	"oltpsim/internal/catalog"
 	"oltpsim/internal/core"
 	"oltpsim/internal/simmem"
-	"oltpsim/internal/wal"
 )
 
 // Two-phase commit participant path.
@@ -129,14 +128,8 @@ func (s *Session) Resolve(core, part int, gtid uint64, commit bool) error {
 			if commit {
 				err = fmt.Errorf("engine: commit for unknown prepared transaction %d on partition %d", gtid, part)
 			}
-		case commit:
-			e.installStaged(e.ctxs[core], part, st)
-			st.active = false
 		default:
-			st.active = false
-			st.writes = st.writes[:0]
-			e.ctxs[core].cpu.Exec(e.rTxn, e.cfg.Costs.TxnCommit)
-			e.Aborts.Add(1)
+			e.decide(e.ctxs[core], part, st, commit)
 		}
 		s.count(err)
 		mu.Unlock()
@@ -177,110 +170,56 @@ func (e *Engine) invokeStaged(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure
 	return nil
 }
 
-// installStaged applies a committed branch's staged writes in staging order
-// (last-wins for rewrites of one row), paying the storage, logging and
-// commit charges the in-place path pays, then forces the commit record.
-// Caller holds coreMu[part].
-func (e *Engine) installStaged(cx *ExecCtx, part int, st *stagedTx) {
-	c := e.cfg.Costs
-	cpu := cx.cpu
+// decide ends partition part's prepared branch as the transaction it
+// prepared, on a Tx that carries the branch's ID and stages nothing: commit
+// replays the staged writes in staging order (last-wins for rewrites of one
+// row) through the write tails the in-place ops run — storage charge, write,
+// log record — and then runs the commit tail; abort discards them and runs
+// the abort tail. Caller holds coreMu[part].
+func (e *Engine) decide(cx *ExecCtx, part int, st *stagedTx, commit bool) {
 	cx.scratch.Reset()
-	for i := range st.writes {
-		w := &st.writes[i]
-		rowSize := w.t.Schema.RowSize()
-		sh := &w.t.shards[part]
-		switch w.kind {
-		case swUpdate:
-			cpu.Exec(e.rStorage, c.StorageAccess)
-			cpu.Exec(e.rLog, c.LogBase+c.LogPerByte*rowSize)
-			e.logs[part].Append(st.id, wal.RecUpdate, w.addr, rowSize)
-			w.t.Schema.WriteRow(cx.mem, w.addr, w.row)
-		case swInsert:
-			cpu.Exec(e.rStorage, c.StorageAccess)
-			addr := sh.rows.Insert(w.row)
-			sh.idx.Insert(w.key, uint64(addr))
-			cpu.Exec(e.rLog, c.LogBase+c.LogPerByte*rowSize)
-			img := cx.scratch.Bytes(rowSize) // zeroed logical insert image
-			e.logs[part].AppendBytes(st.id, wal.RecInsert, img)
-		case swDelete:
-			if sh.idx.Delete(w.key) {
-				cpu.Exec(e.rLog, c.LogBase+c.LogPerByte*len(w.key))
-				e.logs[part].AppendBytes(st.id, wal.RecDelete, w.key)
+	tx := &cx.txv
+	*tx = Tx{e: e, ctx: cx, cpu: cx.cpu, part: part, id: st.id}
+	if commit {
+		for i := range st.writes {
+			w := &st.writes[i]
+			sh := &w.t.shards[part]
+			switch w.kind {
+			case swUpdate:
+				tx.cpu.Exec(e.rStorage, e.cfg.Costs.StorageAccess)
+				tx.writeBack(w.t, sh, 0, w.addr, w.row)
+			case swInsert:
+				tx.insert(w.t, sh, w.key, w.row) // row-store inserts cannot fail
+			case swDelete:
+				tx.unlink(w.t, sh, w.key) // ErrNotFound: nothing to unlink, nothing logged
 			}
 		}
+		e.commit(tx) // no MVCC in concurrent mode: the commit cannot fail
+	} else {
+		e.abort(tx)
 	}
-	cpu.Exec(e.rLog, c.LogBase)
-	e.logs[part].Commit(st.id)
-	cpu.Exec(e.rTxn, c.TxnCommit)
-	cpu.TxCount++
+	st.active = false
 	st.writes = st.writes[:0]
 }
 
-// stagedCopyRow deep-copies a scratch-backed row into heap memory that
-// survives until the decision.
+// stage buffers one write of a 2PC prepare, copying its key and row out of
+// the transaction's scratch arena into heap memory that survives until the
+// decision.
 //
-//oltpsim:coldpath 2PC staging buffers outlive the transaction's scratch arena
-func stagedCopyRow(row catalog.Row) catalog.Row {
-	out := make(catalog.Row, len(row))
-	for i, v := range row {
-		if v.S != nil {
-			v.S = append([]byte(nil), v.S...)
+//oltpsim:coldpath 2PC staging allocates its buffered write set
+func (tx *Tx) stage(t *Table, kind int, addr simmem.Addr, key []byte, row catalog.Row) {
+	w := stagedWrite{t: t, kind: kind, addr: addr}
+	if key != nil {
+		w.key = append([]byte(nil), key...)
+	}
+	if row != nil {
+		w.row = make(catalog.Row, len(row))
+		for i, v := range row {
+			if v.S != nil {
+				v.S = append([]byte(nil), v.S...)
+			}
+			w.row[i] = v
 		}
-		out[i] = v
 	}
-	return out
-}
-
-// stageFieldUpdate stages a single-column update: read the committed row,
-// apply f to the column, buffer the full new image.
-//
-//oltpsim:coldpath 2PC staging allocates its buffered write set
-func (tx *Tx) stageFieldUpdate(t *Table, addr simmem.Addr, col int, f func(catalog.Value) catalog.Value) error {
-	c := tx.e.cfg.Costs
-	tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-	row := t.Schema.ReadRowS(tx.ctx.mem, addr, &tx.ctx.scratch)
-	row[col] = f(row[col])
-	tx.staged.writes = append(tx.staged.writes, stagedWrite{
-		t: t, kind: swUpdate, addr: addr, row: stagedCopyRow(row),
-	})
-	return nil
-}
-
-// stageModify stages a read-modify-write of the full committed row.
-//
-//oltpsim:coldpath 2PC staging allocates its buffered write set
-func (tx *Tx) stageModify(t *Table, addr simmem.Addr, f func(catalog.Row) catalog.Row) error {
-	c := tx.e.cfg.Costs
-	tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-	row := f(t.Schema.ReadRowS(tx.ctx.mem, addr, &tx.ctx.scratch))
-	tx.staged.writes = append(tx.staged.writes, stagedWrite{
-		t: t, kind: swUpdate, addr: addr, row: stagedCopyRow(row),
-	})
-	return nil
-}
-
-// stageInsert stages a new row under key.
-//
-//oltpsim:coldpath 2PC staging allocates its buffered write set
-func (tx *Tx) stageInsert(t *Table, key []byte, row catalog.Row) error {
-	c := tx.e.cfg.Costs
-	tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-	tx.staged.writes = append(tx.staged.writes, stagedWrite{
-		t: t, kind: swInsert, key: append([]byte(nil), key...), row: stagedCopyRow(row),
-	})
-	return nil
-}
-
-// stageDelete stages unlinking key, verifying it exists in the committed
-// state first (the in-place path's ErrNotFound contract).
-//
-//oltpsim:coldpath 2PC staging allocates its buffered write set
-func (tx *Tx) stageDelete(t *Table, sh *shard, key []byte) error {
-	if _, ok := sh.idx.Lookup(key); !ok {
-		return ErrNotFound
-	}
-	tx.staged.writes = append(tx.staged.writes, stagedWrite{
-		t: t, kind: swDelete, key: append([]byte(nil), key...),
-	})
-	return nil
+	tx.staged.writes = append(tx.staged.writes, w)
 }

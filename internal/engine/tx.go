@@ -7,10 +7,7 @@ import (
 	"oltpsim/internal/catalog"
 	"oltpsim/internal/core"
 	"oltpsim/internal/index"
-	"oltpsim/internal/simmem"
-	"oltpsim/internal/storage"
 	"oltpsim/internal/txn"
-	"oltpsim/internal/wal"
 )
 
 // ErrNotFound is returned by point operations on absent keys.
@@ -123,6 +120,15 @@ func (tx *Tx) lockRow(t *Table, key []byte, exclusive bool) error {
 	return tx.e.lm.Acquire(tx.id, txn.RowLockID(uint32(t.ID), hashKey(key)), mode)
 }
 
+// point is the front of every keyed op: the statement's front-end charge,
+// the shard that holds the key, the encoded key and the row lock.
+func (tx *Tx) point(kind opKind, t *Table, keyVals []catalog.Value, exclusive bool) (*shard, []byte, error) {
+	tx.chargeOp(kind, t)
+	sh := tx.shardFor(t, keyVals)
+	key := t.encodeKeyInto(&tx.ctx.scratch, keyVals)
+	return sh, key, tx.lockRow(t, key, exclusive)
+}
+
 // Get reads column col of the row with the given key.
 //
 //oltpsim:hotpath
@@ -142,125 +148,48 @@ func (tx *Tx) GetRow(t *Table, keyVals []catalog.Value) (catalog.Row, error) {
 }
 
 func (tx *Tx) getCols(t *Table, keyVals []catalog.Value, cols []int) (catalog.Row, error) {
-	tx.chargeOp(opGet, t)
-	sh := tx.shardFor(t, keyVals)
-	key := t.encodeKeyInto(&tx.ctx.scratch, keyVals)
-	if err := tx.lockRow(t, key, false); err != nil {
+	sh, key, err := tx.point(opGet, t, keyVals, false)
+	if err != nil {
 		return nil, err
 	}
 	val, ok := sh.idx.Lookup(key)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	c := tx.e.cfg.Costs
-	m := tx.ctx.mem
-	readFields := func(addr simmem.Addr) catalog.Row {
-		tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-		if cols == nil {
-			return t.Schema.ReadRowS(m, addr, &tx.ctx.scratch)
-		}
-		row := tx.ctx.scratch.Row(len(cols))
+	var pin rowPin
+	addr, err := tx.resolve(sh, val, readTx, &pin)
+	if err != nil {
+		return nil, err
+	}
+	tx.cpu.Exec(tx.e.rStorage, tx.e.cfg.Costs.StorageAccess)
+	m, sc := tx.ctx.mem, &tx.ctx.scratch
+	var row catalog.Row
+	if cols == nil {
+		row = t.Schema.ReadRowS(m, addr, sc)
+	} else {
+		row = sc.Row(len(cols))
 		for i, ci := range cols {
-			row[i] = t.Schema.ReadFieldS(m, addr, ci, &tx.ctx.scratch)
+			row[i] = t.Schema.ReadFieldS(m, addr, ci, sc)
 		}
-		return row
 	}
-	switch tx.e.cfg.Storage {
-	case StorageHeap:
-		rid := storage.RID(val)
-		tx.cpu.Exec(tx.e.rBP, c.BPFix)
-		addr, err := sh.heap.Fix(rid)
-		if err != nil {
-			return nil, err
-		}
-		row := readFields(addr)
-		sh.heap.Unfix(rid, false)
-		return row, nil
-	case StorageRows:
-		return readFields(simmem.Addr(val)), nil
-	default: // StorageMVCC
-		tx.cpu.Exec(tx.e.rMVCC, c.MVCCRead)
-		addr, ok := tx.mtx.Read(simmem.Addr(val))
-		if !ok {
-			return nil, ErrNotFound
-		}
-		return readFields(addr), nil
-	}
+	tx.release(sh, &pin, false)
+	return row, nil
 }
 
 // Update sets column col of the row with the given key.
 //
 //oltpsim:hotpath
 func (tx *Tx) Update(t *Table, keyVals []catalog.Value, col int, v catalog.Value) error {
-	return tx.update(t, keyVals, col, func(catalog.Value) catalog.Value { return v })
+	return tx.rmw(t, keyVals, col, func(catalog.Value) catalog.Value { return v }, nil)
 }
 
 // UpdateAdd adds delta to the Long column col of the row with the given key.
 //
 //oltpsim:hotpath
 func (tx *Tx) UpdateAdd(t *Table, keyVals []catalog.Value, col int, delta int64) error {
-	return tx.update(t, keyVals, col, func(old catalog.Value) catalog.Value {
+	return tx.rmw(t, keyVals, col, func(old catalog.Value) catalog.Value {
 		return catalog.LongVal(old.I + delta)
-	})
-}
-
-func (tx *Tx) update(t *Table, keyVals []catalog.Value, col int, f func(catalog.Value) catalog.Value) error {
-	tx.chargeOp(opUpdate, t)
-	sh := tx.shardFor(t, keyVals)
-	key := t.encodeKeyInto(&tx.ctx.scratch, keyVals)
-	if err := tx.lockRow(t, key, true); err != nil {
-		return err
-	}
-	val, ok := sh.idx.Lookup(key)
-	if !ok {
-		return ErrNotFound
-	}
-	if tx.staged != nil { // 2PC prepare: concurrent mode implies StorageRows
-		return tx.stageFieldUpdate(t, simmem.Addr(val), col, f)
-	}
-	c := tx.e.cfg.Costs
-	m := tx.ctx.mem
-	rowSize := t.Schema.RowSize()
-	switch tx.e.cfg.Storage {
-	case StorageHeap:
-		rid := storage.RID(val)
-		tx.cpu.Exec(tx.e.rBP, c.BPFix)
-		addr, err := sh.heap.Fix(rid)
-		if err != nil {
-			return err
-		}
-		tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-		old := t.Schema.ReadFieldS(m, addr, col, &tx.ctx.scratch)
-		// Physiological logging: before-image of the row.
-		tx.cpu.Exec(tx.e.rLog, c.LogBase+c.LogPerByte*rowSize)
-		tx.e.logs[tx.part].Append(tx.id, wal.RecUpdate, addr, rowSize)
-		t.Schema.WriteField(m, addr, col, f(old))
-		sh.heap.Unfix(rid, true)
-		return nil
-	case StorageRows:
-		addr := simmem.Addr(val)
-		tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-		old := t.Schema.ReadFieldS(m, addr, col, &tx.ctx.scratch)
-		tx.cpu.Exec(tx.e.rLog, c.LogBase+c.LogPerByte*rowSize)
-		tx.e.logs[tx.part].Append(tx.id, wal.RecUpdate, addr, rowSize)
-		t.Schema.WriteField(m, addr, col, f(old))
-		return nil
-	default: // StorageMVCC: copy-on-write version
-		anchor := simmem.Addr(val)
-		tx.cpu.Exec(tx.e.rMVCC, c.MVCCRead)
-		cur, ok := tx.mtx.Read(anchor)
-		if !ok {
-			return ErrNotFound
-		}
-		tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-		row := t.Schema.ReadRowS(m, cur, &tx.ctx.scratch)
-		row[col] = f(row[col])
-		newAddr := sh.rows.Insert(row)
-		tx.cpu.Exec(tx.e.rLog, c.LogBase+c.LogPerByte*rowSize)
-		tx.e.logs[tx.part].Append(tx.id, wal.RecUpdate, newAddr, rowSize)
-		tx.mtx.StageWrite(anchor, newAddr)
-		return nil
-	}
+	}, nil)
 }
 
 // Modify applies a read-modify-write to the full row with the given key: f
@@ -270,128 +199,40 @@ func (tx *Tx) update(t *Table, keyVals []catalog.Value, col int, f func(catalog.
 //
 //oltpsim:hotpath
 func (tx *Tx) Modify(t *Table, keyVals []catalog.Value, f func(catalog.Row) catalog.Row) error {
-	tx.chargeOp(opUpdate, t)
-	sh := tx.shardFor(t, keyVals)
-	key := t.encodeKeyInto(&tx.ctx.scratch, keyVals)
-	if err := tx.lockRow(t, key, true); err != nil {
-		return err
-	}
-	val, ok := sh.idx.Lookup(key)
-	if !ok {
-		return ErrNotFound
-	}
-	if tx.staged != nil { // 2PC prepare: concurrent mode implies StorageRows
-		return tx.stageModify(t, simmem.Addr(val), f)
-	}
-	c := tx.e.cfg.Costs
-	m := tx.ctx.mem
-	rowSize := t.Schema.RowSize()
-	writeBack := func(addr simmem.Addr, row catalog.Row) {
-		tx.cpu.Exec(tx.e.rLog, c.LogBase+c.LogPerByte*rowSize)
-		tx.e.logs[tx.part].Append(tx.id, wal.RecUpdate, addr, rowSize)
-		t.Schema.WriteRow(m, addr, row)
-	}
-	switch tx.e.cfg.Storage {
-	case StorageHeap:
-		rid := storage.RID(val)
-		tx.cpu.Exec(tx.e.rBP, c.BPFix)
-		addr, err := sh.heap.Fix(rid)
-		if err != nil {
-			return err
-		}
-		tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-		writeBack(addr, f(t.Schema.ReadRowS(m, addr, &tx.ctx.scratch)))
-		sh.heap.Unfix(rid, true)
-		return nil
-	case StorageRows:
-		addr := simmem.Addr(val)
-		tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-		writeBack(addr, f(t.Schema.ReadRowS(m, addr, &tx.ctx.scratch)))
-		return nil
-	default: // StorageMVCC
-		anchor := simmem.Addr(val)
-		tx.cpu.Exec(tx.e.rMVCC, c.MVCCRead)
-		cur, ok := tx.mtx.Read(anchor)
-		if !ok {
-			return ErrNotFound
-		}
-		tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-		row := f(t.Schema.ReadRowS(m, cur, &tx.ctx.scratch))
-		newAddr := sh.rows.Insert(row)
-		tx.cpu.Exec(tx.e.rLog, c.LogBase+c.LogPerByte*rowSize)
-		tx.e.logs[tx.part].Append(tx.id, wal.RecUpdate, newAddr, rowSize)
-		tx.mtx.StageWrite(anchor, newAddr)
-		return nil
-	}
+	return tx.rmw(t, keyVals, -1, nil, f)
 }
 
 // Insert adds a new row.
 //
 //oltpsim:hotpath
 func (tx *Tx) Insert(t *Table, row catalog.Row) error {
-	tx.chargeOp(opInsert, t)
 	keyVals := tx.ctx.scratch.Row(len(t.KeyCols))
 	for i, ci := range t.KeyCols {
 		keyVals[i] = row[ci]
 	}
-	sh := tx.shardFor(t, keyVals)
-	key := t.encodeKeyInto(&tx.ctx.scratch, keyVals)
-	if err := tx.lockRow(t, key, true); err != nil {
+	sh, key, err := tx.point(opInsert, t, keyVals, true)
+	if err != nil {
 		return err
 	}
-	if tx.staged != nil { // 2PC prepare: buffer the insert
-		return tx.stageInsert(t, key, row)
-	}
-	c := tx.e.cfg.Costs
-	rowSize := t.Schema.RowSize()
-	tx.cpu.Exec(tx.e.rStorage, c.StorageAccess)
-	switch tx.e.cfg.Storage {
-	case StorageHeap:
-		rid, err := sh.heap.Insert(row)
-		if err != nil {
-			return err
-		}
-		sh.idx.Insert(key, uint64(rid))
-	case StorageRows:
-		addr := sh.rows.Insert(row)
-		sh.idx.Insert(key, uint64(addr))
-	default: // StorageMVCC
-		addr := sh.rows.Insert(row)
-		tx.cpu.Exec(tx.e.rMVCC, c.MVCCRead)
-		anchor := tx.e.mv.NewAnchor(addr)
-		sh.idx.Insert(key, uint64(anchor))
-	}
-	tx.cpu.Exec(tx.e.rLog, c.LogBase+c.LogPerByte*rowSize)
-	img := tx.ctx.scratch.Bytes(rowSize) // zeroed logical insert image
-	tx.e.logs[tx.part].AppendBytes(tx.id, wal.RecInsert, img)
-	return nil
+	return tx.insert(t, sh, key, row)
 }
 
 // Delete removes the row with the given key.
 //
 //oltpsim:hotpath
 func (tx *Tx) Delete(t *Table, keyVals []catalog.Value) error {
-	tx.chargeOp(opDelete, t)
-	sh := tx.shardFor(t, keyVals)
-	key := t.encodeKeyInto(&tx.ctx.scratch, keyVals)
-	if err := tx.lockRow(t, key, true); err != nil {
+	sh, key, err := tx.point(opDelete, t, keyVals, true)
+	if err != nil {
 		return err
 	}
-	if tx.staged != nil { // 2PC prepare: buffer the unlink
-		return tx.stageDelete(t, sh, key)
-	}
-	if !sh.idx.Delete(key) {
-		return ErrNotFound
-	}
-	c := tx.e.cfg.Costs
-	tx.cpu.Exec(tx.e.rLog, c.LogBase+c.LogPerByte*len(key))
-	tx.e.logs[tx.part].AppendBytes(tx.id, wal.RecDelete, key)
-	return nil
+	return tx.unlink(t, sh, key)
 }
 
 // Scan visits rows with key >= fromKey in key order, decoding each row, until
 // fn returns false or limit rows have been visited (limit 0 = unbounded).
-// The primary index must be ordered (every index here except hash).
+// The primary index must be ordered (every index here except hash). Each row
+// is resolved and released on its own; a version invisible to the
+// transaction is skipped, and a page that cannot be fixed ends the scan.
 func (tx *Tx) Scan(t *Table, fromKey []catalog.Value, limit int, fn func(key []byte, row catalog.Row) bool) error {
 	tx.chargeOp(opScan, t)
 	sh := tx.shardFor(t, fromKey)
@@ -410,38 +251,19 @@ func (tx *Tx) Scan(t *Table, fromKey []catalog.Value, limit int, fn func(key []b
 		}
 		tx.tableLocks[t.ID] = true
 	}
-	c := tx.e.cfg.Costs
-	m := tx.ctx.mem
 	visited := 0
 	oi.Scan(from, func(key []byte, val uint64) bool {
-		var addr simmem.Addr
-		switch tx.e.cfg.Storage {
-		case StorageHeap:
-			rid := storage.RID(val)
-			tx.cpu.Exec(tx.e.rBP, c.BPFix)
-			a, err := sh.heap.Fix(rid)
-			if err != nil {
-				return false
-			}
-			addr = a
-			defer sh.heap.Unfix(rid, false)
-		case StorageRows:
-			addr = simmem.Addr(val)
-		default:
-			tx.cpu.Exec(tx.e.rMVCC, c.MVCCRead)
-			a, ok := tx.mtx.Read(simmem.Addr(val))
-			if !ok {
-				return true // version invisible to this snapshot; skip
-			}
-			addr = a
+		var pin rowPin
+		addr, err := tx.resolve(sh, val, readTx, &pin)
+		if err != nil {
+			return errors.Is(err, ErrNotFound)
 		}
 		tx.scanRowCharge()
-		row := t.Schema.ReadRowS(m, addr, &tx.ctx.scratch)
+		row := t.Schema.ReadRowS(tx.ctx.mem, addr, &tx.ctx.scratch)
 		visited++
-		if !fn(key, row) {
-			return false
-		}
-		return limit == 0 || visited < limit
+		more := fn(key, row) && (limit == 0 || visited < limit)
+		tx.release(sh, &pin, false)
+		return more
 	})
 	return nil
 }

@@ -80,56 +80,19 @@ func (h *HeapFile) Insert(row catalog.Row) (RID, error) {
 	return NewRID(pageID, slot), nil
 }
 
-// Fix pins the record's page and returns the record's address. The caller
-// must Unfix when done.
-func (h *HeapFile) Fix(rid RID) (simmem.Addr, error) {
-	base, err := h.bp.Fix(rid.Page())
-	if err != nil {
-		return 0, err
-	}
-	addr, _ := PageRecord(h.m, base, rid.Slot())
-	return addr, nil
-}
-
-// Unfix releases the pin taken by Fix.
-func (h *HeapFile) Unfix(rid RID, dirtied bool) {
-	h.bp.Unfix(rid.Page(), dirtied)
-}
-
-// FixPage pins a whole page and returns its frame base address: the
-// streaming-scan entry point. A sequential scan holds its current page
-// across consecutive records (one latch per page, like a real executor)
-// instead of re-probing the buffer pool per record; record addresses within
-// the page come from PageRecord.
+// FixPage pins a whole page and returns its frame base address; record
+// addresses within the page come from PageRecord. A sequential scan holds its
+// current page across consecutive records (one latch per page, like a real
+// executor) instead of re-probing the buffer pool per record; a point access
+// pins the page of its one record.
 func (h *HeapFile) FixPage(pageID uint64) (simmem.Addr, error) {
 	return h.bp.Fix(pageID)
 }
 
-// UnfixPage releases the pin taken by FixPage.
-func (h *HeapFile) UnfixPage(pageID uint64) {
-	h.bp.Unfix(pageID, false)
-}
-
-// ReadField reads one column of the record at rid, handling fix/unfix.
-func (h *HeapFile) ReadField(rid RID, col int) (catalog.Value, error) {
-	addr, err := h.Fix(rid)
-	if err != nil {
-		return catalog.Value{}, err
-	}
-	v := h.schema.ReadField(h.m, addr, col)
-	h.Unfix(rid, false)
-	return v, nil
-}
-
-// WriteField updates one column of the record at rid, handling fix/unfix.
-func (h *HeapFile) WriteField(rid RID, col int, v catalog.Value) error {
-	addr, err := h.Fix(rid)
-	if err != nil {
-		return err
-	}
-	h.schema.WriteField(h.m, addr, col, v)
-	h.Unfix(rid, true)
-	return nil
+// UnfixPage releases the pin taken by FixPage, marking the page dirty when
+// the holder wrote to it.
+func (h *HeapFile) UnfixPage(pageID uint64, dirtied bool) {
+	h.bp.Unfix(pageID, dirtied)
 }
 
 // encodeRow serializes row into buf (no arena traffic).

@@ -68,18 +68,3 @@ func (rs *RowStore) alloc() simmem.Addr {
 	rs.segmentOff = off + need
 	return rs.segment + simmem.Addr(off)
 }
-
-// Read decodes the row at addr.
-func (rs *RowStore) Read(addr simmem.Addr) catalog.Row {
-	return rs.schema.ReadRow(rs.m, addr)
-}
-
-// ReadField decodes a single column of the row at addr.
-func (rs *RowStore) ReadField(addr simmem.Addr, col int) catalog.Value {
-	return rs.schema.ReadField(rs.m, addr, col)
-}
-
-// WriteField updates a single column of the row at addr.
-func (rs *RowStore) WriteField(addr simmem.Addr, col int, v catalog.Value) {
-	rs.schema.WriteField(rs.m, addr, col, v)
-}

@@ -217,6 +217,33 @@ func TestBufferPoolPinUnderflowPanics(t *testing.T) {
 	bp.Unfix(id, false)
 }
 
+// heapField reads one column of the record at rid under a pin of its page,
+// the way the engine's row seam reaches a heap record.
+func heapField(t *testing.T, h *HeapFile, rid RID, col int) catalog.Value {
+	t.Helper()
+	base, err := h.FixPage(rid.Page())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := PageRecord(h.m, base, rid.Slot())
+	v := h.schema.ReadField(h.m, addr, col)
+	h.UnfixPage(rid.Page(), false)
+	return v
+}
+
+// setHeapField writes one column of the record at rid and unfixes its page
+// dirty.
+func setHeapField(t *testing.T, h *HeapFile, rid RID, col int, v catalog.Value) {
+	t.Helper()
+	base, err := h.FixPage(rid.Page())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := PageRecord(h.m, base, rid.Slot())
+	h.schema.WriteField(h.m, addr, col, v)
+	h.UnfixPage(rid.Page(), true)
+}
+
 func TestHeapFileInsertRead(t *testing.T) {
 	m := simmem.New()
 	bp := NewBufferPool(m, 64)
@@ -233,11 +260,7 @@ func TestHeapFileInsertRead(t *testing.T) {
 		t.Errorf("count = %d", h.Count())
 	}
 	for i, rid := range rids {
-		v, err := h.ReadField(rid, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.I != int64(i*10) {
+		if v := heapField(t, h, rid, 1); v.I != int64(i*10) {
 			t.Errorf("row %d val = %d", i, v.I)
 		}
 	}
@@ -251,17 +274,11 @@ func TestHeapFileUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.WriteField(rid, 1, catalog.LongVal(77)); err != nil {
-		t.Fatal(err)
-	}
-	v, err := h.ReadField(rid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.I != 77 {
+	setHeapField(t, h, rid, 1, catalog.LongVal(77))
+	if v := heapField(t, h, rid, 1); v.I != 77 {
 		t.Errorf("val = %d", v.I)
 	}
-	if k, _ := h.ReadField(rid, 0); k.I != 5 {
+	if k := heapField(t, h, rid, 0); k.I != 5 {
 		t.Errorf("key clobbered: %d", k.I)
 	}
 }
@@ -279,9 +296,7 @@ func TestHeapFileNoPinLeaks(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for _, rid := range rids[:100] {
-		if _, err := h.ReadField(rid, 0); err != nil {
-			t.Fatal(err)
-		}
+		heapField(t, h, rid, 0)
 	}
 	for _, rid := range rids {
 		if got := bp.PinCount(rid.Page()); got != 0 {
@@ -301,12 +316,12 @@ func TestRowStoreInsertReadUpdate(t *testing.T) {
 		t.Errorf("count = %d", rs.Count())
 	}
 	for i, a := range addrs {
-		if got := rs.ReadField(a, 1).I; got != int64(-i) {
+		if got := rs.Schema().ReadField(m, a, 1).I; got != int64(-i) {
 			t.Errorf("row %d = %d", i, got)
 		}
 	}
-	rs.WriteField(addrs[42], 1, catalog.LongVal(999))
-	if got := rs.ReadField(addrs[42], 1).I; got != 999 {
+	rs.Schema().WriteField(m, addrs[42], 1, catalog.LongVal(999))
+	if got := rs.Schema().ReadField(m, addrs[42], 1).I; got != 999 {
 		t.Errorf("update lost: %d", got)
 	}
 }
@@ -355,18 +370,12 @@ func TestQuickHeapFileMatchesReference(t *testing.T) {
 		} else {
 			rid := rids[rng.Intn(len(rids))]
 			v := rng.Int63n(1 << 40)
-			if err := h.WriteField(rid, 1, catalog.LongVal(v)); err != nil {
-				t.Fatal(err)
-			}
+			setHeapField(t, h, rid, 1, catalog.LongVal(v))
 			ref[rid] = v
 		}
 	}
 	for rid, want := range ref {
-		got, err := h.ReadField(rid, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.I != want {
+		if got := heapField(t, h, rid, 1); got.I != want {
 			t.Fatalf("rid %v = %d, want %d", rid, got.I, want)
 		}
 	}
