@@ -121,10 +121,12 @@ $(SMOKES): %-smoke:
 	@set -e; for args in $($*_tests); do echo $(GO) test -race $$args; $(GO) test -race $$args; done
 	./scripts/smoke.sh $*
 
-# fuzz runs the L1I-index, L2-index and B+-tree fuzz smokes (same budgets as CI).
+# fuzz runs the L1I-index, L2-index, instruction-fetch walk and B+-tree fuzz
+# smokes (same budgets as CI).
 fuzz:
 	$(GO) test -run '^FuzzICache$$' -fuzz FuzzICache -fuzztime 20s ./internal/core
 	$(GO) test -run '^FuzzL2$$' -fuzz FuzzL2 -fuzztime 20s ./internal/core
+	$(GO) test -run '^FuzzFetchCode$$' -fuzz FuzzFetchCode -fuzztime 20s ./internal/core
 	$(GO) test -run '^FuzzTree$$' -fuzz FuzzTree -fuzztime 20s -fuzzminimizetime 1s ./internal/index
 
 # cover runs the -short suite with a coverage profile and fails if total

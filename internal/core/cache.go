@@ -81,10 +81,13 @@ func (c *Cache) setIndex(lineID uint64) int {
 // bodies serve every L1D and LLC lookup (the L1I and L2 are wayCaches) and
 // the call indirection costs ~2ns/op (a third of the whole scan). Any
 // replacement-policy change must be applied to Access, AccessEvict, FillQuiet
-// and FillQuietEvict together — and to wayCache, which
-// TestICacheMatchesCache and TestL2MatchesCache hold to these functions; the
-// coherence invariant suite and the golden figure gates fail on any
-// divergence between the coherent (Evict) and non-coherent paths.
+// and FillQuietEvict together — and to wayCache's lane arithmetic (promote,
+// rotateVictim, demote), which TestICacheMatchesCache, TestL2MatchesCache and
+// FuzzFetchCode hold to these functions; FetchCode also relies on FillQuiet
+// changing nothing for a line that already is the MRU of its set, and skips
+// the call for one. The coherence invariant suite and the golden figure
+// gates fail on any divergence between the coherent (Evict) and
+// non-coherent paths.
 //
 //oltpsim:hotpath
 func (c *Cache) Access(lineID uint64, class AccessClass) bool {
@@ -149,6 +152,13 @@ func (c *Cache) Probe(lineID uint64) bool {
 		}
 	}
 	return false
+}
+
+// atMRU reports whether lineID is the most recently used line of its set,
+// where FillQuiet would change nothing; FetchCode tests it, inlined, before
+// each prefetch fill.
+func (c *Cache) atMRU(lineID uint64) bool {
+	return c.tags[c.setIndex(lineID)*c.ways] == lineID+1
 }
 
 // FillQuiet inserts lineID without counting an access or miss. Used by the

@@ -321,73 +321,140 @@ func (h *Hierarchy) TotalCounts() MissCounts {
 // socket's LLC can serve costs the cross-socket forward, everything else
 // fills from memory at the local-DRAM cost (code pages are homed locally).
 // Only the LLC needs the guard (code is never invalidated, so the private
-// caches are the core's alone); its lookup and the prefetch fills share one
-// guarded section. L1I misses are the paper's headline stall and this walk is
-// where the simulator spends most of its host time, so the L1I and the L2
-// are wayCaches (a code line is found without a set search), the miss walk
-// stays inline rather than in a helper like the data side's, and the
-// per-line counters are summed once per call. The run must lie in the code
-// segment; FetchCode panics naming the address otherwise.
+// caches are the core's alone). L1I misses are the paper's headline stall
+// and this walk is where the simulator spends most of its host time, so it
+// runs over locals, in two parts: FetchCode takes the L1I hits up to the
+// run's first miss in a loop that makes no call, so its few hoisted values
+// stay in registers (all of HyPer's code, and most short fetches, end
+// there); fetchMisses takes the rest. The run and its prefetch tail must lie
+// in the code segment below simmem.CodeLimit; FetchCode panics naming the
+// address otherwise.
 //
 //oltpsim:hotpath
 func (h *Hierarchy) FetchCode(core int, addr simmem.Addr, nLines int) int {
 	if nLines <= 0 {
 		return 0
 	}
+	pf := uint64(max(h.cfg.IPrefetchLines, 0))
 	first := uint64(addr) >> LineShift
-	if i := first - codeLineBase; i >= codeLineLimit || uint64(nLines) > codeLineLimit-i {
+	i := first - codeLineBase
+	if i >= codeLineLimit || uint64(nLines)+pf > codeLineLimit-i {
 		panic(fmt.Sprintf("core: instruction fetch at %#x is outside the code segment [%#x, %#x)",
-			uint64(addr), uint64(simmem.CodeBase), uint64(simmem.DataBase)))
+			uint64(addr), uint64(simmem.CodeBase), uint64(simmem.CodeLimit)))
 	}
+	ct := &h.counts[core]
+	ct.L1IAcc += uint64(nLines)
+	l1 := h.cores[core].l1i
+	l1.cover(i + uint64(nLines) + pf)
+	end := first + uint64(nLines)
+	where, order := l1.where, l1.order
+	mask, sets, pow2 := l1.setMask, l1.sets, l1.pow2
+	for id := first; id < end; id++ {
+		set := setIndex(id, mask, sets, pow2)
+		w := uint64(where[id-codeLineBase])
+		if w == 0 {
+			return h.fetchMisses(core, id, end)
+		}
+		touch(order, set, order[set], w-1)
+	}
+	return 0
+}
+
+// fetchMisses is FetchCode from line id, the run's first L1I miss, to end.
+// Both levels' where, order and slot slices and geometry are hoisted once
+// per call (the L1I's where already covers the run and its prefetch tail;
+// the L2's is grown to), every L1I and L2 lookup and prefetch fill takes
+// the inlined steps (touch or victim) rather than a call, each miss takes
+// one guarded section for the LLC's lookup and prefetch fills, and the
+// counters, the L2's among them, are summed once per call.
+func (h *Hierarchy) fetchMisses(core int, id, end uint64) int {
+	pf := uint64(max(h.cfg.IPrefetchLines, 0))
 	cc := &h.cores[core]
-	l1i, l2 := cc.l1i, cc.l2
 	ct := &h.counts[core]
 	s := h.sockOf[core]
 	llc := h.llcs[s]
-	pf := uint64(max(h.cfg.IPrefetchLines, 0))
+	l1, l2 := cc.l1i, cc.l2
+	l2.cover(end - codeLineBase + pf)
+	w1, o1, s1 := l1.where, l1.order, l1.slot
+	m1, n1, p1, ways1, top1, lanes1 := l1.setMask, l1.sets, l1.pow2, l1.ways, l1.top, l1.lanes
+	w2, o2, s2 := l2.where, l2.order, l2.slot
+	m2, n2, p2, ways2, top2, lanes2 := l2.setMask, l2.sets, l2.pow2, l2.ways, l2.top, l2.lanes
 	// A miss leaves each line it prefetched the MRU of its L1I set, so the
 	// walk's next accesses to them are hits that change nothing and can be
 	// stepped over — provided the prefetched lines fall in distinct sets
 	// (TestFetchCodeMatchesReferenceWalk covers both sides of that).
 	skip := pf
-	if skip > l1i.sets {
+	if skip > n1 {
 		skip = 0
 	}
-	stall, misses := 0, 0
-	for id, end := first, first+uint64(nLines); id < end; id++ {
-		if hit, _ := l1i.fill(id); hit {
+	stall, misses, l2misses := 0, uint64(0), uint64(0)
+	for ; id < end; id++ {
+		idx := id - codeLineBase
+		set := setIndex(id, m1, n1, p1)
+		ord := o1[set]
+		if w := uint64(w1[idx]); w != 0 {
+			touch(o1, set, ord, w-1)
 			continue
 		}
+		w1[idx] = uint8(victim(w1, o1, s1, set, ord, ways1, top1, lanes1, id+1)) + 1
 		misses++
-		l2hit, _ := l2.fill(id)
-		l2.count(ClassInstr, l2hit)
+		set = setIndex(id, m2, n2, p2)
+		ord = o2[set]
+		w := uint64(w2[idx])
+		l2hit := w != 0
+		if l2hit {
+			touch(o2, set, ord, w-1)
+		} else {
+			w2[idx] = uint8(victim(w2, o2, s2, set, ord, ways2, top2, lanes2, id+1)) + 1
+			l2misses++
+		}
+		// The rest of the miss is one guarded section: the LLC's lookup,
+		// then the sequential next-line prefetch, which fills the following
+		// lines quietly at every level so straight-line code does not miss
+		// on every line. A line's LLC fill is skipped when the line already
+		// is the MRU of its set, where FillQuiet would change nothing; that
+		// tag is read before the line's L1I and L2 steps, which do not touch
+		// the LLC, so they overlap the load.
 		llcHit := true
 		h.guard(s)
 		if !l2hit {
 			llcHit = llc.Access(id, ClassInstr)
 		}
-		// Sequential next-line prefetch: fill the following lines quietly so
-		// straight-line code does not miss on every line.
-		for pid := id + 1; pid <= id+pf; pid++ {
-			l1i.fill(pid)
-			l2.fill(pid)
-			llc.FillQuiet(pid)
+		for pidx := idx + 1; pidx <= idx+pf; pidx++ {
+			pid := pidx + codeLineBase
+			mru := llc.atMRU(pid)
+			set := setIndex(pid, m1, n1, p1)
+			ord := o1[set]
+			if w := uint64(w1[pidx]); w != 0 {
+				touch(o1, set, ord, w-1)
+			} else {
+				w1[pidx] = uint8(victim(w1, o1, s1, set, ord, ways1, top1, lanes1, pid+1)) + 1
+			}
+			set = setIndex(pid, m2, n2, p2)
+			ord = o2[set]
+			if w := uint64(w2[pidx]); w != 0 {
+				touch(o2, set, ord, w-1)
+			} else {
+				w2[pidx] = uint8(victim(w2, o2, s2, set, ord, ways2, top2, lanes2, pid+1)) + 1
+			}
+			if !mru {
+				llc.FillQuiet(pid)
+			}
 		}
 		h.unguard(s)
-		if !l2hit {
-			ct.L2IMiss++
-			stall += h.cfg.L2.MissPenalty
-			if !llcHit {
-				ct.LLCIMiss++
-				stall += h.serveMiss(s, id, ClassInstr, ct)
-			}
+		if !llcHit {
+			ct.LLCIMiss++
+			stall += h.serveMiss(s, id, ClassInstr, ct)
 		}
 		id += skip
 	}
-	ct.L1IAcc += uint64(nLines)
-	ct.L1IMiss += uint64(misses)
-	ct.IPrefetches += uint64(misses) * pf
-	return stall + misses*h.cfg.L1I.MissPenalty
+	st := &l2.stats[ClassInstr]
+	st.Accesses += misses
+	st.Misses += l2misses
+	ct.L1IMiss += misses
+	ct.L2IMiss += l2misses
+	ct.IPrefetches += misses * pf
+	return stall + int(misses)*h.cfg.L1I.MissPenalty + int(l2misses)*h.cfg.L2.MissPenalty
 }
 
 // serveMiss resolves where an LLC miss of socket s is served from — a remote

@@ -164,9 +164,10 @@ func TestMaxCoresBoundary(t *testing.T) {
 	NewHierarchy(cfg)
 }
 
-// TestL1IIndexBoundaries pins the two edges the L1I's and L2's index creates:
-// its order word caps either level at 16 ways, and a fetch outside the code
-// segment is refused by address rather than indexed.
+// TestL1IIndexBoundaries pins the edges the L1I's and L2's index creates:
+// its order word caps either level at 16 ways, and the code lines it
+// indexes end at simmem.CodeLimit, so a fetch, or its prefetch tail, past
+// that bound is refused by address rather than indexed.
 func TestL1IIndexBoundaries(t *testing.T) {
 	panicOf := func(f func()) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -192,19 +193,56 @@ func TestL1IIndexBoundaries(t *testing.T) {
 		}
 	}
 
-	// The last case starts inside the segment and runs one line past it.
-	for _, run := range []struct {
+	type run struct {
 		addr simmem.Addr
 		n    int
-	}{{simmem.CodeBase - LineBytes, 1}, {simmem.DataBase, 1}, {simmem.DataBase + 4096, 1}, {0, 1}, {simmem.DataBase - LineBytes, 2}} {
-		want := fmt.Sprintf("%#x", uint64(run.addr))
-		msg := panicOf(func() { h.FetchCode(0, run.addr, run.n) })
-		if !strings.Contains(msg, want) || !strings.Contains(msg, "code segment") {
-			t.Errorf("FetchCode(%#x, %d): panic %q, want one naming the address and the code segment", uint64(run.addr), run.n, msg)
+	}
+	refused := func(h *Hierarchy, runs ...run) {
+		t.Helper()
+		for _, r := range runs {
+			want := fmt.Sprintf("%#x", uint64(r.addr))
+			msg := panicOf(func() { h.FetchCode(0, r.addr, r.n) })
+			if !strings.Contains(msg, want) || !strings.Contains(msg, "code segment") {
+				t.Errorf("FetchCode(%#x, %d): panic %q, want one naming the address and the code segment", uint64(r.addr), r.n, msg)
+			}
 		}
 	}
+	// The last case starts inside the segment and runs one line past it.
+	refused(h, run{simmem.CodeBase - LineBytes, 1}, run{simmem.DataBase, 1}, run{simmem.DataBase + 4096, 1},
+		run{0, 1}, run{simmem.CodeLimit, 1}, run{simmem.CodeLimit - LineBytes, 2})
 	if ct := h.Counts(0); ct.L1IAcc != 4*16+1 {
 		t.Errorf("refused fetches moved the counters: %+v", ct)
+	}
+
+	// The top of the old, unbounded segment: once indexed, the where arrays
+	// would have been sized to about 2^40 bytes, an out-of-memory kill.
+	refused(NewHierarchy(smallHierCfg(2)), run{simmem.DataBase - LineBytes, 1})
+
+	// With prefetch, the last lines below the bound are refused when their
+	// prefetch tail crosses it: the tail would fill lines past the code
+	// segment into the L1I and the L2. The line before it is served, and no
+	// line at or past the bound is resident afterwards.
+	pcfg := smallHierCfg(2)
+	pcfg.IPrefetchLines = 2
+	ph := NewHierarchy(pcfg)
+	refused(ph, run{simmem.CodeLimit - LineBytes, 1}, run{simmem.CodeLimit - 2*LineBytes, 1}, run{simmem.CodeLimit - 3*LineBytes, 2})
+	want := pcfg.L1I.MissPenalty + pcfg.L2.MissPenalty + pcfg.LLC.MissPenalty
+	if got := ph.FetchCode(0, simmem.CodeLimit-3*LineBytes, 1); got != want {
+		t.Errorf("fetch of the last line whose tail fits: stall %d, want %d", got, want)
+	}
+	limit := uint64(simmem.CodeLimit) >> LineShift
+	for level, c := range map[string]*wayCache{"L1I": ph.cores[0].l1i, "L2": ph.cores[0].l2} {
+		c.Lines(func(id uint64) {
+			if id >= limit {
+				t.Errorf("%s holds line %#x, at or past the code segment's end", level, id)
+			}
+		})
+		if got := uint64(len(c.where)); got != codeLineLimit {
+			t.Errorf("%s where covers %d code lines, want the bound, %d", level, got, codeLineLimit)
+		}
+	}
+	if ct := ph.Counts(0); ct.L1IAcc != 1 || ct.IPrefetches != 2 {
+		t.Errorf("counters after one served fetch: %+v", ct)
 	}
 }
 

@@ -13,9 +13,12 @@ import (
 // order is one word of 4-bit lanes, hence at most 16 ways. Each core's L1I
 // and unified L2 are wayCaches, because instruction fetch is where the paper
 // finds OLTP's stalls and where the simulator spends most of its host time:
-// a code line, from the small dense code segment, is found in one load
-// through where. A data line (the L2 holds both) is found by scanning its
-// set's slots in place. The L1D and the 20-way LLC stay on Cache.
+// a code line, from the small dense code segment below simmem.CodeLimit, is
+// found in one load through where; FetchCode inlines each lookup's steps
+// (touch, victim) over state it hoists once per call, and the only other
+// code-line caller is fill, the tests' way in. A data line (the L2 holds
+// both) is found by scanning its set's slots in place, through fill. The
+// L1D and the 20-way LLC stay on Cache.
 type wayCache struct {
 	sets, ways uint64
 	setMask    uint64 // sets-1 when pow2, as in Cache
@@ -23,8 +26,9 @@ type wayCache struct {
 	top        uint   // bit offset of the LRU lane, 4*(ways-1)
 	lanes      uint64 // mask of the lanes in use, 0..ways-1
 	// where[line-codeLineBase] is the way+1 holding that code line, 0 when it
-	// is not resident. Grown as code is first filled (grow). A code line that
-	// leaves — displaced by any fill, or invalidated — clears its byte.
+	// is not resident. Grown to cover each fetch run and its prefetch tail
+	// (cover), never past codeLineLimit. A code line that leaves — displaced
+	// by any fill, or invalidated — clears its byte.
 	where []uint8
 	// slot[set*ways+way] is the resident line's ID+1, 0 when the way is empty.
 	slot []uint64
@@ -39,7 +43,7 @@ type wayCache struct {
 
 const (
 	codeLineBase  = uint64(simmem.CodeBase) >> LineShift
-	codeLineLimit = uint64(simmem.DataBase)>>LineShift - codeLineBase
+	codeLineLimit = uint64(simmem.CodeLimit)>>LineShift - codeLineBase
 	laneOnes      = 0x1111111111111111
 )
 
@@ -75,8 +79,8 @@ func laneOf(ord, w uint64) uint {
 // promote returns ord with way w moved to lane 0 (MRU); the lanes below its
 // old lane slide up one rank.
 func promote(ord, w uint64) uint64 {
-	below := uint64(1)<<laneOf(ord, w) - 1
-	return ord&^(below<<4|0xf) | ord&below<<4 | w
+	upTo := uint64(16)<<laneOf(ord, w) - 1 // lanes 0..w's
+	return ord&^upTo | ord<<4&upTo | w
 }
 
 // rotateVictim returns ord with its LRU lane (bit offset top) rotated round
@@ -94,65 +98,88 @@ func demote(ord, w uint64, top uint) uint64 {
 }
 
 func (c *wayCache) setOf(line uint64) uint64 {
-	if c.pow2 {
-		return line & c.setMask
+	return setIndex(line, c.setMask, c.sets, c.pow2)
+}
+
+// setIndex is line's set among sets: a mask (sets-1) when pow2, as in Cache,
+// and a modulo otherwise. FetchCode hoists the four arguments out of its walk.
+func setIndex(line, mask, sets uint64, pow2 bool) uint64 {
+	if pow2 {
+		return line & mask
 	}
-	return line % c.sets
+	return line % sets
 }
 
 // fill looks up line and makes it the MRU of its set, filling it over the
 // LRU way on a miss; it reports whether it hit and the tag (line ID+1) the
 // fill displaced, 0 for a hit or an empty way. It counts nothing (count
-// does): FetchCode calls it for every L1I lookup and keeps those counters
-// itself, and an increment here costs the all-hit walk
-// (BenchmarkFetchCode/HyPer) about a tenth of its time.
+// does). The data path calls it for data lines; for a code line it takes
+// the steps FetchCode's walk takes.
 func (c *wayCache) fill(line uint64) (hit bool, evicted uint64) {
 	idx := line - codeLineBase
-	if idx >= uint64(len(c.where)) {
-		if idx >= codeLineLimit {
-			// A data line (the L2's): scan the set's slots in place.
-			set, w, ok := c.find(line)
-			ord := c.order[set]
-			if ok {
-				if w != ord&0xf {
-					c.order[set] = promote(ord, w)
-				}
-				return true, 0
-			}
-			_, evicted = c.replace(set, ord, line+1)
-			return false, evicted
+	if idx >= codeLineLimit {
+		// A data line (the L2's): scan the set's slots in place.
+		set, w, ok := c.find(line)
+		ord := c.order[set]
+		if ok {
+			touch(c.order, set, ord, w)
+			return true, 0
 		}
-		c.grow(idx)
+		evicted = c.slot[set*c.ways+ord>>c.top]
+		victim(c.where, c.order, c.slot, set, ord, c.ways, c.top, c.lanes, line+1)
+		return false, evicted
 	}
+	c.cover(idx + 1)
 	set := c.setOf(line)
 	ord := c.order[set]
 	if w := uint64(c.where[idx]); w != 0 {
-		if w--; ord&0xf != w {
-			c.order[set] = promote(ord, w)
-		}
+		touch(c.order, set, ord, w-1)
 		return true, 0
 	}
-	v, evicted := c.replace(set, ord, line+1)
-	c.where[idx] = uint8(v + 1)
+	evicted = c.slot[set*c.ways+ord>>c.top]
+	c.where[idx] = uint8(victim(c.where, c.order, c.slot, set, ord, c.ways, c.top, c.lanes, line+1)) + 1
 	return false, evicted
 }
 
-// replace puts tag in the LRU way of set (whose order word is ord) and makes
-// it the MRU, returning the way and the tag it displaced; a displaced code
-// line leaves where.
-func (c *wayCache) replace(set, ord, tag uint64) (way, evicted uint64) {
-	c.order[set], way = rotateVictim(ord, c.top, c.lanes)
-	s := &c.slot[set*c.ways+way]
-	evicted, *s = *s, tag
-	if i := evicted - 1 - codeLineBase; i < uint64(len(c.where)) {
-		c.where[i] = 0
+// cover grows where to cover the first n code lines.
+func (c *wayCache) cover(n uint64) {
+	if n > uint64(len(c.where)) {
+		c.grow(n - 1)
 	}
-	return way, evicted
+}
+
+// A lookup is one of two steps, each small enough for the compiler to
+// inline (a lookup as one function is not): a resident line's way becomes
+// the MRU (touch), a missing line takes the LRU way (victim), and a code
+// line's where byte then names that way. A code line is found through where,
+// a data line by find. Their arguments are plain values and slices, so
+// FetchCode's walk hoists them once per call.
+
+// touch makes way w the MRU of set, whose order word order[set] is ord:
+// promote, unless w is the MRU already.
+func touch(order []uint64, set, ord, w uint64) {
+	if ord&0xf != w {
+		order[set] = promote(ord, w)
+	}
+}
+
+// victim puts tag (a line ID+1) in the LRU way of set, whose order word is
+// ord, makes that way the MRU and returns it, in the wayCache whose where,
+// order and slot these are (ways, top and lanes its geometry); the code line
+// it displaces, if any, leaves where.
+func victim(where []uint8, order, slot []uint64, set, ord, ways uint64, top uint, lanes, tag uint64) (way uint64) {
+	order[set], way = rotateVictim(ord, top, lanes)
+	s := &slot[set*ways+way]
+	if i := *s - (codeLineBase + 1); i < uint64(len(where)) {
+		where[i] = 0
+	}
+	*s = tag
+	return way
 }
 
 // grow extends where to cover code line index idx, once per new highest
 // code line. Kept out of line: inlined, its append would spill registers on
-// fill's every call.
+// every call of its callers.
 //
 //go:noinline
 func (c *wayCache) grow(idx uint64) {
@@ -160,7 +187,7 @@ func (c *wayCache) grow(idx uint64) {
 }
 
 // find returns line's set and, when it is resident, its way, scanning the
-// set: code lookups that are hot enough to want where go through fill.
+// set: code lookups go through where instead.
 func (c *wayCache) find(line uint64) (set, way uint64, ok bool) {
 	set = c.setOf(line)
 	base := set * c.ways

@@ -450,7 +450,8 @@ func (r *refWalk) data(core int, addr simmem.Addr, write bool) int {
 }
 
 // checkMatchesRefWalk compares everything a step can change: the stall, every
-// core's counters, and the named core's cache contents at every level.
+// core's counters, the named core's cache contents at every level, and its
+// L2's and socket's LLC's per-class counters.
 func checkMatchesRefWalk(t *testing.T, h *Hierarchy, ref *refWalk, step, core int, what string, got, want int) {
 	t.Helper()
 	if got != want {
@@ -472,6 +473,14 @@ func checkMatchesRefWalk(t *testing.T, h *Hierarchy, ref *refWalk, step, core in
 	sameLines("L2", residentLines(cc.l2.Lines), residentLines(ref.l2[core].Lines))
 	s := h.SocketOf(core)
 	sameLines("LLC", residentLines(h.llcs[s].Lines), residentLines(ref.llc[s].Lines))
+	for class := ClassInstr; class < numClasses; class++ {
+		if got, want := cc.l2.Stats(class), ref.l2[core].Stats(class); got != want {
+			t.Fatalf("step %d core %d %s: L2 class %d stats %+v, reference %+v", step, core, what, class, got, want)
+		}
+		if got, want := h.llcs[s].Stats(class), ref.llc[s].Stats(class); got != want {
+			t.Fatalf("step %d core %d %s: LLC class %d stats %+v, reference %+v", step, core, what, class, got, want)
+		}
+	}
 }
 
 // walkStart picks a fetch run: regions of assorted sizes; a run starts
@@ -560,4 +569,54 @@ func TestFetchCodeUnderDataMatchesReferenceWalk(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzFetchCode is the fuzzed twin of the two reference-walk tests: the
+// fuzzer picks the L1I, L2 and LLC geometry (set counts 1..24, powers of two
+// or not; 1..16 ways for the L1I and the L2, 1..20 for the LLC), the
+// prefetch depth (0..4) and one or two sockets, then drives three bytes per
+// step: fetch runs on any core and, on one-socket machines, data reads and
+// writes. Stall, counters, contents and the L2's and LLC's class counters
+// must match the reference after every call, and both wayCaches' indexes
+// must stay consistent. Budgeted at 20s in CI (numa-fuzz-smoke) and
+// `make fuzz`:
+//
+//	go test -run '^FuzzFetchCode$' -fuzz FuzzFetchCode -fuzztime 20s ./internal/core
+func FuzzFetchCode(f *testing.F) {
+	f.Add(uint8(63), uint8(7), uint8(7), uint8(3), uint8(15), uint8(7), uint8(2), []byte{0, 0, 40, 1, 3, 9, 0x10, 5, 0, 0, 0, 40, 0x81, 200, 0x7f})
+	f.Add(uint8(0), uint8(1), uint8(2), uint8(7), uint8(2), uint8(19), uint8(4), []byte("the quick brown fox jumps over the lazy dog"))
+	f.Add(uint8(2), uint8(15), uint8(15), uint8(15), uint8(31), uint8(0), uint8(8), []byte{1, 2, 3, 0x12, 9, 1, 3, 0, 0xff, 2, 100, 0x30})
+	f.Fuzz(func(t *testing.T, l1iSets, l1iWays, l2Sets, l2Ways, llcSets, llcWays, opts uint8, data []byte) {
+		sockets := 1 + int(opts/5)%2
+		cfg := smallHierCfg(2)
+		if sockets == 2 {
+			cfg = numaTestCfg(4, 2)
+		}
+		cfg.L1I = geomOf(int(l1iSets)%24+1, int(l1iWays)%16+1)
+		cfg.L2 = geomOf(int(l2Sets)%24+1, int(l2Ways)%16+1)
+		cfg.LLC = geomOf(int(llcSets)%32+1, int(llcWays)%20+1)
+		cfg.IPrefetchLines = int(opts % 5)
+		h := NewHierarchy(cfg)
+		ref := newRefWalk(h.Config())
+		for i := 0; i+2 < len(data); i += 3 {
+			b0, b1, b2 := data[i], data[i+1], data[i+2]
+			step, core := i/3, int(b0)%cfg.Cores
+			var what string
+			var got, want int
+			if sockets == 1 && b0>>4&3 == 0 {
+				addr := simmem.DataBase + simmem.Addr(int(b1)*LineBytes+int(b2>>1)%(LineBytes-8))
+				write := b2&1 == 1
+				what = fmt.Sprintf("data %#x write=%v", uint64(addr), write)
+				got, want = h.DataAccess(core, addr, 8, write), ref.data(core, addr, write)
+			} else {
+				start, n := int(b1)*2+int(b2>>7), 1+int(b2&0x7f)%48
+				addr := simmem.CodeBase + simmem.Addr(start*LineBytes+int(b0)%LineBytes)
+				what = fmt.Sprintf("fetch +%d x%d", start, n)
+				got, want = h.FetchCode(core, addr, n), ref.fetch(core, addr, n)
+			}
+			checkMatchesRefWalk(t, h, ref, step, core, what, got, want)
+			checkWayCacheIndex(t, h.cores[core].l1i)
+			checkWayCacheIndex(t, h.cores[core].l2)
+		}
+	})
 }

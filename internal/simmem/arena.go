@@ -39,6 +39,10 @@ const (
 	// CodeBase is the start of the simulated code segment. Code has no
 	// backing bytes; only its addresses matter (instruction fetch).
 	CodeBase Addr = 0x0000_0000_1000_0000
+	// CodeLimit bounds the code segment: AllocCode hands out code below it,
+	// and the simulated caches index code lines by their offset from
+	// CodeBase up to it (256 MiB of code, 4 Mi lines).
+	CodeLimit Addr = CodeBase + 256<<20
 	// DataBase is the start of the simulated data segment.
 	DataBase Addr = 0x0000_4000_0000_0000
 )
@@ -199,6 +203,10 @@ func (m *Arena) AllocCode(size int) Addr {
 	sh := m.sh
 	sh.mu.Lock()
 	base := (sh.codeTop + codeAlign - 1) &^ (codeAlign - 1)
+	if Addr(size) > CodeLimit-base {
+		sh.mu.Unlock()
+		panic(fmt.Sprintf("simmem: AllocCode of %d bytes at %#x passes the code segment's end %#x", size, uint64(base), uint64(CodeLimit)))
+	}
 	sh.codeTop = base + Addr(size)
 	sh.mu.Unlock()
 	return base

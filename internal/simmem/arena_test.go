@@ -2,7 +2,9 @@ package simmem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +65,24 @@ func TestAllocCodeSegmentSeparation(t *testing.T) {
 	if uint64(c)%4096 != 0 {
 		t.Errorf("code address %#x not 4KiB-aligned", c)
 	}
+}
+
+// TestAllocCodeBound pins the code segment's end: code is handed out up to
+// CodeLimit exactly, and not a byte past it, because the simulated caches
+// index code lines only below it.
+func TestAllocCodeBound(t *testing.T) {
+	m := New()
+	first := m.AllocCode(4096)
+	rest := int(CodeLimit - first - 4096)
+	if last := m.AllocCode(rest); last+Addr(rest) != CodeLimit {
+		t.Fatalf("AllocCode(%d) = %#x, want it to end at CodeLimit %#x", rest, uint64(last), uint64(CodeLimit))
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "code segment") {
+			t.Errorf("AllocCode past CodeLimit: panic %q, want one naming the code segment", msg)
+		}
+	}()
+	m.AllocCode(1)
 }
 
 func TestAllocPanicsOnBadArgs(t *testing.T) {
