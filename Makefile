@@ -91,7 +91,9 @@ drive:
 # has its own port range, so `make -j5` of all five is safe.
 #   serve       the serving path: wire, server, driver, metrics, sessions
 #   concurrent  engine concurrent mode: MT hierarchy/engine/replay hammers,
-#               then 4 shards of ONE engine served concurrently
+#               scrapes racing 4 loaded shards (one instant per scrape), the
+#               exposition fence; then 4 shards of ONE engine served
+#               concurrently
 #   cluster     cluster differential replay, 2PC fault injection, the cluster
 #               driver; then two nodes, a 20% 2PC burst and a flash crowd
 #   scenario    profile/pacer determinism, scenarios, admission control; then
@@ -107,7 +109,8 @@ serve_tests = \
 concurrent_tests = \
 	"-run TestConcurrent|TestEnterConcurrent ./internal/core ./internal/engine" \
 	"-run TestRefExecConcurrent ./internal/workload" \
-	"-run TestConcurrentServing4Shards|TestSerializedArchetypeServes|TestMetricsEndpoint ./internal/server"
+	"-run TestConcurrentServing4Shards|TestSerializedArchetypeServes|TestMetricsEndpoint ./internal/server" \
+	"-count=10 -run TestScrapeIsOneInstant|TestExpositionFence ./internal/server"
 cluster_tests = \
 	"-run TestClusterDifferential|TestTwoPC|TestGtids ./internal/cluster" \
 	"-run TestDriveCluster|TestScenarioFlashCrowdOnCluster ./internal/driver"

@@ -52,7 +52,7 @@ func main() {
 		node        = fs.Int("node", 0, "this process's node ID in -cluster")
 		admitQueue  = fs.Int("admit-queue", 0, "admission control: shed (overload error) when a shard queue holds this many requests (0 = off)")
 		admitLat    = fs.Duration("admit-latency", 0, "admission control: shed while a shard's service-latency EWMA exceeds this bound (0 = off)")
-		collectors  = fs.String("collectors", "", "comma-separated collector groups a bare /metrics scrape serves (engine,storage,txn,serving,twopc; '' = all); any scrape can override with ?collect=")
+		collectors  = fs.String("collectors", "", "comma-separated collector groups a bare /metrics scrape serves ("+strings.Join(server.CollectorGroups(), ",")+"; '' = all); any scrape can override with ?collect=")
 	)
 	spec := workload.SpecFlags(fs)
 	fs.Parse(os.Args[1:])

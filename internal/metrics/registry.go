@@ -34,8 +34,13 @@ func L(k, v string) Label { return Label{Key: k, Value: v} }
 // collect — so an expensive group (the PMU families, whose prepare hook
 // quiesces the engine) can be kept out of a high-frequency poll. Ungrouped
 // families render on every scrape.
+//
+// Renders are serialized: one render holds the render lock across its hooks
+// and its collects, so every family of a scrape reads what that scrape's
+// hooks observed, and a hook's observation needs no lock of its own.
 type Registry struct {
-	mu       sync.Mutex
+	renderMu sync.Mutex // held for a whole render
+	mu       sync.Mutex // guards the fields below
 	families []*family
 	prepare  []*prepareHook
 	defaults []string // groups Render serves when the scrape names none; nil = all
@@ -47,9 +52,8 @@ type family struct {
 	collect         func(emit func(Sample))
 }
 
-// prepareHook is an OnScrape hook, optionally scoped to collector groups:
-// it runs only when at least one of its groups is selected (no groups =
-// every scrape).
+// prepareHook is an OnScrapeGroups hook: it runs only when at least one of
+// its groups is selected (no groups = every scrape).
 type prepareHook struct {
 	f      func()
 	groups []string
@@ -58,15 +62,11 @@ type prepareHook struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Register adds an ungrouped metric family (rendered on every scrape). typ
-// is the Prometheus type ("counter", "gauge", "summary"); collect is called
-// on every scrape and emits the family's current samples. Families render
-// in registration order.
-func (r *Registry) Register(name, typ, help string, collect func(emit func(Sample))) {
-	r.register("", name, typ, help, collect)
-}
-
-func (r *Registry) register(group, name, typ, help string, collect func(emit func(Sample))) {
+// Register adds a metric family to a collector group ("" = ungrouped,
+// rendered on every scrape). typ is the Prometheus type ("counter", "gauge",
+// "summary"); collect is called on every scrape that selects the group and
+// emits the family's current samples. Families render in registration order.
+func (r *Registry) Register(group, name, typ, help string, collect func(emit func(Sample))) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, f := range r.families {
@@ -76,30 +76,6 @@ func (r *Registry) register(group, name, typ, help string, collect func(emit fun
 	}
 	r.families = append(r.families, &family{name: name, help: help, typ: typ, group: group, collect: collect})
 }
-
-// Group returns a registrar whose families belong to the named collector
-// group.
-func (r *Registry) Group(name string) Group { return Group{r: r, name: name} }
-
-// A Group registers families under one collector-group name.
-type Group struct {
-	r    *Registry
-	name string
-}
-
-// Register adds a metric family to the group.
-func (g Group) Register(name, typ, help string, collect func(emit func(Sample))) {
-	g.r.register(g.name, name, typ, help, collect)
-}
-
-// RegisterHistogram is Registry.RegisterHistogram scoped to the group.
-func (g Group) RegisterHistogram(name, help string, h *Histogram, scale float64, labels ...Label) {
-	g.r.registerHistogram(g.name, name, help, h, scale, labels...)
-}
-
-// OnScrape installs a hook that runs when the group is selected by a
-// scrape, once at the start of Render, before any family collects.
-func (g Group) OnScrape(f func()) { g.r.OnScrapeGroups(f, g.name) }
 
 // Groups returns the sorted distinct collector-group names.
 func (r *Registry) Groups() []string {
@@ -154,16 +130,6 @@ func (r *Registry) cleanGroups(names []string) ([]string, error) {
 	return cleaned, nil
 }
 
-// OnScrape installs a hook that runs once at the start of every Render,
-// before any family collects. Use it to take one consistent snapshot of an
-// expensive source that several families then read — the freshness of those
-// families no longer depends on which of them happens to render first.
-func (r *Registry) OnScrape(f func()) {
-	r.mu.Lock()
-	r.prepare = append(r.prepare, &prepareHook{f: f})
-	r.mu.Unlock()
-}
-
 // OnScrapeGroups installs a hook that runs only when a scrape selects at
 // least one of the named groups — the expensive-snapshot escape: a scrape
 // excluding those groups skips the snapshot entirely.
@@ -171,32 +137,6 @@ func (r *Registry) OnScrapeGroups(f func(), groups ...string) {
 	r.mu.Lock()
 	r.prepare = append(r.prepare, &prepareHook{f: f, groups: groups})
 	r.mu.Unlock()
-}
-
-// RegisterHistogram exports h as a Prometheus summary: quantile series plus
-// _sum, _count and _max, with values scaled by scale (e.g. 1e-9 to export
-// nanosecond recordings in seconds). labels apply to every series.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram, scale float64, labels ...Label) {
-	r.registerHistogram("", name, help, h, scale, labels...)
-}
-
-func (r *Registry) registerHistogram(group, name, help string, h *Histogram, scale float64, labels ...Label) {
-	qs := []struct {
-		q     float64
-		label string
-	}{{0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}, {0.999, "0.999"}}
-	r.register(group, name, "summary", help, func(emit func(Sample)) {
-		for _, q := range qs {
-			emit(Sample{
-				Name:   name,
-				Labels: append(append([]Label{}, labels...), L("quantile", q.label)),
-				Value:  h.Quantile(q.q) * scale,
-			})
-		}
-		emit(Sample{Name: name + "_sum", Labels: labels, Value: float64(h.Sum()) * scale})
-		emit(Sample{Name: name + "_count", Labels: labels, Value: float64(h.Count())})
-		emit(Sample{Name: name + "_max", Labels: labels, Value: float64(h.Max()) * scale})
-	})
 }
 
 // Render writes the exposition of the default group selection (all groups
@@ -217,6 +157,8 @@ func (r *Registry) Render() string {
 // RenderGroups writes the exposition of the named collector groups (plus
 // ungrouped families). nil selects every group; unknown names error.
 func (r *Registry) RenderGroups(names []string) (string, error) {
+	r.renderMu.Lock()
+	defer r.renderMu.Unlock()
 	var selected map[string]bool
 	if names != nil {
 		cleaned, err := r.cleanGroups(names)
@@ -379,15 +321,4 @@ func (s Samples) StallClasses() (instr, data, remote float64) {
 		return sum
 	}
 	return class("l1i", "l2i", "llci"), class("l1d", "l2d", "llcd"), class("remote_i", "remote_d")
-}
-
-// SortedKeys returns the keys of a Parse result in lexical order (test
-// helper).
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

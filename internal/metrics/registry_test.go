@@ -16,9 +16,9 @@ func testRegistry() (*Registry, *int) {
 	gauge := func(name string, v float64) func(emit func(Sample)) {
 		return func(emit func(Sample)) { emit(Sample{Name: name, Value: v}) }
 	}
-	r.Register("always_on", "gauge", "ungrouped", gauge("always_on", 1))
-	r.Group("cheap").Register("cheap_metric", "gauge", "", gauge("cheap_metric", 2))
-	r.Group("pmu").Register("pmu_metric", "gauge", "", gauge("pmu_metric", 3))
+	r.Register("", "always_on", "gauge", "ungrouped", gauge("always_on", 1))
+	r.Register("cheap", "cheap_metric", "gauge", "", gauge("cheap_metric", 2))
+	r.Register("pmu", "pmu_metric", "gauge", "", gauge("pmu_metric", 3))
 	r.OnScrapeGroups(func() { hookRuns++ }, "pmu")
 	return r, &hookRuns
 }

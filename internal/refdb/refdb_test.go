@@ -163,3 +163,94 @@ func TestOLAPFolds(t *testing.T) {
 		}
 	}
 }
+
+// TestTPCCConsistency checks TPC-C's consistency conditions 1–4 on every
+// warehouse and district of a populated reference, and again after generated
+// calls: (1) W_YTD = Σ D_YTD; (2) D_NEXT_O_ID − 1 = max(O_ID) = max(NO_O_ID)
+// whenever the district has new orders; (3) count(NEW_ORDER) = max(NO_O_ID) −
+// min(NO_O_ID) + 1; (4) Σ O_OL_CNT = count(ORDER_LINE).
+func TestTPCCConsistency(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			e := systems.New(systems.HyPer, systems.Options{})
+			w := workload.NewTPCC(workload.TPCCConfig{Warehouses: 2, Items: 200, CustomersPerDistrict: 30, OrdersPerDistrict: 30})
+			w.Setup(e)
+			db := refdb.New(e)
+			refdb.PopulateTPCC(db, w)
+			checkTPCCConsistency(t, db, "after population")
+
+			rng := workload.NewRand(seed)
+			procs := map[string]int{}
+			for i := 0; i < 2000; i++ {
+				c := w.Gen(rng, 0, 1)
+				if err := refdb.ApplyTPCC(db, c); err != nil {
+					t.Fatalf("call %d (%s): %v", i, c.Proc, err)
+				}
+				procs[c.Proc]++
+			}
+			if procs["new_order"] == 0 || procs["payment"] == 0 || procs["delivery"] == 0 {
+				t.Fatalf("the calls miss a writing procedure: %v", procs)
+			}
+			checkTPCCConsistency(t, db, fmt.Sprintf("after calls %v", procs))
+		})
+	}
+}
+
+// checkTPCCConsistency checks conditions 1–4 of TestTPCCConsistency.
+func checkTPCCConsistency(t *testing.T, db *refdb.DB, when string) {
+	t.Helper()
+	col := func(table, name string) int {
+		i := db.Table(table).Schema.ColumnIndex(name)
+		if i < 0 {
+			t.Fatalf("%s has no column %s", table, name)
+		}
+		return i
+	}
+	type district struct{ w, d int64 }
+	type noRange struct{ n, lo, hi int64 }
+	dYTD, nextO := map[int64]int64{}, map[district]int64{}
+	db.Table("district").Each(func(row []catalog.Value) {
+		k := district{row[col("district", "d_w_id")].I, row[col("district", "d_id")].I}
+		dYTD[k.w] += row[col("district", "d_ytd")].I
+		nextO[k] = row[col("district", "d_next_o_id")].I
+	})
+	maxO, olCnt := map[district]int64{}, map[district]int64{}
+	db.Table("orders").Each(func(row []catalog.Value) {
+		k := district{row[col("orders", "o_w_id")].I, row[col("orders", "o_d_id")].I}
+		maxO[k] = max(maxO[k], row[col("orders", "o_id")].I)
+		olCnt[k] += row[col("orders", "o_ol_cnt")].I
+	})
+	no := map[district]noRange{}
+	db.Table("new_order").Each(func(row []catalog.Value) {
+		k := district{row[col("new_order", "no_w_id")].I, row[col("new_order", "no_d_id")].I}
+		o, r := row[col("new_order", "no_o_id")].I, no[k]
+		if r.n == 0 {
+			r.lo, r.hi = o, o
+		}
+		no[k] = noRange{r.n + 1, min(r.lo, o), max(r.hi, o)}
+	})
+	lines := map[district]int64{}
+	db.Table("order_line").Each(func(row []catalog.Value) {
+		lines[district{row[col("order_line", "ol_w_id")].I, row[col("order_line", "ol_d_id")].I}]++
+	})
+
+	db.Table("warehouse").Each(func(row []catalog.Value) {
+		if wid, ytd := row[col("warehouse", "w_id")].I, row[col("warehouse", "w_ytd")].I; ytd != dYTD[wid] {
+			t.Errorf("%s: condition 1: warehouse %d W_YTD = %d, Σ D_YTD = %d", when, wid, ytd, dYTD[wid])
+		}
+	})
+	if len(nextO) != 2*workload.DistrictsPerWarehouse {
+		t.Fatalf("%s: %d districts, want %d", when, len(nextO), 2*workload.DistrictsPerWarehouse)
+	}
+	for k, next := range nextO {
+		if r := no[k]; r.n > 0 && (next-1 != maxO[k] || maxO[k] != r.hi) {
+			t.Errorf("%s: condition 2: district %v D_NEXT_O_ID − 1 = %d, max(O_ID) = %d, max(NO_O_ID) = %d", when, k, next-1, maxO[k], r.hi)
+		}
+		if r := no[k]; r.n > 0 && r.n != r.hi-r.lo+1 {
+			t.Errorf("%s: condition 3: district %v holds %d new orders, NO_O_ID spans %d..%d", when, k, r.n, r.lo, r.hi)
+		}
+		if olCnt[k] != lines[k] {
+			t.Errorf("%s: condition 4: district %v Σ O_OL_CNT = %d, %d order lines", when, k, olCnt[k], lines[k])
+		}
+	}
+}

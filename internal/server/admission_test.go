@@ -95,7 +95,7 @@ func TestAdmissionLatencyShed(t *testing.T) {
 	}
 	// Not started: no shard workers, so admitted requests stay queued and the
 	// queue-length precondition is under test control.
-	s.svcEWMA[0].Store(int64(5 * time.Millisecond)) // well over the bound
+	s.shard[0].svcEWMA.Store(int64(5 * time.Millisecond)) // well over the bound
 
 	// Empty queue: the latency trigger must NOT fire even though the EWMA is
 	// over the bound (a completion-starved reading proves nothing).
@@ -106,11 +106,11 @@ func TestAdmissionLatencyShed(t *testing.T) {
 	if v := s.admit(&request{part: 0}); v != admitShed {
 		t.Fatalf("admit on nonempty queue with high EWMA = %v, want admitShed", v)
 	}
-	if got := s.shedTotal[0].Load(); got != 1 {
-		t.Fatalf("shedTotal[0] = %d, want 1", got)
+	if got := s.shard[0].shed.Load(); got != 1 {
+		t.Fatalf("shard[0].shed = %d, want 1", got)
 	}
 	// EWMA back under the bound: admitted again.
-	s.svcEWMA[0].Store(int64(100 * time.Microsecond))
+	s.shard[0].svcEWMA.Store(int64(100 * time.Microsecond))
 	if v := s.admit(&request{part: 0}); v != admitOK {
 		t.Fatalf("admit with low EWMA = %v, want admitOK", v)
 	}
@@ -121,11 +121,11 @@ func TestAdmissionLatencyShed(t *testing.T) {
 	s.reqWG.Add(-3) // balance the admitted requests we will never serve
 
 	// noteLatency converges the EWMA toward the observed latency.
-	s.svcEWMA[1].Store(0)
+	s.shard[1].svcEWMA.Store(0)
 	for i := 0; i < 64; i++ {
 		s.noteLatency(1, 8*time.Millisecond)
 	}
-	got := time.Duration(s.svcEWMA[1].Load())
+	got := time.Duration(s.shard[1].svcEWMA.Load())
 	if got < 7*time.Millisecond || got > 8*time.Millisecond {
 		t.Fatalf("EWMA after 64 identical observations = %v, want ≈8ms", got)
 	}

@@ -84,11 +84,11 @@ func TestBatchAnswersOneWritePerRun(t *testing.T) {
 	}
 	s.Shutdown() // the workers have exited: their counters are final
 
-	writes, batches := cc.writes.Load()-writes0, s.batchTotal[0].Load()
+	writes, batches := cc.writes.Load()-writes0, s.shard[0].batches.Load()
 	if writes > int64(batches) {
 		t.Fatalf("%d requests answered in %d writes over %d batches, want at most one write per batch", n, writes, batches)
 	}
-	if got := s.writeTotal[0].Load(); got != uint64(writes) {
+	if got := s.shard[0].writes.Load(); got != uint64(writes) {
 		t.Fatalf("oltpd_writes_total{shard=0} = %d, the connection saw %d writes", got, writes)
 	}
 	t.Logf("%d requests: %d batches, %d writes", n, batches, writes)
@@ -239,8 +239,8 @@ func TestGracefulShutdownPipelined(t *testing.T) {
 	wg.Wait()
 
 	var admitted, refused uint64
-	for p := range s.reqTotal {
-		admitted += s.reqTotal[p].Load()
+	for p := range s.shard {
+		admitted += s.shard[p].requests.Load()
 	}
 	refused = s.rejectTotal.Load()
 	if ok.Load() != admitted {

@@ -204,9 +204,9 @@ func FuzzServeConn(f *testing.F) {
 			t.Fatal("Shutdown wedged: a shard worker never retired its requests")
 		}
 		var admitted, retired uint64
-		for p := range s.reqTotal {
-			admitted += s.reqTotal[p].Load()
-			retired += s.svcHist[p].Count()
+		for p := range s.shard {
+			admitted += s.shard[p].requests.Load()
+			retired += s.shard[p].svcHist.Count()
 		}
 		if admitted != retired {
 			t.Fatalf("books unbalanced: %d requests admitted, %d retired", admitted, retired)

@@ -19,6 +19,7 @@ import (
 	"net"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,7 +64,7 @@ type Config struct {
 	// AdmitQueueMax, when > 0, enables queue-depth admission control: a
 	// request arriving for a shard whose queue already holds AdmitQueueMax
 	// requests is shed with wire.ErrOverload instead of applying unbounded
-	// backpressure. Shed responses are counted in oltpd_shed_total.
+	// backpressure. Shed requests are counted per shard in the exposition.
 	AdmitQueueMax int
 	// AdmitLatencyMax, when > 0, enables latency admission control: a
 	// request arriving for a shard whose recent mean service latency
@@ -129,24 +130,36 @@ type Server struct {
 	connWG sync.WaitGroup
 	reqWG  sync.WaitGroup // one count per admitted request, until its response is written
 
-	// Admission control (read in admit, written by shard workers).
-	shedTotal []atomic.Uint64 // per-shard requests shed by admission control
-	svcEWMA   []atomic.Int64  // per-shard EWMA of service latency, ns (single writer: the shard worker)
-
 	// Telemetry.
-	reg          *metrics.Registry
-	svcHist      []*metrics.Histogram // per-shard request latency (arrival→response), ns
-	reqTotal     []atomic.Uint64      // per-shard admitted requests
-	errTotal     []atomic.Uint64      // per-shard failed requests
-	batchTotal   []atomic.Uint64      // per-shard executed batches
-	writeTotal   []atomic.Uint64      // per-shard socket writes issued by the shard worker
-	prep2pcTotal []atomic.Uint64      // per-shard 2PC YES votes
-	cmt2pcTotal  []atomic.Uint64      // per-shard 2PC branch commits
-	abt2pcTotal  []atomic.Uint64      // per-shard 2PC branch aborts (NO votes, abort decisions, timeouts)
-	connsLive    atomic.Int64
-	connsTotal   atomic.Uint64
-	rejectTotal  atomic.Uint64 // requests refused during drain
-	started      time.Time
+	reg         *metrics.Registry
+	shard       []shardStats // per-shard counters, latency and PMU observation
+	connsLive   atomic.Int64
+	connsTotal  atomic.Uint64
+	rejectTotal atomic.Uint64 // requests refused during drain
+	started     time.Time
+	// The engine-wide half of the scrape's PMU observation (observePMU).
+	txAborts, dataBytes uint64
+}
+
+// shardStats is one shard's telemetry. requests and shed are written by the
+// connection readers that admit to the shard, the other counters by the
+// shard's worker, and scrapes read them all.
+type shardStats struct {
+	svcHist  metrics.Histogram // request latency (arrival→response), ns
+	requests atomic.Uint64     // admitted requests
+	errors   atomic.Uint64     // failed requests
+	batches  atomic.Uint64     // executed batches
+	writes   atomic.Uint64     // socket writes issued by the shard worker
+	prepares atomic.Uint64     // 2PC YES votes
+	commits  atomic.Uint64     // 2PC branch commits
+	aborts   atomic.Uint64     // 2PC branch aborts (NO votes, abort decisions, timeouts)
+	shed     atomic.Uint64     // requests shed by admission control
+	svcEWMA  atomic.Int64      // EWMA of service latency, ns (single writer: the shard worker)
+
+	label metrics.Label // shard="p"
+	// The scrape's PMU observation of the shard's core (observePMU).
+	snap core.Snapshot
+	meas core.Measurement
 }
 
 // New builds the engine, installs and populates the workload, and prepares
@@ -194,7 +207,7 @@ func New(cfg Config) (*Server, error) {
 	// serialized session path.
 	if eng.Partitions() > 1 {
 		// A refusal (non-qualifying archetype) is a clean fallback, not an
-		// error: the oltpd_concurrent gauge reports which mode is live.
+		// error: the concurrent-mode gauge reports which mode is live.
 		_ = eng.EnterConcurrent()
 	}
 	if cfg.Cluster != nil && cfg.Cluster.Parts > 1 && !eng.Concurrent() {
@@ -224,21 +237,15 @@ func New(cfg Config) (*Server, error) {
 	shards := s.Shards()
 	s.queues = make([]chan *request, shards)
 	s.pend = make([]pendSlot, shards)
-	s.svcHist = make([]*metrics.Histogram, shards)
-	s.reqTotal = make([]atomic.Uint64, shards)
-	s.errTotal = make([]atomic.Uint64, shards)
-	s.batchTotal = make([]atomic.Uint64, shards)
-	s.writeTotal = make([]atomic.Uint64, shards)
-	s.prep2pcTotal = make([]atomic.Uint64, shards)
-	s.cmt2pcTotal = make([]atomic.Uint64, shards)
-	s.abt2pcTotal = make([]atomic.Uint64, shards)
-	s.shedTotal = make([]atomic.Uint64, shards)
-	s.svcEWMA = make([]atomic.Int64, shards)
+	s.shard = make([]shardStats, shards)
 	for i := range s.queues {
 		s.queues[i] = make(chan *request, queueDepth)
-		s.svcHist[i] = &metrics.Histogram{}
+		s.shard[i].label = metrics.L("shard", strconv.Itoa(i))
 	}
-	s.registerMetrics()
+	for _, f := range families {
+		s.reg.Register(f.group, f.name, f.typ, f.help, func(emit func(metrics.Sample)) { f.collect(s, f.name, emit) })
+	}
+	s.reg.OnScrapeGroups(s.observePMU, groupEngine, groupTxn, groupStorage)
 	return s, nil
 }
 
@@ -354,7 +361,7 @@ func (s *Server) admit(r *request) admitVerdict {
 	}
 	p := r.part
 	if s.cfg.AdmitQueueMax > 0 && len(s.queues[p]) >= s.cfg.AdmitQueueMax {
-		s.shedTotal[p].Add(1)
+		s.shard[p].shed.Add(1)
 		s.mu.RUnlock()
 		return admitShed
 	}
@@ -362,13 +369,13 @@ func (s *Server) admit(r *request) admitVerdict {
 	// of queued requests are what keep the EWMA current, so an idle shard can
 	// never wedge itself shedding on a stale reading.
 	if s.cfg.AdmitLatencyMax > 0 && len(s.queues[p]) > 0 &&
-		time.Duration(s.svcEWMA[p].Load()) > s.cfg.AdmitLatencyMax {
-		s.shedTotal[p].Add(1)
+		time.Duration(s.shard[p].svcEWMA.Load()) > s.cfg.AdmitLatencyMax {
+		s.shard[p].shed.Add(1)
 		s.mu.RUnlock()
 		return admitShed
 	}
 	s.reqWG.Add(1)
-	s.reqTotal[p].Add(1)
+	s.shard[p].requests.Add(1)
 	s.queues[p] <- r
 	s.mu.RUnlock()
 	return admitOK
@@ -379,9 +386,10 @@ func (s *Server) admit(r *request) admitVerdict {
 // shard worker is the only writer of its shard's EWMA, so load-then-store
 // needs no CAS; admit reads it concurrently.
 func (s *Server) noteLatency(w int, d time.Duration) {
-	s.svcHist[w].Record(uint64(d))
-	old := s.svcEWMA[w].Load()
-	s.svcEWMA[w].Store(old + (d.Nanoseconds()-old)/8)
+	st := &s.shard[w]
+	st.svcHist.Record(uint64(d))
+	old := st.svcEWMA.Load()
+	st.svcEWMA.Store(old + (d.Nanoseconds()-old)/8)
 }
 
 // shardWorker is the group-execute loop for one shard: it owns simulated
@@ -432,7 +440,7 @@ func (s *Server) shardWorker(w int) {
 				j++
 			}
 			sess.InvokeBatch(w, ereqs[:j-i], errs)
-			s.batchTotal[w].Add(1)
+			s.shard[w].batches.Add(1)
 
 			now := time.Now()
 			answered = answered[:0]
@@ -441,7 +449,7 @@ func (s *Server) shardWorker(w int) {
 				err := errs[k-i]
 				br.c.sess.Ops.Add(1)
 				if err != nil {
-					s.errTotal[w].Add(1)
+					s.shard[w].errors.Add(1)
 					br.c.sess.Errs.Add(1)
 				}
 				br.c.writeMu.Lock()
@@ -457,7 +465,7 @@ func (s *Server) shardWorker(w int) {
 			for _, c := range answered {
 				c.writeMu.Lock()
 				if wrote, _ := c.flush(); wrote {
-					s.writeTotal[w].Add(1)
+					s.shard[w].writes.Add(1)
 				}
 				c.writeMu.Unlock()
 			}
@@ -501,15 +509,15 @@ func (s *Server) run2PCPrepare(w int, sess *engine.Session, r *request) {
 	r.c.sess.Ops.Add(1)
 	if err != nil {
 		// NO vote: the branch aborted during prepare, nothing is retained.
-		s.errTotal[w].Add(1)
+		s.shard[w].errors.Add(1)
 		r.c.sess.Errs.Add(1)
-		s.abt2pcTotal[w].Add(1)
+		s.shard[w].aborts.Add(1)
 		r.c.sendVote(r.id, false, err.Error())
-		s.writeTotal[w].Add(1)
+		s.shard[w].writes.Add(1)
 		s.finishReq(w, r)
 		return
 	}
-	s.prep2pcTotal[w].Add(1)
+	s.shard[w].prepares.Add(1)
 	slot := &s.pend[w]
 	ch := make(chan decision, 1)
 	slot.mu.Lock()
@@ -519,7 +527,7 @@ func (s *Server) run2PCPrepare(w int, sess *engine.Session, r *request) {
 	// vote write even returns. A failed vote write still parks — the
 	// decision timeout is the backstop either way.
 	r.c.sendVote(r.id, true, "")
-	s.writeTotal[w].Add(1)
+	s.shard[w].writes.Add(1)
 
 	var d decision
 	timer := time.NewTimer(s.cfg.TwoPCTimeout)
@@ -542,13 +550,13 @@ func (s *Server) run2PCPrepare(w int, sess *engine.Session, r *request) {
 
 	rerr := sess.Resolve(w, r.part, r.gtid, d.commit)
 	if d.commit {
-		s.cmt2pcTotal[w].Add(1)
+		s.shard[w].commits.Add(1)
 	} else {
-		s.abt2pcTotal[w].Add(1)
+		s.shard[w].aborts.Add(1)
 	}
 	if d.c != nil {
 		d.c.respondID(d.reqID, rerr)
-		s.writeTotal[w].Add(1)
+		s.shard[w].writes.Add(1)
 	}
 	s.finishReq(w, r)
 }
@@ -630,220 +638,173 @@ func putRequest(r *request) { r.c = nil; requestPool.Put(r) }
 
 // --- metrics ---------------------------------------------------------------
 
-// registerMetrics wires the live telemetry: serving-path counters, per-shard
-// PMU counters and stall breakdowns read from the engine under its execution
-// lock, and per-shard service-latency summaries.
-//
-// Families are organized into named collector groups — serving (cheap
-// serving-path counters), twopc (2PC branch counters), engine / txn /
-// storage (the PMU families, whose shared refresh hook quiesces the engine)
-// — so a high-frequency poller can scrape /metrics?collect=serving without
-// ever stopping the world; only oltpd_info is ungrouped.
-func (s *Server) registerMetrics() {
-	r := s.reg
-	serving := r.Group("serving")
-	twopc := r.Group("twopc")
-	engineG := r.Group("engine")
-	txn := r.Group("txn")
-	storage := r.Group("storage")
-	shards := s.Shards()
-	shardLabel := make([]string, shards)
-	for i := range shardLabel {
-		shardLabel[i] = fmt.Sprintf("%d", i)
-	}
+// oltpd's collector groups: serving (cheap serving-path counters), twopc (2PC
+// branch counters), and engine / txn / storage (the PMU families, whose
+// shared observation quiesces the engine), so a high-frequency poller can
+// scrape /metrics?collect=serving without ever stopping the world.
+const (
+	groupServing = "serving"
+	groupTwoPC   = "twopc"
+	groupEngine  = "engine"
+	groupTxn     = "txn"
+	groupStorage = "storage"
+)
 
-	r.Register("oltpd_info", "gauge", "build/topology info (value is 1)", func(emit func(metrics.Sample)) {
-		hcfg := s.eng.Machine().Hier.Config()
-		emit(metrics.Sample{Name: "oltpd_info", Labels: []metrics.Label{
-			metrics.L("system", s.eng.Config().Name),
-			metrics.L("workload", s.spec),
-			metrics.L("shards", fmt.Sprintf("%d", shards)),
-			metrics.L("sockets", fmt.Sprintf("%d", hcfg.Sockets)),
-			metrics.L("placement", placementName(hcfg.Placement)),
-		}, Value: 1})
-	})
-	serving.Register("oltpd_uptime_seconds", "gauge", "seconds since Start", func(emit func(metrics.Sample)) {
+// A family is one row of oltpd's live telemetry: its collector group ("" =
+// ungrouped, rendered on every scrape), Prometheus type, help text, and the
+// collector that emits its samples.
+type family struct {
+	group, name, typ, help string
+	collect                collector
+}
+
+// A collector emits a family's current samples under the family's name.
+type collector func(s *Server, name string, emit func(metrics.Sample))
+
+// families is oltpd's exposition, in render order. The PMU rows read the
+// observation observePMU took at the start of the same scrape.
+var families = []family{
+	{"", "oltpd_info", "gauge", "build/topology info (value is 1)", info},
+	{groupServing, "oltpd_uptime_seconds", "gauge", "seconds since Start", scalar(func(s *Server) float64 {
 		if s.started.IsZero() {
-			emit(metrics.Sample{Name: "oltpd_uptime_seconds", Value: 0})
-			return
+			return 0
 		}
-		emit(metrics.Sample{Name: "oltpd_uptime_seconds", Value: time.Since(s.started).Seconds()})
-	})
-	serving.Register("oltpd_connections", "gauge", "live client connections", func(emit func(metrics.Sample)) {
-		emit(metrics.Sample{Name: "oltpd_connections", Value: float64(s.connsLive.Load())})
-	})
-	serving.Register("oltpd_connections_total", "counter", "accepted client connections", func(emit func(metrics.Sample)) {
-		emit(metrics.Sample{Name: "oltpd_connections_total", Value: float64(s.connsTotal.Load())})
-	})
-	serving.Register("oltpd_rejected_total", "counter", "requests refused while draining", func(emit func(metrics.Sample)) {
-		emit(metrics.Sample{Name: "oltpd_rejected_total", Value: float64(s.rejectTotal.Load())})
-	})
-	serving.Register("oltpd_concurrent", "gauge", "1 when shard workers execute concurrently on one engine, 0 when serialized", func(emit func(metrics.Sample)) {
-		v := 0.0
+		return time.Since(s.started).Seconds()
+	})},
+	{groupServing, "oltpd_connections", "gauge", "live client connections", scalar(func(s *Server) float64 { return float64(s.connsLive.Load()) })},
+	{groupServing, "oltpd_connections_total", "counter", "accepted client connections", scalar(func(s *Server) float64 { return float64(s.connsTotal.Load()) })},
+	{groupServing, "oltpd_rejected_total", "counter", "requests refused while draining", scalar(func(s *Server) float64 { return float64(s.rejectTotal.Load()) })},
+	{groupServing, "oltpd_concurrent", "gauge", "1 when shard workers execute concurrently on one engine, 0 when serialized", scalar(func(s *Server) float64 {
 		if s.eng.Concurrent() {
-			v = 1.0
+			return 1
 		}
-		emit(metrics.Sample{Name: "oltpd_concurrent", Value: v})
-	})
+		return 0
+	})},
+	{groupServing, "oltpd_requests_total", "counter", "requests admitted per shard", perShard(func(st *shardStats) float64 { return float64(st.requests.Load()) })},
+	{groupServing, "oltpd_request_errors_total", "counter", "failed requests per shard", perShard(func(st *shardStats) float64 { return float64(st.errors.Load()) })},
+	{groupServing, "oltpd_batches_total", "counter", "group-execute batches per shard", perShard(func(st *shardStats) float64 { return float64(st.batches.Load()) })},
+	{groupServing, "oltpd_writes_total", "counter", "socket writes issued by each shard's worker (responses per write = answered requests / writes)", perShard(func(st *shardStats) float64 { return float64(st.writes.Load()) })},
+	{groupTwoPC, "oltpd_2pc_prepares_total", "counter", "2PC branches prepared (YES votes) per shard", perShard(func(st *shardStats) float64 { return float64(st.prepares.Load()) })},
+	{groupTwoPC, "oltpd_2pc_commits_total", "counter", "2PC branches committed per shard", perShard(func(st *shardStats) float64 { return float64(st.commits.Load()) })},
+	{groupTwoPC, "oltpd_2pc_aborts_total", "counter", "2PC branches aborted per shard (NO votes, abort decisions, decision timeouts)", perShard(func(st *shardStats) float64 { return float64(st.aborts.Load()) })},
+	{groupServing, "oltpd_shed_total", "counter", "requests shed by admission control per shard (wire.ErrOverload)", perShard(func(st *shardStats) float64 { return float64(st.shed.Load()) })},
+	{groupServing, "oltpd_admit_latency_ewma_seconds", "gauge", "per-shard service-latency EWMA driving latency admission control", perShard(func(st *shardStats) float64 { return float64(st.svcEWMA.Load()) * 1e-9 })},
+	{groupTxn, "oltpd_tx_total", "counter", "committed transactions per shard (simulated PMU)", perShard(func(st *shardStats) float64 { return float64(st.snap.TxCount) })},
+	{groupEngine, "oltpd_instructions_total", "counter", "retired instructions per shard (simulated PMU)", perShard(func(st *shardStats) float64 { return float64(st.snap.Instructions) })},
+	{groupEngine, "oltpd_cache_misses_total", "counter", "cache misses per shard and level (simulated PMU)", perShardBy("level",
+		[]string{"l1i", "l2i", "llci", "l1d", "l2d", "llcd", "llci_remote", "llcd_remote_llc", "llcd_remote_dram"},
+		func(st *shardStats) []float64 {
+			d := st.snap.Misses
+			return []float64{float64(d.L1IMiss), float64(d.L2IMiss), float64(d.LLCIMiss),
+				float64(d.L1DMiss), float64(d.L2DMiss), float64(d.LLCDMiss),
+				float64(d.LLCIRemoteLLC), float64(d.LLCDRemoteLLC), float64(d.LLCDRemoteDRAM)}
+		}, nil)},
+	{groupEngine, "oltpd_stall_cycles_total", "counter", "stall-cycle breakdown per shard (simulated PMU)", perShardBy("component",
+		[]string{"l1i", "l2i", "llci", "l1d", "l2d", "llcd", "remote_i", "remote_d"},
+		func(st *shardStats) []float64 {
+			c := st.meas.Stalls()
+			return []float64{c.L1I, c.L2I, c.LLCI, c.L1D, c.L2D, c.LLCD, c.RemoteI, c.RemoteD}
+		}, nil)},
+	{groupEngine, "oltpd_ipc", "gauge", "instructions per cycle per shard (simulated PMU)", perShard(func(st *shardStats) float64 { return st.meas.IPC() })},
+	{groupEngine, "oltpd_cycles_total", "counter", "modeled execution cycles per shard (simulated PMU); delta against oltpd_instructions_total yields per-interval IPC", perShard(func(st *shardStats) float64 { return st.meas.Cycles() })},
+	{groupTxn, "oltpd_aborts_total", "counter", "aborted transactions (engine-wide)", scalar(func(s *Server) float64 { return float64(s.txAborts) })},
+	{groupStorage, "oltpd_data_bytes", "gauge", "resident simulated data bytes", scalar(func(s *Server) float64 { return float64(s.dataBytes) })},
+	{groupServing, "oltpd_request_seconds", "summary", "request latency from arrival to response per shard (wall clock)", perShardBy("quantile",
+		quantileLabels, func(st *shardStats) []float64 {
+			v := make([]float64, len(quantiles))
+			for i, q := range quantiles {
+				v[i] = st.svcHist.Quantile(q) * 1e-9
+			}
+			return v
+		}, func(st *shardStats) float64 { return float64(st.svcHist.Count()) })},
+}
 
-	perShard := func(name string, vals func(shard int) float64) func(emit func(metrics.Sample)) {
-		return func(emit func(metrics.Sample)) {
-			for i := 0; i < shards; i++ {
-				emit(metrics.Sample{Name: name,
-					Labels: []metrics.Label{metrics.L("shard", shardLabel[i])},
-					Value:  vals(i)})
-			}
-		}
-	}
-	serving.Register("oltpd_requests_total", "counter", "requests admitted per shard",
-		perShard("oltpd_requests_total", func(i int) float64 { return float64(s.reqTotal[i].Load()) }))
-	serving.Register("oltpd_request_errors_total", "counter", "failed requests per shard",
-		perShard("oltpd_request_errors_total", func(i int) float64 { return float64(s.errTotal[i].Load()) }))
-	serving.Register("oltpd_batches_total", "counter", "group-execute batches per shard",
-		perShard("oltpd_batches_total", func(i int) float64 { return float64(s.batchTotal[i].Load()) }))
-	serving.Register("oltpd_writes_total", "counter", "socket writes issued by each shard's worker (responses per write = answered requests / writes)",
-		perShard("oltpd_writes_total", func(i int) float64 { return float64(s.writeTotal[i].Load()) }))
-	twopc.Register("oltpd_2pc_prepares_total", "counter", "2PC branches prepared (YES votes) per shard",
-		perShard("oltpd_2pc_prepares_total", func(i int) float64 { return float64(s.prep2pcTotal[i].Load()) }))
-	twopc.Register("oltpd_2pc_commits_total", "counter", "2PC branches committed per shard",
-		perShard("oltpd_2pc_commits_total", func(i int) float64 { return float64(s.cmt2pcTotal[i].Load()) }))
-	twopc.Register("oltpd_2pc_aborts_total", "counter", "2PC branches aborted per shard (NO votes, abort decisions, decision timeouts)",
-		perShard("oltpd_2pc_aborts_total", func(i int) float64 { return float64(s.abt2pcTotal[i].Load()) }))
-	serving.Register("oltpd_shed_total", "counter", "requests shed by admission control per shard (wire.ErrOverload)",
-		perShard("oltpd_shed_total", func(i int) float64 { return float64(s.shedTotal[i].Load()) }))
-	serving.Register("oltpd_admit_latency_ewma_seconds", "gauge", "per-shard service-latency EWMA driving latency admission control",
-		perShard("oltpd_admit_latency_ewma_seconds", func(i int) float64 { return float64(s.svcEWMA[i].Load()) * 1e-9 }))
+// quantiles are the request-latency summary's quantiles, each labelled with
+// its shortest decimal form.
+var quantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
-	// PMU families. An OnScrape hook refreshes one shared observation —
-	// a single engine-lock acquisition per scrape, before any family
-	// collects — so the exported tx/instructions/misses/stalls/IPC of one
-	// scrape all describe the same instant, regardless of family order.
-	type shardPMU struct {
-		snap core.Snapshot
-		meas core.Measurement
+var quantileLabels = func() (labels []string) {
+	for _, q := range quantiles {
+		labels = append(labels, strconv.FormatFloat(q, 'g', -1, 64))
 	}
-	pmu := struct {
-		sync.Mutex
-		shards    []shardPMU
-		aborts    uint64
-		dataBytes uint64
-	}{shards: make([]shardPMU, shards)}
-	refreshPMU := func() {
-		s.eng.Observe(func(m *core.Machine) {
-			hcfg := m.Hier.Config()
-			pmu.Lock()
-			for i := 0; i < shards; i++ {
-				snap := m.SnapshotCore(i)
-				pmu.shards[i] = shardPMU{
-					snap: snap,
-					meas: core.NewMeasurement(core.Snapshot{}, snap, hcfg, s.eng.BaseCPI()),
-				}
-			}
-			pmu.aborts = s.eng.Aborts.Load()
-			pmu.dataBytes = m.Arena.DataAllocated()
-			pmu.Unlock()
-		})
+	return labels
+}()
+
+// info emits the info gauge: value 1, the topology in its labels.
+func info(s *Server, name string, emit func(metrics.Sample)) {
+	hcfg := s.eng.Machine().Hier.Config()
+	emit(metrics.Sample{Name: name, Value: 1, Labels: []metrics.Label{
+		metrics.L("system", s.eng.Config().Name),
+		metrics.L("workload", s.spec),
+		metrics.L("shards", strconv.Itoa(len(s.shard))),
+		metrics.L("sockets", strconv.Itoa(hcfg.Sockets)),
+		metrics.L("placement", placementName(hcfg.Placement)),
+	}})
+}
+
+// scalar emits one unlabelled sample.
+func scalar(read func(s *Server) float64) collector {
+	return func(s *Server, name string, emit func(metrics.Sample)) {
+		emit(metrics.Sample{Name: name, Value: read(s)})
 	}
-	collectPMU := func() []shardPMU {
-		pmu.Lock()
-		out := append([]shardPMU(nil), pmu.shards...)
-		pmu.Unlock()
-		return out
+}
+
+// perShard emits one sample per shard, labelled shard.
+func perShard(read func(st *shardStats) float64) collector {
+	return func(s *Server, name string, emit func(metrics.Sample)) {
+		for i := range s.shard {
+			st := &s.shard[i]
+			emit(metrics.Sample{Name: name, Labels: []metrics.Label{st.label}, Value: read(st)})
+		}
 	}
-	r.OnScrapeGroups(refreshPMU, "engine", "txn", "storage")
-	txn.Register("oltpd_tx_total", "counter", "committed transactions per shard (simulated PMU)", func(emit func(metrics.Sample)) {
-		for i, p := range collectPMU() {
-			emit(metrics.Sample{Name: "oltpd_tx_total",
-				Labels: []metrics.Label{metrics.L("shard", shardLabel[i])},
-				Value:  float64(p.snap.TxCount)})
-		}
-	})
-	engineG.Register("oltpd_instructions_total", "counter", "retired instructions per shard (simulated PMU)", func(emit func(metrics.Sample)) {
-		for i, p := range collectPMU() {
-			emit(metrics.Sample{Name: "oltpd_instructions_total",
-				Labels: []metrics.Label{metrics.L("shard", shardLabel[i])},
-				Value:  float64(p.snap.Instructions)})
-		}
-	})
-	engineG.Register("oltpd_cache_misses_total", "counter", "cache misses per shard and level (simulated PMU)", func(emit func(metrics.Sample)) {
-		for i, p := range collectPMU() {
-			d := p.snap.Misses
-			for _, lv := range []struct {
-				level string
-				v     uint64
-			}{
-				{"l1i", d.L1IMiss}, {"l2i", d.L2IMiss}, {"llci", d.LLCIMiss},
-				{"l1d", d.L1DMiss}, {"l2d", d.L2DMiss}, {"llcd", d.LLCDMiss},
-				{"llci_remote", d.LLCIRemoteLLC},
-				{"llcd_remote_llc", d.LLCDRemoteLLC}, {"llcd_remote_dram", d.LLCDRemoteDRAM},
-			} {
-				emit(metrics.Sample{Name: "oltpd_cache_misses_total",
-					Labels: []metrics.Label{metrics.L("shard", shardLabel[i]), metrics.L("level", lv.level)},
-					Value:  float64(lv.v)})
+}
+
+// perShardBy emits one sample per shard and value of a second label, key:
+// read returns a shard's values in vals' order. A summary passes count, and
+// each shard's quantiles are followed by its name_count sample.
+func perShardBy(key string, vals []string, read func(st *shardStats) []float64, count func(st *shardStats) float64) collector {
+	return func(s *Server, name string, emit func(metrics.Sample)) {
+		for i := range s.shard {
+			st := &s.shard[i]
+			for j, v := range read(st) {
+				emit(metrics.Sample{Name: name, Labels: []metrics.Label{st.label, metrics.L(key, vals[j])}, Value: v})
+			}
+			if count != nil {
+				emit(metrics.Sample{Name: name + "_count", Labels: []metrics.Label{st.label}, Value: count(st)})
 			}
 		}
-	})
-	engineG.Register("oltpd_stall_cycles_total", "counter", "stall-cycle breakdown per shard (simulated PMU)", func(emit func(metrics.Sample)) {
-		for i, p := range collectPMU() {
-			st := p.meas.Stalls()
-			for _, comp := range []struct {
-				name string
-				v    float64
-			}{
-				{"l1i", st.L1I}, {"l2i", st.L2I}, {"llci", st.LLCI},
-				{"l1d", st.L1D}, {"l2d", st.L2D}, {"llcd", st.LLCD},
-				{"remote_i", st.RemoteI}, {"remote_d", st.RemoteD},
-			} {
-				emit(metrics.Sample{Name: "oltpd_stall_cycles_total",
-					Labels: []metrics.Label{metrics.L("shard", shardLabel[i]), metrics.L("component", comp.name)},
-					Value:  comp.v})
-			}
+	}
+}
+
+// CollectorGroups returns the sorted names of oltpd's collector groups.
+func CollectorGroups() []string {
+	var groups []string
+	for _, f := range families {
+		if f.group != "" && !slices.Contains(groups, f.group) {
+			groups = append(groups, f.group)
 		}
-	})
-	engineG.Register("oltpd_ipc", "gauge", "instructions per cycle per shard (simulated PMU)", func(emit func(metrics.Sample)) {
-		for i, p := range collectPMU() {
-			emit(metrics.Sample{Name: "oltpd_ipc",
-				Labels: []metrics.Label{metrics.L("shard", shardLabel[i])},
-				Value:  p.meas.IPC()})
+	}
+	slices.Sort(groups)
+	return groups
+}
+
+// observePMU is the PMU groups' scrape hook: under one engine-lock
+// acquisition it takes every shard's snapshot and measurement and the
+// engine-wide counters, so the tx/instructions/misses/stalls/IPC/cycles of
+// one scrape all describe the same instant. The registry holds its render
+// lock across the hook and the scrape's collects, so the observation needs
+// no lock of its own and no other scrape can replace it mid-render.
+func (s *Server) observePMU() {
+	s.eng.Observe(func(m *core.Machine) {
+		hcfg := m.Hier.Config()
+		for i := range s.shard {
+			st := &s.shard[i]
+			st.snap = m.SnapshotCore(i)
+			st.meas = core.NewMeasurement(core.Snapshot{}, st.snap, hcfg, s.eng.BaseCPI())
 		}
+		s.txAborts = s.eng.Aborts.Load()
+		s.dataBytes = m.Arena.DataAllocated()
 	})
-	engineG.Register("oltpd_cycles_total", "counter", "modeled execution cycles per shard (simulated PMU); delta against oltpd_instructions_total yields per-interval IPC", func(emit func(metrics.Sample)) {
-		for i, p := range collectPMU() {
-			emit(metrics.Sample{Name: "oltpd_cycles_total",
-				Labels: []metrics.Label{metrics.L("shard", shardLabel[i])},
-				Value:  p.meas.Cycles()})
-		}
-	})
-	txn.Register("oltpd_aborts_total", "counter", "aborted transactions (engine-wide)", func(emit func(metrics.Sample)) {
-		pmu.Lock()
-		aborts := pmu.aborts
-		pmu.Unlock()
-		emit(metrics.Sample{Name: "oltpd_aborts_total", Value: float64(aborts)})
-	})
-	storage.Register("oltpd_data_bytes", "gauge", "resident simulated data bytes", func(emit func(metrics.Sample)) {
-		pmu.Lock()
-		bytes := pmu.dataBytes
-		pmu.Unlock()
-		emit(metrics.Sample{Name: "oltpd_data_bytes", Value: float64(bytes)})
-	})
-	serving.Register("oltpd_request_seconds", "summary",
-		"request latency from arrival to response per shard (wall clock)",
-		func(emit func(metrics.Sample)) {
-			for i := 0; i < shards; i++ {
-				h := s.svcHist[i]
-				for _, q := range []struct {
-					q     float64
-					label string
-				}{{0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}, {0.999, "0.999"}} {
-					emit(metrics.Sample{Name: "oltpd_request_seconds",
-						Labels: []metrics.Label{metrics.L("shard", shardLabel[i]), metrics.L("quantile", q.label)},
-						Value:  h.Quantile(q.q) * 1e-9})
-				}
-				emit(metrics.Sample{Name: "oltpd_request_seconds_count",
-					Labels: []metrics.Label{metrics.L("shard", shardLabel[i])},
-					Value:  float64(h.Count())})
-			}
-		})
 }
 
 func placementName(p core.HomePlacement) string {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"math"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -411,6 +413,96 @@ func TestMetricsCollectorGroups(t *testing.T) {
 	if !strings.Contains(body, "oltpd_2pc_prepares_total") || strings.Contains(body, "oltpd_ipc") {
 		t.Fatalf("narrowed default render wrong:\n%s", body)
 	}
+}
+
+// TestScrapeIsOneInstant: every PMU family of one scrape describes the same
+// instant. Four shards execute under pipelined load while eight scrapers
+// render concurrently; in every scrape each shard's cycles must equal its
+// instructions × BaseCPI plus its stall components, and its IPC must be
+// instructions / cycles. Both identities hold only when instructions,
+// stalls, cycles and IPC come from one observation, so a scrape whose PMU
+// families read two different engine instants fails them.
+func TestScrapeIsOneInstant(t *testing.T) {
+	const shards, scrapers, scrapesEach, depth = 4, 8, 6, 8
+	s := startServer(t, microConfig(shards))
+	cpi := s.eng.BaseCPI()
+
+	stop := make(chan struct{})
+	var load sync.WaitGroup
+	for shard := 0; shard < shards; shard++ {
+		wc, err := wire.Dial(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wc.Close()
+		procID, err := wc.Prepare("micro_ro")
+		if err != nil {
+			t.Fatal(err)
+		}
+		load.Add(1)
+		go func() {
+			defer load.Done()
+			for key := int64(shard); ; {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := uint32(0); i < depth; i++ {
+					wc.QueueExec(i, procID, shard, []catalog.Value{catalog.LongVal(key)})
+					key = (key + shards) % 4096
+				}
+				if err := wc.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < depth; i++ {
+					if _, typ, _, err := wc.Recv(); err != nil || typ != wire.MsgOK {
+						t.Errorf("shard %d: frame %#x, err %v", shard, typ, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	same := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	var scrape sync.WaitGroup
+	for g := 0; g < scrapers; g++ {
+		scrape.Add(1)
+		go func() {
+			defer scrape.Done()
+			for n := 0; n < scrapesEach; n++ {
+				text := s.Registry().Render()
+				if n%2 == 1 {
+					var err error
+					if text, err = s.Registry().RenderGroups([]string{"engine"}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				p, err := metrics.Parse(text)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for shard := 0; shard < shards; shard++ {
+					l := fmt.Sprintf(`shard="%d"`, shard)
+					instr, cycles, ipc := p["oltpd_instructions_total{"+l+"}"], p["oltpd_cycles_total{"+l+"}"], p["oltpd_ipc{"+l+"}"]
+					stalls := p.Sum("oltpd_stall_cycles_total", l)
+					if !same(cycles, instr*cpi+stalls) {
+						t.Errorf("scrape %d.%d shard %d: cycles %g != instructions %g × %g + stalls %g", g, n, shard, cycles, instr, cpi, stalls)
+					}
+					if cycles > 0 && !same(ipc, instr/cycles) {
+						t.Errorf("scrape %d.%d shard %d: ipc %g != instructions %g / cycles %g", g, n, shard, ipc, instr, cycles)
+					}
+				}
+			}
+		}()
+	}
+	scrape.Wait()
+	close(stop)
+	load.Wait()
 }
 
 // atomic64 is a tiny helper (avoids importing sync/atomic twice with

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"oltpsim/internal/server"
 )
 
 // TestReadmePackageMap holds README's "Package map" table to the tree: every
@@ -66,5 +68,28 @@ func TestReadmePackageMap(t *testing.T) {
 		if !slices.ContainsFunc(named, func(p string) bool { return dir == p || strings.HasPrefix(dir, p+"/") }) {
 			t.Errorf("%s holds Go code but no package map row names it or a parent", dir)
 		}
+	}
+}
+
+// TestReadmeCollectorGroups holds README's "Live telemetry" section to
+// oltpd's family table: the collector groups it describes, each written as
+// "`name` (what it holds)", are exactly server.CollectorGroups().
+func TestReadmeCollectorGroups(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n### Live telemetry\n")
+	if !ok {
+		t.Fatal(`README.md has no "### Live telemetry" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	var named []string
+	for _, m := range regexp.MustCompile("`([a-z0-9_]+)`\\s+\\(").FindAllStringSubmatch(section, -1) {
+		named = append(named, m[1])
+	}
+	slices.Sort(named)
+	if want := server.CollectorGroups(); !slices.Equal(named, want) {
+		t.Errorf("README's Live telemetry names collector groups %v, oltpd has %v", named, want)
 	}
 }
