@@ -115,10 +115,10 @@ cluster_tests = \
 	"-run TestClusterDifferential|TestTwoPC|TestGtids ./internal/cluster" \
 	"-run TestDriveCluster|TestScenarioFlashCrowdOnCluster ./internal/driver"
 scenario_tests = \
-	"-run TestPacer|TestProfile|TestScenario|TestAdmission ./internal/driver ./internal/server"
+	"-run TestPacer|TestProfile|TestScenario|TestScheduleFence|TestAdmission ./internal/driver ./internal/server"
 analyze_tests = \
 	"./internal/olog ./internal/analyze" \
-	"-run TestMetricsCollectorGroups|TestDriveReqLog|TestAutoTermStopsEarly|TestStabilizer ./internal/server ./internal/driver"
+	"-run TestMetricsCollectorGroups|TestDriveReqLog ./internal/server ./internal/driver"
 
 $(SMOKES): %-smoke:
 	@set -e; for args in $($*_tests); do echo $(GO) test -race $$args; $(GO) test -race $$args; done

@@ -29,7 +29,7 @@ type Options struct {
 }
 
 // coveredWarn is the covered-window fraction below which a run is flagged
-// as under-covered (it ended early via drain, error, or autoterm).
+// as under-covered (it ended early via drain or socket error).
 const coveredWarn = 0.95
 
 // Stats aggregates one population of requests. Quantiles are exact

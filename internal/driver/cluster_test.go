@@ -215,25 +215,26 @@ func TestScenarioFlashCrowdOnCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	logPath := filepath.Join(t.TempDir(), "run.olog")
-	var csv bytes.Buffer
-	rep, rows, err := driver.RunScenario(driver.ScenarioConfig{
-		Driver: bed.Target(driver.Config{
-			MPRate:  20,
-			Conns:   8, // one call outstanding each: the in-flight cap, and what fills a one-deep queue
-			Rate:    600 / float64(raceWindowScale),
-			Poisson: true,
-			Seed:    3,
-			Profile: prof,
-			ReqLog:  logPath,
-		}),
+	rep, err := driver.Run(bed.Target(driver.Config{
+		MPRate:      20,
+		Conns:       8, // one call outstanding each: the in-flight cap, and what fills a one-deep queue
+		Rate:        600 / float64(raceWindowScale),
+		Poisson:     true,
+		Seed:        3,
+		Profile:     prof,
+		ReqLog:      logPath,
 		TimeScale:   10,
-		SimDuration: 6 * time.Second,
-		SimWarmup:   500 * time.Millisecond,
+		Measure:     6 * time.Second,
+		Warmup:      500 * time.Millisecond,
 		AggInterval: 250 * time.Millisecond,
-		CSV:         &csv,
-	})
+	}))
 	if err != nil {
-		t.Fatalf("RunScenario: %v", err)
+		t.Fatalf("driver.Run: %v", err)
+	}
+	rows := rep.Timeline
+	var csv bytes.Buffer
+	if err := driver.WriteTimelineCSV(&csv, rows); err != nil {
+		t.Fatal(err)
 	}
 	if rep.Ops == 0 || rep.MultiPart == 0 || rep.Shed == 0 {
 		t.Fatalf("ops %d, multi-partition commits %d, shed %d: all must be nonzero", rep.Ops, rep.MultiPart, rep.Shed)

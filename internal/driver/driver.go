@@ -9,8 +9,12 @@
 //     Rate ops/s with fixed or Poisson spacing, optionally shaped by a
 //     Profile;
 //   - the observers: the final Report (p50/p90/p99/p999 over a measurement
-//     window that starts after a warmup), the scenario timeline, the
-//     per-request log (ReqLog) and the AutoTerm stability monitor.
+//     window that starts after a warmup), the per-interval timeline
+//     (AggInterval) and the per-request log (ReqLog).
+//
+// Warmup, Measure and Rate are stated in simulated time, which TimeScale
+// compresses onto the wall clock (see scenario.go); at the default scale 1
+// they are wall-clock values.
 //
 // Every answered request, on either target, is accounted by the one
 // clientConn.complete, so each observer sees both targets alike.
@@ -58,8 +62,8 @@ type Config struct {
 	Spec workload.Spec
 	// Conns is the number of concurrent client connections (default 4).
 	Conns int
-	// Rate is the total offered load in ops/s across all connections;
-	// 0 selects closed-loop operation.
+	// Rate is the total offered load in simulated ops/s across all
+	// connections; 0 selects closed-loop operation.
 	Rate float64
 	// Poisson selects exponential inter-arrival times in open loop
 	// (default: fixed spacing).
@@ -67,31 +71,36 @@ type Config struct {
 	// Pipeline caps in-flight requests per connection (default 1 for closed
 	// loop — the classic one-outstanding client — and 128 for open loop).
 	Pipeline int
-	// Warmup and Measure bound the run: Warmup of traffic to heat caches
-	// and JIT the path, then Measure of recorded traffic (defaults 1s / 3s).
+	// Warmup and Measure bound the run in simulated time: Warmup of traffic
+	// to heat caches and JIT the path, then Measure of recorded traffic
+	// (defaults 1s / 3s).
 	Warmup, Measure time.Duration
 	// Seed drives the (deterministic) per-connection generators.
 	Seed uint64
 	// Profile shapes the offered rate over the measurement window (open loop
 	// only): the instantaneous rate at fraction f of the window is
 	// Rate · Profile.Mult(f). nil = steady. See ParseProfile for the
-	// vocabulary and scenario.go for time-compressed replay.
+	// vocabulary.
 	Profile Profile
+	// TimeScale compresses simulated time onto the wall clock: simulated
+	// seconds per wall second (default 1; 60 plays a simulated minute per
+	// wall second). A scale other than 1 needs an open loop.
+	TimeScale float64
+	// AggInterval, when positive, turns the timeline observer on: one
+	// TimelineRow per AggInterval of simulated time, returned in
+	// Report.Timeline.
+	AggInterval time.Duration
+	// Scrape, when set, is called once per timeline interval to read the
+	// served oltpd's metrics (see MetricsScraper); per-shard IPC and the
+	// stall mix are computed from deltas of successive scrapes. Scrape
+	// failures leave those columns zero rather than failing the run.
+	Scrape func() (map[string]float64, error)
 	// ReqLog, when non-empty, persists one binary olog record per request
 	// (scheduled/start/done times, shard, archetype, status, flags;
 	// multi-partition transactions carry FlagMultiPart) to this path at the
 	// end of the run. Capture is buffered per connection and allocation-free
 	// on the completion path; see internal/olog.
 	ReqLog string
-	// AutoTerm stops the measurement window early once throughput is stable:
-	// a monitor samples completed ops every AutoTermWindow/autotermSamples
-	// and ends traffic when the coefficient of variation over the rolling
-	// window drops to AutoTermPct percent or below (warp's -autoterm).
-	AutoTerm bool
-	// AutoTermWindow is the rolling stability window (default 2s).
-	AutoTermWindow time.Duration
-	// AutoTermPct is the CV threshold in percent (default 7.5).
-	AutoTermPct float64
 }
 
 // clustered reports whether the target is a cluster.
@@ -117,51 +126,48 @@ func (c Config) withDefaults() Config {
 	if c.Spec.Kind == "" {
 		c.Spec = workload.DefaultSpec()
 	}
-	if c.AutoTerm {
-		if c.AutoTermWindow <= 0 {
-			c.AutoTermWindow = 2 * time.Second
-		}
-		if c.AutoTermPct <= 0 {
-			c.AutoTermPct = 7.5
-		}
+	if c.TimeScale <= 0 {
+		c.TimeScale = 1
 	}
 	return c
 }
 
 // Report is the outcome of a run. Latency quantiles cover the measurement
-// window only.
+// window only. Its JSON form (oltpdrive -json) carries the counters, Rate as
+// RateOps and the latencies as integer nanoseconds.
 type Report struct {
 	Spec      string
 	Shards    int
 	Conns     int
-	Rate      float64 // offered; 0 = closed loop
-	Elapsed   time.Duration
-	Ops       uint64 // measured completed ops
-	Errors    uint64 // measured failed ops (included in Ops)
-	Rejected  uint64 // ops refused by a draining server (not in Ops)
-	Shed      uint64 // ops shed by admission control (wire.ErrOverload; not in Ops)
-	MultiPart uint64 // committed multi-partition (2PC) transactions — cluster target
+	Rate      float64       `json:"RateOps"` // offered wall ops/s; 0 = closed loop
+	Elapsed   time.Duration `json:"-"`
+	Ops       uint64        // measured completed ops
+	Errors    uint64        // measured failed ops (included in Ops)
+	Rejected  uint64        // ops refused by a draining server (not in Ops)
+	Shed      uint64        // ops shed by admission control (wire.ErrOverload; not in Ops)
+	MultiPart uint64        // committed multi-partition (2PC) transactions — cluster target
 	// DirtyDrains counts connections whose in-flight tail had to be abandoned
 	// at the drain deadline instead of being reclaimed token by token; a
 	// clean run reports 0.
-	DirtyDrains uint64
+	DirtyDrains uint64 `json:"-"`
 	// Covered is the fraction of the nominal measurement window the run
 	// actually covered (1.0 for a full window). A run cut short — server
-	// drain, socket error, or autoterm — clamps Elapsed to the covered span;
-	// Covered surfaces how much was lost instead of shrinking it silently.
-	Covered float64
-	// AutoTerm reports that the stability monitor ended the window early.
-	AutoTerm   bool
+	// drain or socket error — clamps Elapsed to the covered span; Covered
+	// surfaces how much was lost instead of shrinking it silently.
+	Covered    float64
 	Throughput float64
-	Mean       time.Duration
-	P50        time.Duration
-	P90        time.Duration
-	P99        time.Duration
-	P999       time.Duration
-	Max        time.Duration
+	Mean       time.Duration `json:"MeanNs"`
+	P50        time.Duration `json:"P50Ns"`
+	P90        time.Duration `json:"P90Ns"`
+	P99        time.Duration `json:"P99Ns"`
+	P999       time.Duration `json:"P999Ns"`
+	Max        time.Duration `json:"MaxNs"`
 
 	// Hist is the merged latency histogram (nanoseconds).
-	Hist *metrics.Histogram
+	Hist *metrics.Histogram `json:"-"`
+	// Timeline holds one row per aggregation interval when AggInterval was
+	// set (see WriteTimelineCSV / WriteTimelineJSON).
+	Timeline []TimelineRow `json:"-"`
 }
 
 // String renders the human-readable report oltpdrive prints.
@@ -175,9 +181,6 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  window     %.2fs measured (%d shards", r.Elapsed.Seconds(), r.Shards)
 	if r.Covered > 0 && r.Covered < 0.999 {
 		fmt.Fprintf(&b, ", %.0f%% of nominal", r.Covered*100)
-	}
-	if r.AutoTerm {
-		b.WriteString(", autoterm")
 	}
 	b.WriteString(")\n")
 	fmt.Fprintf(&b, "  throughput %.0f ops/s  (%d ops, %d errors, %d rejected, %d shed)\n",
@@ -205,13 +208,12 @@ func fmtDur(d time.Duration) string {
 
 // Run executes the configured load against the target and returns the
 // measured report.
-func Run(cfg Config) (*Report, error) { return run(cfg, nil) }
-
-// run is Run plus an optional mid-run observer: the scenario timeline
-// emitter attaches here to snapshot per-connection histograms and counters
-// at every aggregation interval while traffic is in flight.
-func run(cfg Config, obs *observer) (*Report, error) {
-	cfg = cfg.withDefaults()
+func Run(cfg Config) (*Report, error) {
+	sim := cfg.withDefaults()
+	cfg, err := sim.wallClock()
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Profile != nil && cfg.Rate <= 0 {
 		return nil, fmt.Errorf("driver: load profiles require open-loop operation (set Rate)")
 	}
@@ -256,7 +258,6 @@ func run(cfg Config, obs *observer) (*Report, error) {
 			MeasureNs: cfg.Measure.Nanoseconds(),
 			Procs:     cfg.Spec.ProcNames(),
 		}
-		var err error
 		rlog, err = olog.Create(cfg.ReqLog, hdr)
 		if err != nil {
 			closeAll()
@@ -270,12 +271,10 @@ func run(cfg Config, obs *observer) (*Report, error) {
 	base := time.Now()
 	warmEnd := cfg.Warmup.Nanoseconds()
 	end := warmEnd + cfg.Measure.Nanoseconds()
-	if obs != nil {
+	var obs *observer
+	if cfg.AggInterval > 0 {
+		obs = &observer{cfg: sim}
 		obs.start(conns, base, warmEnd, end)
-	}
-	var at *autoterm
-	if cfg.AutoTerm {
-		at = startAutoterm(cfg, conns, base, warmEnd)
 	}
 	var wg sync.WaitGroup
 	for _, c := range conns {
@@ -287,9 +286,6 @@ func run(cfg Config, obs *observer) (*Report, error) {
 		go func() { defer wg.Done(); c.sendLoop(base, warmEnd, end) }()
 	}
 	wg.Wait()
-	if at != nil {
-		at.stop()
-	}
 	if obs != nil {
 		obs.stop()
 	}
@@ -301,6 +297,9 @@ func run(cfg Config, obs *observer) (*Report, error) {
 		Rate:    cfg.Rate,
 		Elapsed: cfg.Measure,
 		Hist:    &metrics.Histogram{},
+	}
+	if obs != nil {
+		rep.Timeline = obs.rows
 	}
 	var lastDone int64
 	for _, c := range conns {
@@ -319,7 +318,7 @@ func run(cfg Config, obs *observer) (*Report, error) {
 			lastDone = ld
 		}
 	}
-	// A run cut short (server drain, socket error, autoterm) measured a
+	// A run cut short (server drain, socket error) measured a
 	// shorter window than configured: report throughput over the window
 	// actually covered, not the nominal one — and surface the fraction so an
 	// under-covered run is visible instead of silently shrunk.
@@ -327,9 +326,6 @@ func run(cfg Config, obs *observer) (*Report, error) {
 	if covered := time.Duration(lastDone - warmEnd); covered > 0 && covered < rep.Elapsed {
 		rep.Elapsed = covered
 		rep.Covered = float64(covered) / float64(cfg.Measure)
-	}
-	if at != nil && at.triggered.Load() {
-		rep.AutoTerm = true
 	}
 	if s := rep.Elapsed.Seconds(); s > 0 {
 		rep.Throughput = float64(rep.Ops) / s

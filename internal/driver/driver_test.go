@@ -1,8 +1,11 @@
 package driver_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -212,43 +215,6 @@ func TestDriveReqLog(t *testing.T) {
 	}
 }
 
-// TestAutoTermStopsEarly: with -autoterm, a steady closed-loop run ends as
-// soon as throughput stabilizes instead of sitting out a long nominal
-// window, and the report says so.
-func TestAutoTermStopsEarly(t *testing.T) {
-	spec := workload.Spec{Kind: "micro", Rows: 4096, RowsPerTx: 1}
-	bed := startBed(t, server.Config{System: systems.VoltDB, Shards: 2, Spec: spec})
-
-	measure := 20 * time.Second
-	rep, err := driver.Run(bed.Target(driver.Config{
-		Conns:          2,
-		Warmup:         30 * time.Millisecond * raceWindowScale,
-		Measure:        measure,
-		Seed:           5,
-		AutoTerm:       true,
-		AutoTermWindow: 200 * time.Millisecond * raceWindowScale,
-		AutoTermPct:    50, // generous: fire on the first full window
-	}))
-	if err != nil {
-		t.Fatalf("driver.Run: %v", err)
-	}
-	if !rep.AutoTerm {
-		t.Fatal("stability monitor never fired on a steady loopback run")
-	}
-	if rep.Elapsed >= measure/4 {
-		t.Fatalf("autoterm run still took %v of a %v window", rep.Elapsed, measure)
-	}
-	if rep.Covered <= 0 || rep.Covered >= 0.5 {
-		t.Fatalf("Covered = %v, want an early-stopped fraction", rep.Covered)
-	}
-	if rep.Ops == 0 {
-		t.Fatal("no ops measured before the early stop")
-	}
-	if !strings.Contains(rep.String(), "autoterm") {
-		t.Fatalf("report does not mention autoterm:\n%s", rep.String())
-	}
-}
-
 // TestDriveSpecMismatch: a driver generating a different workload than the
 // server serves must refuse to start.
 func TestDriveSpecMismatch(t *testing.T) {
@@ -329,5 +295,38 @@ func TestDrivePipelineDepths(t *testing.T) {
 				t.Fatalf("ops=%d errors=%d rejected=%d dirty=%d", rep.Ops, rep.Errors, rep.Rejected, rep.DirtyDrains)
 			}
 		})
+	}
+}
+
+// TestReportJSONKeys pins the -json report's keys and their order, which
+// scripts/smoke.sh and other consumers read: latencies are integer
+// nanoseconds under *Ns keys, and the in-process fields stay out.
+func TestReportJSONKeys(t *testing.T) {
+	b, err := json.Marshal(&driver.Report{P50: 1500 * time.Nanosecond, Timeline: []driver.TimelineRow{{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var keys []string
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		if v, err := dec.Token(); err != nil {
+			t.Fatal(err)
+		} else if k == "P50Ns" && v != json.Number("1500") {
+			t.Fatalf("P50Ns = %v, want integer nanoseconds 1500", v)
+		}
+	}
+	want := []string{"Spec", "Shards", "Conns", "RateOps", "Ops", "Errors", "Rejected", "Shed",
+		"MultiPart", "Covered", "Throughput", "MeanNs", "P50Ns", "P90Ns", "P99Ns", "P999Ns", "MaxNs"}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("report JSON keys:\n got %v\nwant %v", keys, want)
 	}
 }

@@ -80,19 +80,17 @@ func TestScheduleFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	flash := filepath.Join(dir, "flash.olog")
-	if _, _, err := driver.RunScenario(driver.ScenarioConfig{
-		Driver: bed.Target(driver.Config{
-			Conns:   2,
-			Rate:    50, // simulated ops/s at multiplier 1
-			Poisson: true,
-			Seed:    22,
-			Profile: prof,
-			ReqLog:  flash,
-		}),
-		TimeScale:   10,
-		SimDuration: 4 * time.Second,
-		SimWarmup:   time.Second,
-	}); err != nil {
+	if _, err := driver.Run(bed.Target(driver.Config{
+		Conns:     2,
+		Rate:      50, // simulated ops/s at multiplier 1
+		Poisson:   true,
+		Seed:      22,
+		Warmup:    time.Second,
+		Measure:   4 * time.Second,
+		Profile:   prof,
+		ReqLog:    flash,
+		TimeScale: 10,
+	})); err != nil {
 		t.Fatalf("flash scenario: %v", err)
 	}
 

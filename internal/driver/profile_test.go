@@ -71,9 +71,14 @@ func TestProfileParseRoundTrip(t *testing.T) {
 	}
 }
 
-// schedule drains n arrivals from one connection's pacer.
-func schedule(cfg Config, idx, n int) []float64 {
-	cfg = cfg.withDefaults()
+// schedule drains n arrivals from one connection's pacer, after the
+// conversion to the wall clock Run applies.
+func schedule(t *testing.T, cfg Config, idx, n int) []float64 {
+	t.Helper()
+	cfg, err := cfg.withDefaults().wallClock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := newPacer(cfg, idx)
 	out := make([]float64, n)
 	for i := range out {
@@ -90,25 +95,26 @@ func schedule(cfg Config, idx, n int) []float64 {
 // count), which time compression leaves invariant, is the only scale that
 // enters.
 func TestPacerDeterministicSchedule(t *testing.T) {
-	// cfgAt maps the same simulated scenario (500 sim-ops/s for 10 simulated
-	// seconds, 1s sim warmup) to wall-clock terms at compression S, exactly
-	// as RunScenario does.
+	// cfgAt states the same simulated scenario (500 sim-ops/s for 10
+	// simulated seconds, 1s sim warmup) at compression S; schedule converts
+	// it to wall-clock terms the way Run does.
 	cfgAt := func(scale float64) Config {
 		return Config{
-			Conns:   3,
-			Rate:    500 * scale,
-			Poisson: true,
-			Seed:    42,
-			Warmup:  time.Duration(float64(time.Second) / scale),
-			Measure: time.Duration(float64(10*time.Second) / scale),
-			Profile: diurnalProfile{Lo: 0.2},
+			Conns:     3,
+			Rate:      500,
+			Poisson:   true,
+			Seed:      42,
+			Warmup:    time.Second,
+			Measure:   10 * time.Second,
+			Profile:   diurnalProfile{Lo: 0.2},
+			TimeScale: scale,
 		}
 	}
 	const n = 2000
-	base := schedule(cfgAt(1), 0, n)
+	base := schedule(t, cfgAt(1), 0, n)
 
 	// Same seed, same config ⇒ identical schedule (run-to-run determinism).
-	again := schedule(cfgAt(1), 0, n)
+	again := schedule(t, cfgAt(1), 0, n)
 	for i := range base {
 		if base[i] != again[i] {
 			t.Fatalf("arrival %d differs across identical runs: %v vs %v", i, base[i], again[i])
@@ -118,7 +124,7 @@ func TestPacerDeterministicSchedule(t *testing.T) {
 	// Time compression that divides the scenario evenly preserves the
 	// simulated schedule bit for bit.
 	for _, scale := range []float64{10, 100} {
-		comp := schedule(cfgAt(scale), 0, n)
+		comp := schedule(t, cfgAt(scale), 0, n)
 		for i := range base {
 			if base[i] != comp[i] {
 				t.Fatalf("time-scale %g: arrival %d = %v, want %v (sim schedule must be scale-invariant)",
@@ -129,7 +135,7 @@ func TestPacerDeterministicSchedule(t *testing.T) {
 
 	// Different seeds and different connections diverge (no accidental
 	// schedule collisions between senders).
-	other := schedule(cfgAt(1), 1, n)
+	other := schedule(t, cfgAt(1), 1, n)
 	diff := 0
 	for i := range base {
 		if base[i] != other[i] {
@@ -162,7 +168,7 @@ func TestPacerProfileShapesRate(t *testing.T) {
 		Measure: time.Second,
 		Profile: pulseProfile{name: "flash", At: 0.4, Dur: 0.2, X: 10},
 	}
-	arr := schedule(cfg, 0, 30000)
+	arr := schedule(t, cfg, 0, 30000)
 	// Two equal-width sample windows, one on the flat baseline and one fully
 	// inside the pulse [0.4, 0.6) with margin off its edges.
 	var before, inside int

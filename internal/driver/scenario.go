@@ -1,19 +1,18 @@
-// The scenario engine: time-compressed replay of a load profile with a
-// per-interval timeline. A scenario states its traffic in simulated time —
-// "a day of diurnal load", "a six-minute flash crowd" — and RunScenario
-// plays it through the open-loop sender at a -time-scale compression factor:
-// at scale S, one wall-clock second carries S simulated seconds, so the
-// offered wall rate is S times the simulated rate and the whole profile
-// finishes in SimDuration/S. The arrival schedule is computed in fractions
-// of the window (see pacer), so the same seed produces the identical
-// simulated schedule at every compression factor.
+// Time compression and the timeline. A run states its traffic in simulated
+// time — "a day of diurnal load", "a six-minute flash crowd" — and plays it
+// through the sender at a TimeScale compression factor: at scale S, one
+// wall-clock second carries S simulated seconds, so the offered wall rate is
+// S times the simulated rate and the whole profile finishes in Measure/S. The
+// arrival schedule is computed in fractions of the window (see pacer), so the
+// same seed produces the identical simulated schedule at every compression
+// factor.
 //
-// While traffic runs, an observer snapshots every connection's latency
+// With AggInterval set, an observer snapshots every connection's latency
 // histogram and counters once per aggregation interval, plus (optionally)
 // the served oltpd's /metrics; successive snapshots are differenced into
 // TimelineRows — per-interval throughput, error/rejection/shed counts,
 // p50/p99 from histogram-bucket deltas, and per-shard IPC and stall mix
-// from scrape deltas — emitted as CSV and/or JSON.
+// from scrape deltas — written as CSV or JSON.
 package driver
 
 import (
@@ -27,51 +26,25 @@ import (
 	"oltpsim/internal/metrics"
 )
 
-// ScenarioConfig shapes a RunScenario call.
-type ScenarioConfig struct {
-	// Driver carries the connection/workload setup. Rate is the SIMULATED
-	// offered ops per SIMULATED second at multiplier 1 (RunScenario converts
-	// to the wall rate); Profile shapes it (nil = steady); Warmup and Measure
-	// are ignored (SimWarmup and SimDuration govern).
-	Driver Config
-	// TimeScale is the compression factor: simulated seconds per wall-clock
-	// second (default 1; 60 plays a simulated minute per wall second).
-	TimeScale float64
-	// SimDuration is the simulated span the profile covers (default 1m).
-	SimDuration time.Duration
-	// SimWarmup is the simulated warmup before the profile window (default
-	// SimDuration/20), run at the profile's opening multiplier.
-	SimWarmup time.Duration
-	// AggInterval is the simulated width of one timeline row (default
-	// SimDuration/40).
-	AggInterval time.Duration
-	// Scrape, when set, is called once per interval to read the served
-	// oltpd's metrics (see MetricsScraper); per-shard IPC and the stall mix
-	// are computed from deltas of successive scrapes. Scrape failures leave
-	// those columns zero rather than failing the run.
-	Scrape func() (map[string]float64, error)
-	// CSV and JSON, when set, receive the timeline in the respective format.
-	CSV  io.Writer
-	JSON io.Writer
+// wallClock converts a defaulted, simulated-time Config to the wall-clock
+// one the run keeps: Rate×S offered wall ops/s over Warmup/S and Measure/S.
+// Rate·Measure, the total offered op count, is invariant under the
+// conversion, which is what keeps the pacer's schedule scale-invariant.
+func (c Config) wallClock() (Config, error) {
+	s := c.TimeScale
+	if s != 1 && c.Rate <= 0 {
+		return c, fmt.Errorf("driver: time scale %g needs open-loop operation (set Rate in simulated ops/s)", s)
+	}
+	c.Rate *= s
+	c.Measure = time.Duration(float64(c.Measure) / s)
+	c.Warmup = time.Duration(float64(c.Warmup) / s)
+	if c.Measure <= 0 || c.Warmup <= 0 {
+		return c, fmt.Errorf("driver: time scale %g compresses the run below the clock resolution", s)
+	}
+	return c, nil
 }
 
-func (sc ScenarioConfig) withDefaults() ScenarioConfig {
-	if sc.TimeScale <= 0 {
-		sc.TimeScale = 1
-	}
-	if sc.SimDuration <= 0 {
-		sc.SimDuration = time.Minute
-	}
-	if sc.SimWarmup <= 0 {
-		sc.SimWarmup = sc.SimDuration / 20
-	}
-	if sc.AggInterval <= 0 {
-		sc.AggInterval = sc.SimDuration / 40
-	}
-	return sc
-}
-
-// TimelineRow is one aggregation interval of a scenario run. Quantiles come
+// TimelineRow is one aggregation interval of a run. Quantiles come
 // from histogram-bucket deltas between the interval's two snapshots; IPC and
 // the stall mix come from scrape deltas (zero without a scraper). Times and
 // rates are in simulated units except Throughput, which is measured wall
@@ -96,43 +69,6 @@ type TimelineRow struct {
 	StallInstrPct  float64 `json:"stall_instr_pct"`
 	StallDataPct   float64 `json:"stall_data_pct"`
 	StallRemotePct float64 `json:"stall_remote_pct"`
-}
-
-// RunScenario plays sc.Driver's workload under the configured profile at
-// TimeScale compression and returns the overall report plus the per-interval
-// timeline (also written to sc.CSV / sc.JSON when set).
-func RunScenario(sc ScenarioConfig) (*Report, []TimelineRow, error) {
-	sc = sc.withDefaults()
-	cfg := sc.Driver
-	if cfg.Rate <= 0 {
-		return nil, nil, fmt.Errorf("driver: scenarios are open-loop; set Driver.Rate (simulated ops/s)")
-	}
-	if cfg.Profile == nil {
-		cfg.Profile = steadyProfile{}
-	}
-	cfg.Rate *= sc.TimeScale
-	cfg.Measure = time.Duration(float64(sc.SimDuration) / sc.TimeScale)
-	cfg.Warmup = time.Duration(float64(sc.SimWarmup) / sc.TimeScale)
-	if cfg.Measure <= 0 || cfg.Warmup <= 0 {
-		return nil, nil, fmt.Errorf("driver: time scale %g compresses the scenario below the clock resolution", sc.TimeScale)
-	}
-
-	obs := &observer{sc: sc}
-	rep, err := run(cfg, obs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sc.CSV != nil {
-		if err := WriteTimelineCSV(sc.CSV, obs.rows); err != nil {
-			return rep, obs.rows, err
-		}
-	}
-	if sc.JSON != nil {
-		if err := WriteTimelineJSON(sc.JSON, obs.rows); err != nil {
-			return rep, obs.rows, err
-		}
-	}
-	return rep, obs.rows, nil
 }
 
 // MetricsScraper returns a Scrape func reading a Prometheus-text endpoint
@@ -211,9 +147,10 @@ type obsSnap struct {
 }
 
 // observer samples the live connections once per (wall) aggregation interval
-// from inside run(); successive snapshots are differenced into timeline rows.
+// from inside Run; successive snapshots are differenced into timeline rows.
+// cfg is the run's simulated-time Config.
 type observer struct {
-	sc      ScenarioConfig
+	cfg     Config
 	conns   []*clientConn
 	base    time.Time
 	warmEnd int64
@@ -240,7 +177,7 @@ func (o *observer) stop() {
 
 func (o *observer) loop() {
 	defer close(o.fin)
-	wallInterval := time.Duration(float64(o.sc.AggInterval) / o.sc.TimeScale)
+	wallInterval := time.Duration(float64(o.cfg.AggInterval) / o.cfg.TimeScale)
 	if wallInterval <= 0 {
 		wallInterval = time.Millisecond
 	}
@@ -282,8 +219,8 @@ func (o *observer) snapshot() obsSnap {
 		s.rejected += c.rejected.Load()
 		s.shed += c.shed.Load()
 	}
-	if o.sc.Scrape != nil {
-		if m, err := o.sc.Scrape(); err == nil {
+	if o.cfg.Scrape != nil {
+		if m, err := o.cfg.Scrape(); err == nil {
 			s.scrape = m
 		}
 	}
@@ -302,15 +239,15 @@ func (o *observer) emit(k int, cur, prev obsSnap, start time.Time) {
 	}
 	// Simulated positions of the interval's endpoints (seconds since the
 	// profile window opened).
-	scale := o.sc.TimeScale
+	scale := o.cfg.TimeScale
 	simPrev := prev.at.Sub(start).Seconds() * scale
 	simCur := cur.at.Sub(start).Seconds() * scale
 	if simPrev < 0 {
 		simPrev = 0
 	}
 	row.SimSeconds = simCur
-	if prof := o.sc.Driver.Profile; prof != nil {
-		frac := ((simPrev + simCur) / 2) / o.sc.SimDuration.Seconds()
+	if prof := o.cfg.Profile; prof != nil {
+		frac := ((simPrev + simCur) / 2) / o.cfg.Measure.Seconds()
 		row.Mult = prof.Mult(math.Min(math.Max(frac, 0), 1))
 	} else {
 		row.Mult = 1

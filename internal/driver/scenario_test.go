@@ -13,7 +13,7 @@ import (
 	"oltpsim/internal/workload"
 )
 
-// TestScenarioFlashCrowdWithAdmission is the scenario engine end to end: a
+// TestScenarioFlashCrowdWithAdmission is a scenario end to end: a
 // flash-crowd profile replayed at 10× compression against an oltpd with
 // queue-depth admission control. The timeline must cover the run, show the
 // pulse in its multiplier column, carry per-interval quantiles and scraped
@@ -32,21 +32,18 @@ func TestScenarioFlashCrowdWithAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var csv, jsonBuf bytes.Buffer
-	// The total offered op count (Rate × SimDuration × mean multiplier) is
+	// The total offered op count (Rate × Measure × mean multiplier) is
 	// time-scale invariant, so under -race it is the rate — not the window —
 	// that must shrink to keep the push-through affordable.
-	rep, rows, err := driver.RunScenario(driver.ScenarioConfig{
-		Driver: bed.Target(driver.Config{
-			Conns:   2,
-			Rate:    1500 / float64(raceWindowScale), // simulated ops/s at multiplier 1; ×40 in the pulse
-			Poisson: true,
-			Seed:    11,
-			Profile: prof,
-		}),
+	rep, err := driver.Run(bed.Target(driver.Config{
+		Conns:       2,
+		Rate:        1500 / float64(raceWindowScale), // simulated ops/s at multiplier 1; ×40 in the pulse
+		Poisson:     true,
+		Seed:        11,
+		Profile:     prof,
 		TimeScale:   10,
-		SimDuration: 6 * time.Second,
-		SimWarmup:   500 * time.Millisecond,
+		Measure:     6 * time.Second,
+		Warmup:      500 * time.Millisecond,
 		AggInterval: 250 * time.Millisecond,
 		Scrape: func() (map[string]float64, error) {
 			nodes, err := bed.Scrape()
@@ -55,11 +52,17 @@ func TestScenarioFlashCrowdWithAdmission(t *testing.T) {
 			}
 			return nodes[0], nil
 		},
-		CSV:  &csv,
-		JSON: &jsonBuf,
-	})
+	}))
 	if err != nil {
-		t.Fatalf("RunScenario: %v", err)
+		t.Fatalf("driver.Run: %v", err)
+	}
+	rows := rep.Timeline
+	var csv, jsonBuf bytes.Buffer
+	if err := driver.WriteTimelineCSV(&csv, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := driver.WriteTimelineJSON(&jsonBuf, rows); err != nil {
+		t.Fatal(err)
 	}
 	if rep.Ops == 0 {
 		t.Fatal("scenario measured zero ops")
@@ -145,12 +148,12 @@ func TestScenarioFlashCrowdWithAdmission(t *testing.T) {
 	}
 }
 
-// TestScenarioRequiresOpenLoop pins the validation surface.
+// TestScenarioRequiresOpenLoop pins the validation surface: time
+// compression and load profiles both need an offered rate.
 func TestScenarioRequiresOpenLoop(t *testing.T) {
-	if _, _, err := driver.RunScenario(driver.ScenarioConfig{
-		Driver: driver.Config{Addr: "127.0.0.1:1"},
-	}); err == nil || !strings.Contains(err.Error(), "open-loop") {
-		t.Fatalf("err = %v, want open-loop requirement", err)
+	if _, err := driver.Run(driver.Config{Addr: "127.0.0.1:1", TimeScale: 10}); err == nil ||
+		!strings.Contains(err.Error(), "open-loop") {
+		t.Fatalf("time scale without rate: err = %v, want open-loop requirement", err)
 	}
 	p, _ := driver.ParseProfile("diurnal")
 	if _, err := driver.Run(driver.Config{Addr: "127.0.0.1:1", Profile: p}); err == nil ||

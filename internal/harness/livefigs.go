@@ -36,16 +36,18 @@ type liveCell struct {
 	labels []string
 	// server is the deployment, handed to testbed.Start as is.
 	server server.Config
-	// drive shapes the traffic; runLive fills in the target, the windows and
-	// the seed. With a profile, Rate is the offered WALL ops/s at multiplier
-	// 1: holding it constant across time scales keeps every scale inside the
-	// same capacity envelope.
+	// drive shapes the traffic; runLive fills in the target and the seed. A
+	// cell with a timeline (AggInterval set) is a scenario: it states its
+	// windows in simulated time, runLive compresses them by serveWindows'
+	// factor and scrapes node 0 per interval, and its Rate is the offered
+	// WALL ops/s at multiplier 1 — holding it constant across time scales
+	// keeps every scale inside the same capacity envelope. Any other cell
+	// gets serveWindows' wall windows.
 	drive driver.Config
-	// profile, when set, makes the cell a scenario: scenarioSimDuration of
-	// this load profile, Poisson arrivals, compressed by serveWindows' factor.
-	// sample names the timeline CSV (re)written under testdata/scenario/ when
-	// that directory exists under the current one (i.e. at the repo root).
-	profile, sample string
+	// sample names a scenario's timeline CSV (re)written under
+	// testdata/scenario/ when that directory exists under the current one
+	// (i.e. at the repo root).
+	sample string
 	// scrape reads every node's /metrics over loopback HTTP after the run.
 	scrape bool
 }
@@ -53,11 +55,9 @@ type liveCell struct {
 // liveResult is what one cell measured.
 type liveResult struct {
 	rep        *driver.Report
-	timeline   []driver.TimelineRow // scenario cells
-	timeScale  float64              // scenario cells: the compression used
-	meas       core.Measurement     // node 0's simulated PMU over the driver window
-	concurrent bool                 // node 0's engine served in concurrent mode
-	nodes      []metrics.Samples    // scrape cells, by node ID
+	meas       core.Measurement  // node 0's simulated PMU over the driver window
+	concurrent bool              // node 0's engine served in concurrent mode
+	nodes      []metrics.Samples // scrape cells, by node ID
 }
 
 // scenarioSimDuration is the simulated length of every scenario figure: a
@@ -102,15 +102,30 @@ func runLive(r *Runner, c liveCell) (res liveResult, err error) {
 		eng.Observe(func(m *core.Machine) { s = m.Snapshot() })
 		return s
 	}
-	before := snapshot()
-	if c.profile != "" {
-		err = runScenario(r, bed, d, c, &res)
+	warm, measure, timeScale := serveWindows(r.Scale)
+	if d.AggInterval > 0 {
+		d.TimeScale = timeScale
+		d.Rate /= timeScale // simulated ops/s at multiplier 1
+		d.Scrape = func() (map[string]float64, error) {
+			nodes, err := bed.Scrape("engine")
+			if err != nil {
+				return nil, err
+			}
+			return nodes[0], nil
+		}
 	} else {
-		d.Warmup, d.Measure, _ = serveWindows(r.Scale)
-		res.rep, err = driver.Run(d)
+		d.Warmup, d.Measure = warm, measure
 	}
-	if err != nil {
+	before := snapshot()
+	if res.rep, err = driver.Run(d); err != nil {
 		return res, err
+	}
+	if st, serr := os.Stat("testdata/scenario"); c.sample != "" && serr == nil && st.IsDir() {
+		var csv bytes.Buffer
+		driver.WriteTimelineCSV(&csv, res.rep.Timeline) // a bytes.Buffer write cannot fail
+		if err = os.WriteFile(filepath.Join("testdata", "scenario", c.sample), csv.Bytes(), 0o644); err != nil {
+			return res, err
+		}
 	}
 	res.meas = core.NewMeasurement(before, snapshot(), eng.Machine().Hier.Config(), eng.BaseCPI())
 	res.concurrent = eng.Concurrent()
@@ -128,36 +143,6 @@ func runLive(r *Runner, c liveCell) (res liveResult, err error) {
 		}
 	}
 	return res, nil
-}
-
-// runScenario is runLive's driver step for a scenario cell.
-func runScenario(r *Runner, bed *testbed.Bed, d driver.Config, c liveCell, res *liveResult) (err error) {
-	if d.Profile, err = driver.ParseProfile(c.profile); err != nil {
-		return err
-	}
-	_, _, res.timeScale = serveWindows(r.Scale)
-	d.Rate /= res.timeScale // simulated ops/s at multiplier 1
-	d.Poisson = true
-	var csv bytes.Buffer
-	res.rep, res.timeline, err = driver.RunScenario(driver.ScenarioConfig{
-		Driver:      d,
-		TimeScale:   res.timeScale,
-		SimDuration: scenarioSimDuration,
-		SimWarmup:   15 * time.Second,
-		AggInterval: scenarioSimDuration / 12,
-		CSV:         &csv,
-		Scrape: func() (map[string]float64, error) {
-			nodes, err := bed.Scrape("engine")
-			if err != nil {
-				return nil, err
-			}
-			return nodes[0], nil
-		},
-	})
-	if st, serr := os.Stat("testdata/scenario"); err == nil && serr == nil && st.IsDir() {
-		err = os.WriteFile(filepath.Join("testdata", "scenario", c.sample), csv.Bytes(), 0o644)
-	}
-	return err
 }
 
 // liveFigure measures the declared cells one after another and renders each
@@ -378,12 +363,16 @@ func FigI3(r *Runner) *Figure {
 // node: the profile at wallRate offered ops/s, with queue-depth admission
 // control when admitQueue > 0.
 func scenarioRow(profile, sample string, wallRate float64, admitQueue int, labels ...string) liveCell {
+	prof, err := driver.ParseProfile(profile)
+	if err != nil {
+		panic(err) // the figures declare their profiles as constants
+	}
 	return liveCell{
-		labels:  labels,
-		server:  oneNode(2, core.PlacePartitioned, admitQueue),
-		drive:   driver.Config{Conns: 4, Rate: wallRate},
-		profile: profile,
-		sample:  sample,
+		labels: labels,
+		server: oneNode(2, core.PlacePartitioned, admitQueue),
+		drive: driver.Config{Conns: 4, Rate: wallRate, Poisson: true, Profile: prof,
+			Warmup: 15 * time.Second, Measure: scenarioSimDuration, AggInterval: scenarioSimDuration / 12},
+		sample: sample,
 	}
 }
 
@@ -398,17 +387,18 @@ func scenarioNote(r *Runner, profile string) string {
 // achieved throughput and tail latency breathe with it.
 func FigC1(r *Runner) *Figure {
 	const profile = "diurnal:lo=0.2"
+	_, _, timeScale := serveWindows(r.Scale)
 	return liveFigure(r, &Figure{
 		ID:     "C1",
 		Title:  "oltpd loopback: diurnal load profile, time-compressed (open loop, 2 shards)",
 		Header: []string{"Sim time", "Mult", "Achieved sim op/s", "p50", "p99", "Shed"},
 		Notes:  []string{liveNote, scenarioNote(r, profile)},
 	}, []liveCell{scenarioRow(profile, "diurnal.csv", 1500, 0)}, func(res liveResult) (rows [][]string) {
-		for _, iv := range res.timeline {
+		for _, iv := range res.rep.Timeline {
 			rows = append(rows, []string{
 				time.Duration(iv.SimSeconds * float64(time.Second)).Round(time.Second).String(),
 				fmt.Sprintf("%.2f", iv.Mult),
-				tput(iv.Throughput / res.timeScale),
+				tput(iv.Throughput / timeScale),
 				fmt.Sprintf("%.0fµs", iv.P50us),
 				fmt.Sprintf("%.0fµs", iv.P99us),
 				fmt.Sprint(iv.Shed),
@@ -428,6 +418,7 @@ func FigC2(r *Runner) *Figure {
 		pulseAt = 0.4
 		profile = "flash:at=0.4,dur=0.2,x=12"
 	)
+	_, _, timeScale := serveWindows(r.Scale)
 	return liveFigure(r, &Figure{
 		ID:     "C2",
 		Title:  "oltpd loopback: flash crowd with vs without admission control (open loop, 2 shards)",
@@ -443,7 +434,7 @@ func FigC2(r *Runner) *Figure {
 			ops, shed uint64
 			wall, p99 float64
 		}
-		for _, iv := range res.timeline {
+		for _, iv := range res.rep.Timeline {
 			a := &phases[2]
 			if iv.Mult > 1 {
 				a = &phases[1]
@@ -462,7 +453,7 @@ func FigC2(r *Runner) *Figure {
 		for i, a := range phases {
 			achieved := 0.0
 			if a.wall > 0 {
-				achieved = float64(a.ops) / a.wall / res.timeScale
+				achieved = float64(a.ops) / a.wall / timeScale
 			}
 			rows = append(rows, []string{[]string{"before", "pulse", "after"}[i],
 				tput(achieved), fmt.Sprintf("%.0fµs", a.p99), fmt.Sprint(a.shed)})

@@ -1,6 +1,9 @@
 package oltpsim
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -91,5 +94,88 @@ func TestReadmeCollectorGroups(t *testing.T) {
 	slices.Sort(named)
 	if want := server.CollectorGroups(); !slices.Equal(named, want) {
 		t.Errorf("README's Live telemetry names collector groups %v, oltpd has %v", named, want)
+	}
+}
+
+// declaredFlags parses Go files and returns the name of every flag they
+// declare through a FlagSet's defining methods (fs.String("name", ...),
+// fs.IntVar(&v, "name", ...)).
+func declaredFlags(t *testing.T, files ...string) map[string]bool {
+	t.Helper()
+	definer := regexp.MustCompile(`^(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration)(Var)?$`)
+	flags := make(map[string]bool)
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !definer.MatchString(sel.Sel.Name) {
+				return true
+			}
+			arg := 0
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			}
+			if arg < len(call.Args) {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					flags[strings.Trim(lit.Value, "`\"")] = true
+				}
+			}
+			return true
+		})
+	}
+	return flags
+}
+
+// TestReadmeDriverFlags holds README to oltpdrive's flag set: every flag on
+// an `oltpdrive …` command line in a sh block (continuation lines included)
+// is one the command declares, and every flag it declares, its own and the
+// shared workload flags, is named somewhere in README.
+func TestReadmeDriverFlags(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := declaredFlags(t, "cmd/oltpdrive/main.go", "internal/workload/specflags.go")
+	if len(declared) == 0 {
+		t.Fatal("found no flag declarations")
+	}
+
+	blocks := regexp.MustCompile("(?s)```sh\n(.*?)```").FindAllStringSubmatch(string(readme), -1)
+	flagTok := regexp.MustCompile(`^-{1,2}([a-z][a-z0-9-]*)(=.*)?$`)
+	lines := 0
+	for _, b := range blocks {
+		cmd := ""
+		for _, line := range strings.Split(b[1], "\n") {
+			cmd += line
+			if strings.HasSuffix(line, "\\") {
+				cmd = strings.TrimSuffix(cmd, "\\") + " "
+				continue
+			}
+			if fields := strings.Fields(cmd); len(fields) > 0 && fields[0] == "oltpdrive" {
+				lines++
+				for _, f := range fields[1:] {
+					if m := flagTok.FindStringSubmatch(f); m != nil && !declared[m[1]] {
+						t.Errorf("README runs oltpdrive with -%s, which it does not declare:\n%s", m[1], strings.Join(fields, " "))
+					}
+				}
+			}
+			cmd = ""
+		}
+	}
+	if lines == 0 {
+		t.Fatal("README has no oltpdrive command line in a sh block")
+	}
+
+	for name := range declared {
+		if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`).Match(readme) {
+			t.Errorf("oltpdrive declares -%s, which README never names", name)
+		}
 	}
 }

@@ -162,7 +162,7 @@ EOF
     # the race-built cluster's capacity, so requests queue and are charged from
     # their schedule.
     drive report2.json -conns 4 -mp 20 -poisson -rate 10 -profile flash:at=0.4,dur=0.2,x=8 \
-        -time-scale 60 -sim-duration 5m -sim-warmup 15s -agg-interval 25s \
+        -time-scale 60 -duration 5m -warmup 15s -agg-interval 25s \
         -timeline "$tmp/tl.csv" -reqlog "$tmp/run.olog"
     cat "$tmp/tl.csv"
     "$tmp/oltpsim" analyze -format json "$tmp/run.olog" >"$tmp/analyze.json"
@@ -187,7 +187,7 @@ scenario)
     # spike for a fifth of the run: the baseline is well inside the race-built
     # server's capacity and the spike far outside it, so admission must shed.
     drive report.json -conns 4 -poisson -rate 10 -profile flash:at=0.4,dur=0.2,x=8 \
-        -time-scale 60 -sim-duration 5m -sim-warmup 15s -agg-interval 25s \
+        -time-scale 60 -duration 5m -warmup 15s -agg-interval 25s \
         -timeline "$tmp/timeline.csv" -scrape "http://$MADDR/metrics"
     cat "$tmp/timeline.csv"
     python3 - "$tmp/report.json" "$tmp/timeline.csv" <<'EOF'
