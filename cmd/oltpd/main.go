@@ -97,6 +97,18 @@ func main() {
 			fatal(err)
 		}
 	}
+	// Bind every listener before accepting or announcing: a metrics address
+	// that cannot be bound is fatal (serving on without it would leave
+	// scrapers reading whatever else owns the port), so it must fail before
+	// any client can connect to a node that is about to exit.
+	metricsURL := ""
+	if *metricsAddr != "" {
+		_, url, err := s.Registry().Listen(*metricsAddr)
+		if err != nil {
+			fatal(fmt.Errorf("oltpd: -metrics-addr: %w", err))
+		}
+		metricsURL = url
+	}
 	if err := s.Start(*addr); err != nil {
 		fatal(err)
 	}
@@ -107,15 +119,8 @@ func main() {
 		fmt.Printf("oltpd: serving %s on %s (%s, %d shards)\n",
 			s.Spec(), s.Addr(), kind, s.Shards())
 	}
-
-	if *metricsAddr != "" {
-		// A metrics address that cannot be bound is fatal: serving on without
-		// it would leave scrapers reading whatever else owns the port.
-		_, url, err := s.Registry().Listen(*metricsAddr)
-		if err != nil {
-			fatal(fmt.Errorf("oltpd: -metrics-addr: %w", err))
-		}
-		fmt.Printf("oltpd: metrics at %s\n", url)
+	if metricsURL != "" {
+		fmt.Printf("oltpd: metrics at %s\n", metricsURL)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -1,10 +1,13 @@
 package oltpsim
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
 
+	"oltpsim/internal/core"
 	"oltpsim/internal/harness"
 )
 
@@ -15,7 +18,8 @@ import (
 // modeled behavior — the paper figures (all single-socket) must not move at
 // all, and the two-socket and analytical figures must stay deterministic.
 // Each family's cells are listed by FigureCells and simulated before the
-// build, which then must simulate nothing: the listing is complete.
+// build, which then must simulate nothing: the listing is complete. Every
+// core of every cell must also balance the cycle ledger (checkCycleLedger).
 // Regenerate the goldens (deliberately, with review) via:
 //
 //	go run ./cmd/oltpsim -figure all -scale quick > testdata/golden_quick.txt
@@ -41,7 +45,10 @@ func TestGoldenFigures(t *testing.T) {
 			ids := harness.FamilyIDs(tc.family)
 			r := NewRunner(QuickScale())
 			cells := r.FigureCells(ids)
-			r.RunAll(cells)
+			for i, res := range r.RunAll(cells) {
+				c := cells[i]
+				checkCycleLedger(t, fmt.Sprintf("%v/%s/%+v/c%d", c.Sys, c.Key, c.SysOpts, c.Cores), res)
+			}
 			prefetched := r.CellsExecuted()
 			if int64(len(cells)) != tc.cells || prefetched != tc.cells {
 				t.Errorf("FigureCells listed %d cells and the prefetch simulated %d, want %d",
@@ -64,6 +71,33 @@ func TestGoldenFigures(t *testing.T) {
 				compareGolden(t, tc.md, md.String())
 			}
 		})
+	}
+}
+
+// checkCycleLedger holds a cell's two cycle accounts to each other on every
+// measured core: the module ledger — the stall cycles FetchCode and
+// DataAccess returned, summed per module, which Figure 7's EngineFraction
+// reads — and the miss counters priced at the configured penalties, which
+// every other figure reads. The stall sums are integral on both sides and
+// must agree exactly; the cycle totals differ only by float summation order.
+func checkCycleLedger(t *testing.T, cell string, res *harness.Result) {
+	t.Helper()
+	for c, m := range res.PerCore {
+		var istall, dstall uint64
+		var cycles float64
+		for mod := core.Module(0); mod < core.NumModules; mod++ {
+			istall += m.Delta.Modules[mod].IStallCycles
+			dstall += m.Delta.Modules[mod].DStallCycles
+			cycles += m.ModuleCycles(mod)
+		}
+		st := m.Stalls()
+		if float64(istall) != st.Instr() || float64(dstall) != st.Data() {
+			t.Errorf("%s core %d: module stalls I %d D %d, miss-priced stalls I %v D %v",
+				cell, c, istall, dstall, st.Instr(), st.Data())
+		}
+		if want := m.Cycles(); math.Abs(cycles-want) > 1e-12*want {
+			t.Errorf("%s core %d: module cycles %v, miss-priced cycles %v", cell, c, cycles, want)
+		}
 	}
 }
 

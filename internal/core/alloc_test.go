@@ -7,7 +7,7 @@ import (
 )
 
 // The simulator hot path — a traced arena access flowing through
-// Machine.OnData, Hierarchy.DataAccess and the per-level cache lookups —
+// the machine's tracer, Hierarchy.DataAccess and the per-level cache lookups —
 // must not allocate: it runs once per simulated memory access, tens of
 // millions of times per figure. These tests gate the zero-allocation steady
 // state established by the measurement-window overhaul.

@@ -55,7 +55,7 @@ const (
 	PlaceInterleaved HomePlacement = iota
 	// PlacePartitioned homes each partition's data on the socket of the core
 	// that owns the partition (NUMA-aware first-touch placement); address
-	// ranges are claimed via Machine.ClaimHome during population, anything
+	// ranges are claimed via Hierarchy.ClaimHome during population, anything
 	// unclaimed falls back to the interleaved default.
 	PlacePartitioned
 )

@@ -12,24 +12,24 @@ type ModuleStats struct {
 
 // CPU is the execution context of one simulated core: it retires
 // instructions, streams instruction fetches for the code regions it executes,
-// and attributes events to modules. Data-side events arrive through the
-// Machine's arena tracer while this CPU is current.
+// and attributes events to modules. Its stall cycles are kept per module
+// only (the ledger Measurement.ModuleCycles reads); data-side events arrive
+// through a coreTracer pinned to this CPU.
 type CPU struct {
 	ID   int
 	hier *Hierarchy
 
 	Instructions uint64
-	IStallCycles uint64
-	DStallCycles uint64
 	TxCount      uint64
 
 	perModule [NumModules]ModuleStats
 	curMod    Module
 
-	// mt mirrors the machine's concurrent mode: Exec uses the region's
-	// per-core cold-window rotation instead of the shared one, so several
-	// CPUs can execute the same region at once without racing.
-	mt bool
+	// rotSlot indexes this CPU's cold-window rotation in every region's rot:
+	// 0 while serialized, where all cores share one rotation, and the CPU's
+	// own ID in concurrent mode, so cores executing one region at once never
+	// race on it (Machine.SetConcurrent sets it).
+	rotSlot int
 }
 
 // Exec retires instrs instructions of region r, streaming the corresponding
@@ -62,10 +62,7 @@ func (c *CPU) Exec(r *Region, instrs int) {
 			cold = span
 		}
 		if span > 0 {
-			rot := r.rot
-			if c.mt {
-				rot = int(r.rotMT[c.ID])
-			}
+			rot := int(r.rot[c.rotSlot])
 			start := hot + rot%span
 			first := cold
 			if start+first > r.lines {
@@ -75,15 +72,10 @@ func (c *CPU) Exec(r *Region, instrs int) {
 			if rest := cold - first; rest > 0 {
 				stall += c.hier.FetchCode(c.ID, r.Base+simmem.Addr(hot*LineBytes), rest)
 			}
-			if c.mt {
-				r.rotMT[c.ID] = int32((rot + cold) % span)
-			} else {
-				r.rot = (rot + cold) % span
-			}
+			r.rot[c.rotSlot] = int32((rot + cold) % span)
 		}
 	}
 	c.Instructions += uint64(instrs)
-	c.IStallCycles += uint64(stall)
 	ms := &c.perModule[r.Mod]
 	ms.Instructions += uint64(instrs)
 	ms.IStallCycles += uint64(stall)
@@ -106,7 +98,6 @@ func (c *CPU) ExecLoop(r *Region, iters, instrsPerIter int) {
 	}
 	stall := c.hier.FetchCode(c.ID, r.Base, nLines)
 	c.Instructions += uint64(iters) * uint64(instrsPerIter)
-	c.IStallCycles += uint64(stall)
 	ms := &c.perModule[r.Mod]
 	ms.Instructions += uint64(iters) * uint64(instrsPerIter)
 	ms.IStallCycles += uint64(stall)
@@ -120,27 +111,27 @@ func (c *CPU) CurrentModule() Module { return c.curMod }
 func (c *CPU) ModuleStats(m Module) ModuleStats { return c.perModule[m] }
 
 // Machine bundles the arena, the cache hierarchy and one CPU per simulated
-// core, and routes arena data accesses to the currently executing CPU. It is
-// the top-level object a system archetype is built on.
+// core. It is the top-level object a system archetype is built on.
 //
-// By default a Machine is not safe for concurrent use: simulated cores are
-// logical — the harness interleaves them from one goroutine via SetCurrent —
-// and the concurrent experiment runner gets its parallelism from giving
-// every cell its own Machine. SetConcurrent(true) switches the hierarchy
-// into its locked mode, after which different cores may be driven from
-// different goroutines, each accessing memory through its own per-core arena
-// view (Arena.View with TracerFor) so accesses are charged to a fixed CPU
-// instead of the shared current one.
+// Its embedded coreTracer is the root arena's tracer: SetCurrent re-pins it,
+// so every root-arena access is charged to the core selected last. By
+// default a Machine is not safe for concurrent use: simulated cores are
+// logical — the harness interleaves them from one goroutine — and the
+// concurrent experiment runner gets its parallelism from giving every cell
+// its own Machine. SetConcurrent(true) switches the hierarchy into its
+// locked mode, after which different cores may be driven from different
+// goroutines, each accessing memory through its own arena view (Arena.View
+// with TracerFor), whose tracer stays pinned to that core.
 type Machine struct {
 	Arena *simmem.Arena
 	Hier  *Hierarchy
 	CPUs  []*CPU
 
-	cur *CPU
+	coreTracer
 }
 
 // NewMachine builds a machine with the given hierarchy configuration and a
-// fresh arena, attaches itself as the arena's tracer, and selects core 0.
+// fresh arena, attaches its tracer to the arena, and selects core 0.
 func NewMachine(cfg HierarchyConfig) *Machine {
 	m := &Machine{
 		Arena: simmem.New(),
@@ -150,42 +141,22 @@ func NewMachine(cfg HierarchyConfig) *Machine {
 	for i := range m.CPUs {
 		m.CPUs[i] = &CPU{ID: i, hier: m.Hier}
 	}
-	m.cur = m.CPUs[0]
-	m.Arena.SetTracer(m)
+	m.coreTracer = coreTracer{h: m.Hier, c: m.CPUs[0]}
+	m.Arena.SetTracer(&m.coreTracer)
 	return m
 }
 
-// OnData implements simmem.Tracer: it charges the access to the current CPU
-// and attributes the stall cycles to that CPU's current module.
-//
-//oltpsim:hotpath
-func (m *Machine) OnData(addr simmem.Addr, size int, write bool) {
-	c := m.cur
-	stall := m.Hier.DataAccess(c.ID, addr, size, write)
-	if stall != 0 {
-		c.DStallCycles += uint64(stall)
-		c.perModule[c.curMod].DStallCycles += uint64(stall)
-	}
-}
-
-// ClaimHome homes the data lines of [addr, addr+size) on the given socket
-// (see Hierarchy.ClaimHome). Engines call it during population to model
-// NUMA-aware (partitioned) data placement.
-func (m *Machine) ClaimHome(addr simmem.Addr, size, socket int) {
-	m.Hier.ClaimHome(addr, size, socket)
-}
-
-// SocketOf returns the socket a core belongs to.
-func (m *Machine) SocketOf(core int) int { return m.Hier.SocketOf(core) }
-
 // SetConcurrent switches the machine between serialized and concurrent mode:
-// it arms the hierarchy's socket guards and inboxes and every CPU's per-core
-// code-window rotation together. Must be called while no simulated execution
-// is in flight.
+// it arms the hierarchy's socket guards and inboxes and moves every CPU onto
+// its own code-window rotation (rotSlot) together. Must be called while no
+// simulated execution is in flight.
 func (m *Machine) SetConcurrent(on bool) {
 	m.Hier.SetConcurrent(on)
 	for _, c := range m.CPUs {
-		c.mt = on
+		c.rotSlot = 0
+		if on {
+			c.rotSlot = c.ID
+		}
 	}
 }
 
@@ -193,22 +164,20 @@ func (m *Machine) SetConcurrent(on bool) {
 func (m *Machine) Concurrent() bool { return m.Hier.Concurrent() }
 
 // coreTracer is a simmem.Tracer pinned to one CPU: data accesses through an
-// arena view carrying it are charged to that CPU regardless of the machine's
-// current selection. This is what gives each concurrent worker its own
-// attribution without touching the shared cur pointer.
+// arena handle carrying it are charged to that CPU, and their stall cycles
+// to its current module. The machine's own tracer is re-pinned by
+// SetCurrent; TracerFor's are pinned for good.
 type coreTracer struct {
-	m *Machine
+	h *Hierarchy
 	c *CPU
 }
 
-// OnData implements simmem.Tracer, mirroring Machine.OnData for a fixed CPU.
+// OnData implements simmem.Tracer.
 //
 //oltpsim:hotpath
 func (t *coreTracer) OnData(addr simmem.Addr, size int, write bool) {
 	c := t.c
-	stall := t.m.Hier.DataAccess(c.ID, addr, size, write)
-	if stall != 0 {
-		c.DStallCycles += uint64(stall)
+	if stall := t.h.DataAccess(c.ID, addr, size, write); stall != 0 {
 		c.perModule[c.curMod].DStallCycles += uint64(stall)
 	}
 }
@@ -216,15 +185,12 @@ func (t *coreTracer) OnData(addr simmem.Addr, size int, write bool) {
 // TracerFor returns a tracer pinned to the given core, for use with
 // Arena.View in concurrent mode.
 func (m *Machine) TracerFor(core int) simmem.Tracer {
-	return &coreTracer{m: m, c: m.CPUs[core]}
+	return &coreTracer{h: m.Hier, c: m.CPUs[core]}
 }
 
-// SetCurrent selects the CPU that subsequent Exec calls and data accesses
-// belong to. The simulation is single-OS-threaded; logical cores are
-// interleaved by the harness, which keeps counter attribution exact (the
-// problem hardware counters have with Go's scheduler, per the reproduction
-// notes, does not arise).
-func (m *Machine) SetCurrent(cpuID int) { m.cur = m.CPUs[cpuID] }
-
-// Current returns the currently selected CPU.
-func (m *Machine) Current() *CPU { return m.cur }
+// SetCurrent pins the machine's tracer to cpuID, so subsequent data accesses
+// through the root arena are charged to that core. The simulation is
+// single-OS-threaded; logical cores are interleaved by the harness, which
+// keeps counter attribution exact (the problem hardware counters have with
+// Go's scheduler, per the reproduction notes, does not arise).
+func (m *Machine) SetCurrent(cpuID int) { m.coreTracer.c = m.CPUs[cpuID] }

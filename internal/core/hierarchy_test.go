@@ -349,7 +349,7 @@ func TestCPUExecAccounting(t *testing.T) {
 	cs := NewCodeSpace(m.Arena)
 	r := cs.NewRegion("probe", ModIndex, 4096, 4)
 
-	cpu := m.Current()
+	cpu := m.CPUs[0]
 	cpu.Exec(r, 160) // 160 instr x 4 B = 640 B = 10 lines
 	if cpu.Instructions != 160 {
 		t.Errorf("instructions = %d", cpu.Instructions)
@@ -357,20 +357,36 @@ func TestCPUExecAccounting(t *testing.T) {
 	if got := m.Hier.Counts(0).L1IAcc; got != 10 {
 		t.Errorf("fetched lines = %d, want 10", got)
 	}
-	if cpu.IStallCycles == 0 {
-		t.Error("cold execution produced no instruction stalls")
+	istall, dstall := stallSums(cpu)
+	if istall == 0 || dstall != 0 {
+		t.Errorf("cold execution: I-stalls %d, D-stalls %d; want some and none", istall, dstall)
 	}
 	ms := cpu.ModuleStats(ModIndex)
-	if ms.Instructions != 160 || ms.IStallCycles != cpu.IStallCycles {
+	if ms.Instructions != 160 || ms.IStallCycles != istall {
 		t.Errorf("module attribution = %+v", ms)
 	}
+	// The module ledger and the miss counters price the same fetches.
+	meas := NewMeasurement(Snapshot{}, m.SnapshotCore(0), m.Hier.Config(), 1)
+	if float64(istall) != meas.Stalls().Instr() {
+		t.Errorf("module I-stalls %d, miss-priced I-stalls %v", istall, meas.Stalls().Instr())
+	}
+}
+
+// stallSums returns a CPU's I- and D-stall cycles summed over its modules.
+func stallSums(c *CPU) (istall, dstall uint64) {
+	for m := Module(0); m < NumModules; m++ {
+		ms := c.ModuleStats(m)
+		istall += ms.IStallCycles
+		dstall += ms.DStallCycles
+	}
+	return istall, dstall
 }
 
 func TestCPUExecCappedByRegionSize(t *testing.T) {
 	m := NewMachine(smallHierCfg(1))
 	cs := NewCodeSpace(m.Arena)
 	r := cs.NewRegion("tiny", ModParser, 128, 4) // 2 lines
-	m.Current().Exec(r, 10000)
+	m.CPUs[0].Exec(r, 10000)
 	if got := m.Hier.Counts(0).L1IAcc; got != 2 {
 		t.Errorf("fetched lines = %d, want region cap 2", got)
 	}
@@ -380,7 +396,7 @@ func TestCPUExecLoopFetchesBodyOnce(t *testing.T) {
 	m := NewMachine(smallHierCfg(1))
 	cs := NewCodeSpace(m.Arena)
 	r := cs.NewRegion("memcmp", ModIndex, 1024, 4)
-	cpu := m.Current()
+	cpu := m.CPUs[0]
 	cpu.ExecLoop(r, 50, 16) // 800 instructions, body = 1 line
 	if cpu.Instructions != 800 {
 		t.Errorf("instructions = %d, want 800", cpu.Instructions)
@@ -407,8 +423,8 @@ func TestMachineRoutesDataToCurrentCPU(t *testing.T) {
 	if got := m.Arena.ReadU64(a); got != 1 {
 		t.Errorf("read back %d", got)
 	}
-	if m.CPUs[1].DStallCycles != 0 {
-		t.Error("load after allocating store stalled")
+	if _, dstall := stallSums(m.CPUs[1]); dstall != 0 {
+		t.Errorf("load after allocating store stalled %d cycles", dstall)
 	}
 	if got := m.Hier.Counts(1).L1DMiss; got != 0 {
 		t.Errorf("store-warmed load missed: %d", got)
@@ -422,7 +438,7 @@ func TestDataStallModuleAttribution(t *testing.T) {
 	m.Arena.EnableTracing(true)
 	a := m.Arena.AllocData(64, 64)
 
-	cpu := m.Current()
+	cpu := m.CPUs[0]
 	cpu.Exec(idx, 10) // current module is now ModIndex
 	m.Arena.ReadU64(a)
 	if got := cpu.ModuleStats(ModIndex).DStallCycles; got == 0 {

@@ -90,7 +90,7 @@ func TestSnapshotDelta(t *testing.T) {
 	a := m.Arena.AllocData(4096, 64)
 
 	before := m.Snapshot()
-	cpu := m.Current()
+	cpu := m.CPUs[0]
 	cpu.Exec(r, 1000)
 	for i := 0; i < 16; i++ {
 		m.Arena.ReadU64(a + simmem.Addr(i*64))
@@ -131,7 +131,7 @@ func TestEngineFraction(t *testing.T) {
 	index := cs.NewRegion("index", ModIndex, 4096, 4)
 
 	before := m.Snapshot()
-	cpu := m.Current()
+	cpu := m.CPUs[0]
 	cpu.Exec(parser, 3000)
 	cpu.Exec(index, 1000)
 	meas := NewMeasurement(before, m.Snapshot(), cfg, 1.0/BaseIPC)

@@ -85,12 +85,10 @@ type Region struct {
 	HotFrac float64
 
 	lines int
-	rot   int
-	// rotMT is the per-core cold-window rotation used in concurrent mode,
-	// where regions are executed by several cores at once and sharing rot
-	// would race. Serialized mode keeps using rot so single-goroutine runs
-	// stay byte-identical.
-	rotMT [MaxCores]int32
+	// rot holds the cold-window rotations, indexed by the executing CPU's
+	// rotSlot: slot 0 is the one rotation every core shares while
+	// serialized; in concurrent mode each core advances its own.
+	rot [MaxCores]int32
 }
 
 // Lines returns the number of cache lines the region spans.

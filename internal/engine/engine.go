@@ -44,14 +44,14 @@ type Engine struct {
 
 	txnSeq  atomic.Uint64
 	Aborts  atomic.Uint64
-	curCPU  *core.CPU
 	baseCPI float64
 
 	// ctx0 is the serialized-mode execution context: the transaction-scoped
 	// reusable state (Tx value, MVCC context, statement bitmap, scratch
 	// arena, scan executor). One transaction is active at a time in that
 	// mode, so Invoke recycles ctx0 across transactions — the steady state
-	// of the hot path allocates nothing. Concurrent mode (EnterConcurrent,
+	// of the hot path allocates nothing. SetCore re-pins it (and its index
+	// meter) to the selected core. Concurrent mode (EnterConcurrent,
 	// execctx.go) builds one context per partition instead.
 	ctx0 ExecCtx
 
@@ -131,7 +131,6 @@ func New(cfg Config) *Engine {
 		cs:      core.NewCodeSpace(mach.Arena),
 		byName:  make(map[string]*Table),
 		procs:   make(map[string]*Procedure),
-		curCPU:  mach.Current(),
 		baseCPI: 1.0/core.BaseIPC + cfg.OtherCPI,
 	}
 	r := cfg.Regions
@@ -173,7 +172,7 @@ func New(cfg Config) *Engine {
 	for i := range e.logs {
 		e.logs[i] = wal.NewLog(mach.Arena, logBufBytes)
 	}
-	e.initCtx(&e.ctx0, nil, mach.Arena)
+	e.initCtx(&e.ctx0, mach.CPUs[0], mach.Arena)
 	e.serialize()
 	return e
 }
@@ -229,10 +228,16 @@ func (e *Engine) BufferPool() *storage.BufferPool { return e.bp }
 // Log exposes the partition-local WAL.
 func (e *Engine) Log(part int) *wal.Log { return e.logs[part] }
 
-// SetCore selects the simulated core that subsequent invocations run on.
+// SetCore selects the simulated core that subsequent serialized invocations
+// run on. It is the one place that decides where a serialized charge lands:
+// it re-pins the serialized context, its index meter and the machine's
+// root-arena tracer, so every instruction and data access of the next
+// transactions is charged to cpu.
 func (e *Engine) SetCore(cpu int) {
 	e.mach.SetCurrent(cpu)
-	e.curCPU = e.mach.Current()
+	c := e.mach.CPUs[cpu]
+	e.ctx0.cpu = c
+	e.ctx0.meter.cpu = c
 }
 
 // CreateOrderedTable is CreateTable for tables whose access paths include
@@ -290,7 +295,7 @@ func (e *Engine) createTable(schema *catalog.Schema, idxKind IndexKind, keyCols 
 func (e *Engine) newShard(t *Table, p int, idxKind IndexKind) shard {
 	s := shard{home: -1}
 	if hcfg := e.mach.Hier.Config(); hcfg.Placement == core.PlacePartitioned && hcfg.Sockets > 1 {
-		s.home = e.mach.SocketOf(p % hcfg.Cores)
+		s.home = e.mach.Hier.SocketOf(p % hcfg.Cores)
 	}
 	switch e.cfg.Storage {
 	case StorageHeap:
@@ -450,7 +455,7 @@ func (t *Table) loadShard(p int, keyVals []catalog.Value, row catalog.Row) {
 	before := mach.Arena.DataTop()
 	t.loadShardInto(sh, keyVals, row)
 	if top := mach.Arena.DataTop(); top > before {
-		mach.ClaimHome(before, int(top-before), sh.home)
+		mach.Hier.ClaimHome(before, int(top-before), sh.home)
 	}
 }
 
@@ -464,12 +469,12 @@ func (t *Table) loadShardInto(sh *shard, keyVals []catalog.Value, row catalog.Ro
 }
 
 // idxMeter translates index node visits into instruction execution on the
-// index code region of its context's core (the engine's current core for the
-// serialized context, whose cpu is nil). It is quiet while tracing is off
-// (bulk population), mirroring how data accesses are untraced then.
+// index code region of its context's core (re-pinned with the serialized
+// context by SetCore). It is quiet while tracing is off (bulk population),
+// mirroring how data accesses are untraced then.
 type idxMeter struct {
 	e   *Engine
-	cpu *core.CPU     // fixed core in concurrent mode; nil = follow e.curCPU
+	cpu *core.CPU
 	mem *simmem.Arena // the arena handle whose tracing state gates metering
 }
 
@@ -479,9 +484,5 @@ func (m *idxMeter) NodeVisit(cmpBytes int) {
 		return
 	}
 	c := m.e.cfg.Costs
-	cpu := m.cpu
-	if cpu == nil {
-		cpu = m.e.curCPU
-	}
-	cpu.Exec(m.e.rIdx, c.IdxNodeBase+c.IdxPerCmpByte*cmpBytes)
+	m.cpu.Exec(m.e.rIdx, c.IdxNodeBase+c.IdxPerCmpByte*cmpBytes)
 }

@@ -311,7 +311,7 @@ func TestLoadHomesShardDataOnItsSocket(t *testing.T) {
 		p := i % 4
 		for a := before; a < mach.Arena.DataTop(); a += core.LineBytes {
 			claimed++
-			if got, want := mach.Hier.HomeOf(a), mach.SocketOf(p); got != want {
+			if got, want := mach.Hier.HomeOf(a), mach.Hier.SocketOf(p); got != want {
 				t.Fatalf("row %d (partition %d): line %#x homed on socket %d, want %d", i, p, uint64(a), got, want)
 			}
 		}

@@ -18,15 +18,15 @@ import (
 // context recycles its own Tx value, scratch arena, lock bitmap, MVCC
 // context and scan executor across its transactions.
 //
-// Serialized mode uses the engine's embedded ctx0 (whose cpu is nil: it
-// follows the engine's current core, preserving SetCore semantics and golden
-// byte-identity). Concurrent mode (EnterConcurrent) builds one context per
-// partition, pinned to that partition's CPU and reading memory through a
-// per-core arena view so every access is charged to the right core without
-// touching the machine's shared current-CPU pointer.
+// Serialized mode uses the engine's embedded ctx0, reading memory through
+// the root arena: SetCore re-pins its cpu, its meter and the machine's
+// root-arena tracer together, so one context serves every core in turn.
+// Concurrent mode (EnterConcurrent) builds one context per partition,
+// pinned for good to that partition's CPU and reading memory through a
+// per-core arena view whose tracer is pinned to the same CPU.
 type ExecCtx struct {
 	e   *Engine
-	cpu *core.CPU // fixed CPU in concurrent mode; nil in ctx0 (follow e.curCPU)
+	cpu *core.CPU // the core every charge of this context lands on
 	mem *simmem.Arena
 
 	scratch catalog.Scratch
@@ -45,8 +45,7 @@ type ExecCtx struct {
 }
 
 // initCtx wires a context's bound-once state: the visit closure, the group-by
-// sentinel and the index meter. cpu may be nil (ctx0: follow the engine's
-// current core).
+// sentinel and the index meter.
 func (e *Engine) initCtx(cx *ExecCtx, cpu *core.CPU, mem *simmem.Arena) {
 	cx.e = e
 	cx.cpu = cpu

@@ -70,8 +70,8 @@ func (e *Engine) Procedures() []string {
 // Invoke runs a stored procedure on the given partition with args, through
 // the engine's full request path: network, front-end, transaction begin,
 // body, commit (or abort on error). It returns the body's error, if any.
-// Serialized mode: runs on the engine's current core with the serialized
-// execution context.
+// Serialized mode: runs with the serialized execution context, on the core
+// SetCore last selected.
 //
 //oltpsim:hotpath
 func (e *Engine) Invoke(part int, procName string, args ...catalog.Value) error {
@@ -82,7 +82,7 @@ func (e *Engine) Invoke(part int, procName string, args ...catalog.Value) error 
 	if part < 0 || part >= e.cfg.Partitions {
 		return fmt.Errorf("engine: partition %d out of range", part) //oltpsim:coldpath routing error
 	}
-	return e.invoke(&e.ctx0, e.curCPU, part, p, args)
+	return e.invoke(&e.ctx0, part, p, args)
 }
 
 // begin is the front half of every request, written once for the commit path
@@ -92,8 +92,9 @@ func (e *Engine) Invoke(part int, procName string, args ...catalog.Value) error 
 // for a 2PC prepare, nil otherwise.
 //
 //oltpsim:hotpath
-func (e *Engine) begin(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure, args []catalog.Value, st *stagedTx) *Tx {
+func (e *Engine) begin(cx *ExecCtx, part int, p *Procedure, args []catalog.Value, st *stagedTx) *Tx {
 	c := e.cfg.Costs
+	cpu := cx.cpu
 
 	cpu.Exec(e.rNet, c.NetRecv)
 	// FEDispatch: parameter deserialization + plan-cache lookup (or the
@@ -148,12 +149,12 @@ func resetPerTable[T bool | uint16](s []T, tables int) []T {
 }
 
 // invoke is the context-explicit request path shared by the serialized and
-// concurrent modes: cx supplies the recycled per-transaction state and the
-// memory handle, cpu the core every instruction charge lands on.
+// concurrent modes: cx supplies the recycled per-transaction state, the
+// memory handle and the core every instruction charge lands on.
 //
 //oltpsim:hotpath
-func (e *Engine) invoke(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure, args []catalog.Value) error {
-	tx := e.begin(cx, cpu, part, p, args, nil)
+func (e *Engine) invoke(cx *ExecCtx, part int, p *Procedure, args []catalog.Value) error {
+	tx := e.begin(cx, part, p, args, nil)
 	err := e.runBody(tx, p)
 	if err == nil {
 		err = e.commit(tx)

@@ -23,12 +23,12 @@ var updateRowEvents = flag.Bool("update-row-events", false,
 
 const rowEventsFile = "testdata/row_events.txt"
 
-// rowEventRecorder sits between a serialized engine's arena and its machine:
-// every traced data access is folded into an FNV-64a hash together with the
-// executing core's retired-instruction count and current module, then passed
-// on to the machine. Two engines agree on (count, hash) exactly when they issue
-// the same data accesses in the same order, interleaved with the same
-// instruction charges.
+// rowEventRecorder sits between a serialized single-core engine's arena and
+// its machine: every traced data access is folded into an FNV-64a hash
+// together with core 0's retired-instruction count and current module, then
+// passed on to the machine's tracer. Two engines agree on (count, hash)
+// exactly when they issue the same data accesses in the same order,
+// interleaved with the same instruction charges.
 type rowEventRecorder struct {
 	m *core.Machine
 	h hash.Hash64
@@ -36,7 +36,7 @@ type rowEventRecorder struct {
 }
 
 func (r *rowEventRecorder) OnData(addr simmem.Addr, size int, write bool) {
-	cpu := r.m.Current()
+	cpu := r.m.CPUs[0]
 	var b [22]byte
 	binary.LittleEndian.PutUint64(b[0:], uint64(addr-simmem.DataBase))
 	binary.LittleEndian.PutUint32(b[8:], uint32(size))

@@ -89,8 +89,8 @@ func (s *Session) count(err error) {
 // lets a shard worker amortize the engine handoff across every request queued
 // on its shard — the server-side analogue of the driver's pipelining.
 //
-// Serialized, the one lock covers every core and the serialized context
-// follows the pinned core. Concurrent, lock and context are core's own and
+// Serialized, the one lock covers every core and SetCore re-pins the
+// serialized context to core. Concurrent, lock and context are core's own and
 // shard execution is core-keyed: every request must be for partition == core,
 // except a cross-partition one, which momentarily trades the core lock for
 // the stop-the-world set.
@@ -109,12 +109,10 @@ func (s *Session) InvokeBatch(core int, reqs []Request, errs []error) {
 	}
 	mu := &e.coreMu[slot]
 	mu.Lock()
-	cx := e.ctxs[slot]
-	cpu := cx.cpu
-	if cpu == nil { // ctx0 is not pinned: it follows the engine's current core
+	if !e.mt {
 		e.SetCore(core)
-		cpu = e.curCPU
 	}
+	cx := e.ctxs[slot]
 	for i := range reqs {
 		r := &reqs[i]
 		p := e.procs[r.Proc]
@@ -130,7 +128,7 @@ func (s *Session) InvokeBatch(core int, reqs []Request, errs []error) {
 			// transaction on a partitioned engine.
 			mu.Unlock()
 			e.lockAll()
-			err = e.invoke(cx, cpu, r.Part, p, r.Args)
+			err = e.invoke(cx, r.Part, p, r.Args)
 			s.count(err)
 			e.unlockAll()
 			mu.Lock()
@@ -139,7 +137,7 @@ func (s *Session) InvokeBatch(core int, reqs []Request, errs []error) {
 		case e.mt && r.Part != core:
 			err = fmt.Errorf("engine: concurrent invoke of partition %d on core %d (must match)", r.Part, core) //oltpsim:coldpath routing error
 		default:
-			err = e.invoke(cx, cpu, r.Part, p, r.Args)
+			err = e.invoke(cx, r.Part, p, r.Args)
 		}
 		errs[i] = err
 		// Count before releasing: a scrape under Observe must never see the

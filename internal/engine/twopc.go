@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"oltpsim/internal/catalog"
-	"oltpsim/internal/core"
 	"oltpsim/internal/simmem"
 )
 
@@ -89,7 +88,7 @@ func (s *Session) Prepare(core, part int, gtid uint64, proc string, args []catal
 		} else {
 			st.active, st.gtid = true, gtid
 			st.writes = st.writes[:0]
-			err = e.invokeStaged(e.ctxs[core], e.ctxs[core].cpu, part, p, args, st)
+			err = e.invokeStaged(e.ctxs[core], part, p, args, st)
 			if err != nil {
 				st.active = false
 			}
@@ -156,8 +155,8 @@ func (e *Engine) PreparedGTID(p int) (uint64, bool) {
 // — a YES vote forces the prepare log record and leaves the staged set for
 // Resolve. Qualification is implied by concurrent mode:
 // no lock manager, no MVCC, no buffer pool, StorageRows.
-func (e *Engine) invokeStaged(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure, args []catalog.Value, st *stagedTx) error {
-	tx := e.begin(cx, cpu, part, p, args, st)
+func (e *Engine) invokeStaged(cx *ExecCtx, part int, p *Procedure, args []catalog.Value, st *stagedTx) error {
+	tx := e.begin(cx, part, p, args, st)
 	st.id = tx.id
 
 	if err := e.runBody(tx, p); err != nil {
@@ -166,7 +165,7 @@ func (e *Engine) invokeStaged(cx *ExecCtx, cpu *core.CPU, part int, p *Procedure
 	}
 	// YES vote: force the prepare record. The commit record, the installed
 	// writes and their charges come with Resolve(commit).
-	cpu.Exec(e.rLog, e.cfg.Costs.LogBase)
+	tx.cpu.Exec(e.rLog, e.cfg.Costs.LogBase)
 	return nil
 }
 

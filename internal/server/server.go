@@ -136,7 +136,9 @@ type Server struct {
 	connsLive   atomic.Int64
 	connsTotal  atomic.Uint64
 	rejectTotal atomic.Uint64 // requests refused during drain
-	started     time.Time
+	// started is set by Start and read by scrapes, which the registry may
+	// serve before Start (oltpd binds its metrics listener first).
+	started atomic.Pointer[time.Time]
 	// The engine-wide half of the scrape's PMU observation (observePMU).
 	txAborts, dataBytes uint64
 }
@@ -278,7 +280,8 @@ func (s *Server) Start(addr string) error {
 		return err
 	}
 	s.ln = ln
-	s.started = time.Now()
+	now := time.Now()
+	s.started.Store(&now)
 	for w := 0; w < s.Shards(); w++ {
 		if !s.ownsShard(w) {
 			continue // another node's partition: no worker, conns refuse it
@@ -666,10 +669,10 @@ type collector func(s *Server, name string, emit func(metrics.Sample))
 var families = []family{
 	{"", "oltpd_info", "gauge", "build/topology info (value is 1)", info},
 	{groupServing, "oltpd_uptime_seconds", "gauge", "seconds since Start", scalar(func(s *Server) float64 {
-		if s.started.IsZero() {
-			return 0
+		if t := s.started.Load(); t != nil {
+			return time.Since(*t).Seconds()
 		}
-		return time.Since(s.started).Seconds()
+		return 0
 	})},
 	{groupServing, "oltpd_connections", "gauge", "live client connections", scalar(func(s *Server) float64 { return float64(s.connsLive.Load()) })},
 	{groupServing, "oltpd_connections_total", "counter", "accepted client connections", scalar(func(s *Server) float64 { return float64(s.connsTotal.Load()) })},

@@ -157,3 +157,83 @@ func TestRefExecConcurrentMatchesSerialized(t *testing.T) {
 	compareState(t, eSer, db)
 	compareState(t, eCon, db)
 }
+
+// TestSerialConcurrentTwin feeds one seeded call stream, in one order and
+// from one goroutine, through a 2-partition HyPer engine in each mode:
+// serialized (SetCore + Invoke) and concurrent (EnterConcurrent +
+// Session.Invoke). Both modes charge a core through the same path — an
+// execution context, index meter and arena tracer pinned to it — so every
+// core's PMU counters must agree field for field. VoltDB is not a row yet:
+// its cold code windows rotate once per machine while serialized and once
+// per core in concurrent mode, which moves its instruction-side misses.
+func TestSerialConcurrentTwin(t *testing.T) {
+	const parts, calls, seed = 2, 2000, 4141
+	for _, tc := range []struct {
+		name string
+		wl   func() workload.Workload
+	}{
+		{"micro-rw", func() workload.Workload {
+			return workload.NewMicro(workload.MicroConfig{Rows: 4096, RowsPerTx: 4, ReadWrite: true})
+		}},
+		{"tpcc", func() workload.Workload {
+			return workload.NewTPCC(workload.TPCCConfig{Warehouses: 2, Items: 200, CustomersPerDistrict: 30, OrdersPerDistrict: 30})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*engine.Engine, workload.Workload) {
+				e := systems.New(systems.HyPer, systems.Options{Cores: parts})
+				w := tc.wl()
+				w.Setup(e)
+				w.Populate(e)
+				e.Machine().Arena.EnableTracing(true)
+				return e, w
+			}
+			eSer, w := build()
+			eCon, _ := build()
+			if err := eCon.EnterConcurrent(); err != nil {
+				t.Fatalf("EnterConcurrent: %v", err)
+			}
+
+			// One stream, interleaving the partitions at random.
+			rng := workload.NewRand(seed)
+			type call struct {
+				part int
+				workload.Call
+			}
+			stream := make([]call, calls)
+			for i := range stream {
+				p := rng.Intn(parts)
+				c := w.Gen(rng, p, parts)
+				stream[i] = call{p, workload.Call{Proc: c.Proc, Args: append([]catalog.Value(nil), c.Args...)}}
+			}
+
+			s := eCon.NewSession()
+			for i, c := range stream {
+				eSer.SetCore(c.part)
+				errSer := eSer.Invoke(c.part, c.Proc, c.Args...)
+				errCon := s.Invoke(c.part, c.part, c.Proc, c.Args...)
+				if (errSer == nil) != (errCon == nil) {
+					t.Fatalf("call %d (%s on %d): serialized err %v, concurrent err %v", i, c.Proc, c.part, errSer, errCon)
+				}
+			}
+
+			snaps := func(e *engine.Engine) (out [parts]core.Snapshot) {
+				e.Observe(func(m *core.Machine) {
+					for c := range out {
+						out[c] = m.SnapshotCore(c)
+					}
+				})
+				return out
+			}
+			ser, con := snaps(eSer), snaps(eCon)
+			for c := range ser {
+				if ser[c].TxCount == 0 {
+					t.Errorf("core %d ran no transactions", c)
+				}
+				if ser[c] != con[c] {
+					t.Errorf("core %d:\nserialized %+v\nconcurrent %+v", c, ser[c], con[c])
+				}
+			}
+		})
+	}
+}

@@ -113,9 +113,11 @@ print("serve_smoke: OK —", rep["Ops"], "ops,", "p99", rep["P99Ns"] / 1e6, "ms"
 EOF
     # A second oltpd asking for the metrics address the first one owns must
     # refuse to serve: carrying on would leave its scrapers reading the first.
+    # It must refuse before it announces (or accepts on) its serving socket.
     rc=0
-    timeout 60 "$tmp/oltpd" -addr "$ADDR1" -metrics-addr "$MADDR" -workload micro -rows 1000 || rc=$?
+    timeout 60 "$tmp/oltpd" -addr "$ADDR1" -metrics-addr "$MADDR" -workload micro -rows 1000 >"$tmp/second.out" || rc=$?
     [ "$rc" -ne 0 ] && [ "$rc" -ne 124 ] || die "second oltpd did not refuse the occupied -metrics-addr (exit $rc)"
+    ! grep -q "oltpd: serving" "$tmp/second.out" || die "second oltpd announced serving before refusing the occupied -metrics-addr"
     ;;
 concurrent)
     drive report.json -conns 8 -warmup 200ms -duration 1s
