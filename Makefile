@@ -91,7 +91,7 @@ drive:
 # has its own port range, so `make -j5` of all five is safe.
 #   serve       the serving path: wire, server, driver, metrics, sessions
 #   concurrent  engine concurrent mode: MT hierarchy/engine/replay hammers,
-#               scrapes racing 4 loaded shards (one instant per scrape), the
+#               the serial/concurrent engine twin, scrapes racing 4 loaded shards (one instant per scrape), the
 #               exposition fence; then 4 shards of ONE engine served
 #               concurrently
 #   cluster     cluster differential replay, 2PC fault injection, the cluster
@@ -109,6 +109,7 @@ serve_tests = \
 concurrent_tests = \
 	"-run TestConcurrent|TestEnterConcurrent ./internal/core ./internal/engine" \
 	"-run TestRefExecConcurrent ./internal/workload" \
+	"-run TestSerialConcurrentTwin ./internal/workload" \
 	"-run TestConcurrentServing4Shards|TestSerializedArchetypeServes|TestMetricsEndpoint ./internal/server" \
 	"-count=10 -run TestScrapeIsOneInstant|TestExpositionFence ./internal/server"
 cluster_tests = \

@@ -14,10 +14,10 @@ import (
 // it can be run while working on FetchCode: code regions sized like an
 // archetype's stack, driven through CPU.Exec the way the engine drives them.
 // Each archetype runs serially and in concurrent mode (SetConcurrent, still
-// driven from one goroutine), where every L1I miss takes and drops its
-// socket's lock, as the serving path pays for it. One op is one pass over
-// the regions; the metrics that matter are ns/line and the L1I miss rate the
-// pass produces.
+// driven from one goroutine), where every fetch walk past the L1I takes and
+// drops its socket's lock once, as the serving path pays for it. One op is
+// one pass over the regions; the metrics that matter are ns/line and the L1I
+// miss rate the pass produces.
 //
 //	go test -run '^$' -bench BenchmarkFetchCode -benchtime 2000x ./internal/core
 func BenchmarkFetchCode(b *testing.B) {

@@ -124,8 +124,11 @@ func TestCoherenceScenarios(t *testing.T) {
 		h := NewHierarchy(numaTestCfg(2, 1))
 		h.DataAccess(0, addr, 8, false)
 		h.DataAccess(1, addr, 8, true)
-		if got := h.Counts(1).Invalidations; got == 0 {
-			t.Fatal("write over a shared line caused no invalidations")
+		if got := h.Counts(0).Invalidations; got == 0 {
+			t.Fatal("write over a shared line cost the reader no copies")
+		}
+		if got := h.Counts(1).Invalidations; got != 0 {
+			t.Fatalf("writer counted %d invalidations, want 0", got)
 		}
 		if got := h.Counts(1).XInvalidations; got != 0 {
 			t.Fatalf("single-socket write recorded %d cross-socket invalidations", got)

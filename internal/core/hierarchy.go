@@ -17,7 +17,7 @@ type MissCounts struct {
 	L2DMiss         uint64
 	LLCDMiss        uint64
 
-	Invalidations uint64 // coherence invalidations this core caused
+	Invalidations uint64 // private copies this core lost to another core's write
 	IPrefetches   uint64 // quiet line fills issued by the I-prefetcher
 
 	// NUMA counters (nonzero only with Sockets > 1). The remote counters
@@ -321,8 +321,9 @@ func (h *Hierarchy) TotalCounts() MissCounts {
 // socket's LLC can serve costs the cross-socket forward, everything else
 // fills from memory at the local-DRAM cost (code pages are homed locally).
 // Only the LLC needs the guard (code is never invalidated, so the private
-// caches are the core's alone). L1I misses are the paper's headline stall
-// and this walk is where the simulator spends most of its host time, so it
+// caches are the core's alone), and one guarded section covers the walk
+// from its first miss on (fetchMisses). L1I misses are the paper's headline
+// stall and this walk is where the simulator spends most of its host time, so it
 // runs over locals, in two parts: FetchCode takes the L1I hits up to the
 // run's first miss in a loop that makes no call, so its few hoisted values
 // stay in registers (all of HyPer's code, and most short fetches, end
@@ -364,10 +365,18 @@ func (h *Hierarchy) FetchCode(core int, addr simmem.Addr, nLines int) int {
 // Both levels' where, order and slot slices and geometry are hoisted once
 // per call (the L1I's where already covers the run and its prefetch tail;
 // the L2's is grown to), every L1I and L2 lookup and prefetch fill takes
-// the inlined steps (touch or victim) rather than a call, each miss takes
-// one guarded section for the LLC's lookup and prefetch fills, and the
-// counters, the L2's among them, are summed once per call.
+// the inlined steps (touch or victim) rather than a call, and the counters,
+// the L2's among them, are summed once per call. The walk is one guarded
+// section: it takes its socket once, so a concurrent walk pays one lock pair
+// rather than one per miss, and releases it only around an LLC miss's
+// serveMiss. In
+// concurrent mode the core first drains its invalidation inbox, as a data
+// access does: the walk's fills can displace data lines from the unified L2,
+// and a line another core has invalidated must be gone before that.
 func (h *Hierarchy) fetchMisses(core int, id, end uint64) int {
+	if h.mt != nil {
+		h.drainInvalidations(core)
+	}
 	pf := uint64(max(h.cfg.IPrefetchLines, 0))
 	cc := &h.cores[core]
 	ct := &h.counts[core]
@@ -388,6 +397,7 @@ func (h *Hierarchy) fetchMisses(core int, id, end uint64) int {
 		skip = 0
 	}
 	stall, misses, l2misses := 0, uint64(0), uint64(0)
+	h.guard(s)
 	for ; id < end; id++ {
 		idx := id - codeLineBase
 		set := setIndex(id, m1, n1, p1)
@@ -408,15 +418,14 @@ func (h *Hierarchy) fetchMisses(core int, id, end uint64) int {
 			w2[idx] = uint8(victim(w2, o2, s2, set, ord, ways2, top2, lanes2, id+1)) + 1
 			l2misses++
 		}
-		// The rest of the miss is one guarded section: the LLC's lookup,
-		// then the sequential next-line prefetch, which fills the following
-		// lines quietly at every level so straight-line code does not miss
-		// on every line. A line's LLC fill is skipped when the line already
-		// is the MRU of its set, where FillQuiet would change nothing; that
-		// tag is read before the line's L1I and L2 steps, which do not touch
-		// the LLC, so they overlap the load.
+		// The rest of the miss is the LLC's lookup, then the sequential
+		// next-line prefetch, which fills the following lines quietly at
+		// every level so straight-line code does not miss on every line. A
+		// line's LLC fill is skipped when the line already is the MRU of its
+		// set, where FillQuiet would change nothing; that tag is read before
+		// the line's L1I and L2 steps, which do not touch the LLC, so they
+		// overlap the load.
 		llcHit := true
-		h.guard(s)
 		if !l2hit {
 			llcHit = llc.Access(id, ClassInstr)
 		}
@@ -441,13 +450,17 @@ func (h *Hierarchy) fetchMisses(core int, id, end uint64) int {
 				llc.FillQuiet(pid)
 			}
 		}
-		h.unguard(s)
 		if !llcHit {
 			ct.LLCIMiss++
+			// serveMiss probes the other sockets under their own guards,
+			// and guards never nest.
+			h.unguard(s)
 			stall += h.serveMiss(s, id, ClassInstr, ct)
+			h.guard(s)
 		}
 		id += skip
 	}
+	h.unguard(s)
 	st := &l2.stats[ClassInstr]
 	st.Accesses += misses
 	st.Misses += l2misses
@@ -513,8 +526,9 @@ func (h *Hierarchy) dropSharer(core, socket int, id uint64) {
 }
 
 // dropPrivate invalidates line id in core's private data caches, counting
-// each copy lost in ct.
-func (h *Hierarchy) dropPrivate(core int, id uint64, ct *MissCounts) {
+// each copy lost in core's counters.
+func (h *Hierarchy) dropPrivate(core int, id uint64) {
+	ct := &h.counts[core]
 	if h.cores[core].l1d.Invalidate(id) {
 		ct.Invalidations++
 	}
@@ -524,20 +538,20 @@ func (h *Hierarchy) dropPrivate(core int, id uint64, ct *MissCounts) {
 }
 
 // invalidate removes line id from the private caches of every socket-t core
-// named in mask. Serialized, the copies are dropped on the spot and credited
-// to the writer's counters ct. Concurrent, a writer never touches another
-// core's private caches: the line is posted to each victim's inbox, and the
-// victim drops (and counts) its own copies when it next drains
+// named in mask; each copy is counted by the core that loses it. Serialized,
+// the copies are dropped on the spot. Concurrent, a writer never touches
+// another core's private caches: the line is posted to each victim's inbox,
+// and the victim drops (and counts) its own copies when it next drains
 // (drainInvalidations). Caller holds guard(t); inbox locks are leaf locks
 // under it.
-func (h *Hierarchy) invalidate(t int, id, mask uint64, ct *MissCounts) {
+func (h *Hierarchy) invalidate(t int, id, mask uint64) {
 	lo, hi := h.socketRange(t)
 	for c := lo; c < hi; c++ {
 		if mask&(uint64(1)<<uint(c)) == 0 {
 			continue
 		}
 		if h.mt == nil {
-			h.dropPrivate(c, id, ct)
+			h.dropPrivate(c, id)
 			continue
 		}
 		q := &h.mt.inq[c]
@@ -630,7 +644,7 @@ func (h *Hierarchy) writeLine(core int, id uint64, ct *MissCounts) int {
 		self := uint64(1) << uint(core)
 		d := h.dirs[s]
 		if others := d.get(id) &^ self; others != 0 {
-			h.invalidate(s, id, others, ct)
+			h.invalidate(s, id, others)
 		}
 		h.evictPrivate(core, s, ev1, ev2)
 		d.set(id, self)
@@ -649,7 +663,7 @@ func (h *Hierarchy) writeLine(core int, id uint64, ct *MissCounts) int {
 			// the line was there), saving a second scan of the remote LLC set.
 			inLLC := h.llcs[t].Invalidate(id)
 			if rmask != 0 {
-				h.invalidate(t, id, rmask, ct)
+				h.invalidate(t, id, rmask)
 				h.dirs[t].set(id, 0)
 			}
 			h.unguard(t)

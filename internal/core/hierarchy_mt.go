@@ -22,24 +22,26 @@ import (
 //     ever touched by the goroutine driving that core — they stay
 //     unsynchronized, like per-CPU hardware counters.
 //   - Each socket's shared state (its LLC and its directory slice) is guarded
-//     by one mutex in socks. Socket locks are never nested: the access path
+//     by one mutex in socks. A data access holds it for one line's LLC and
+//     directory step; an instruction-fetch walk (fetchMisses) and an inbox
+//     drain hold it once for their whole run, so a concurrent walk pays one
+//     lock pair, not one per L1I miss. Socket locks are never nested: a path
 //     releases its own socket before probing or invalidating a remote one.
 //   - Writers never touch another core's private caches. They post the line
 //     to the victim core's invalidation inbox (invalidate); the victim drains
-//     its inbox at the start of its next data access, invalidating its own
-//     copies and clearing its own directory bits. Inbox order: an enqueuer
-//     may hold a socket lock while taking an inbox lock, so drains never hold
-//     an inbox lock while taking a socket lock (they swap the queue out
-//     first).
+//     its inbox at the start of its next data access or fetch walk past the
+//     L1I, invalidating its own copies and clearing its own directory bits.
+//     Inbox order: an enqueuer may hold a socket lock while taking an inbox
+//     lock, so drains never hold an inbox lock while taking a socket lock
+//     (they swap the queue out first).
 //
 // The cost model consequence: invalidations become visible to the victim at
 // its next access rather than instantly (a message-passing approximation of
-// the real protocol's asynchrony), and per-cache Invalidations are credited
-// to the core that *loses* the line rather than the writer. Directory and
-// caches may disagree transiently mid-run; after Quiesce they agree exactly
-// again, which is what CheckCoherent verifies and the concurrent race-hammer
-// tests assert. Cross-core totals remain conserved in both modes: every
-// (line, cache) invalidation event increments exactly one core's counter.
+// the real protocol's asynchrony). Invalidations are counted by the core
+// that *loses* the copy, in both modes, so they read the same per core.
+// Directory and caches may disagree transiently mid-run; after Quiesce they
+// agree exactly again, which is what CheckCoherent verifies and the
+// concurrent race-hammer tests assert.
 
 // invQueue is one core's pending-invalidation inbox.
 type invQueue struct {
@@ -124,15 +126,15 @@ func (h *Hierarchy) drainInvalidations(core int) {
 	q.n.Store(0)
 	q.mu.Unlock()
 
-	// Only a coherent write posts, so the directory exists here.
-	ct := &h.counts[core]
+	// Only a coherent write posts, so the directory exists here. One
+	// guarded section covers the whole drain.
 	s := h.sockOf[core]
+	h.guard(s)
 	for _, id := range q.draining {
-		h.dropPrivate(core, id, ct)
-		h.guard(s)
+		h.dropPrivate(core, id)
 		h.dropSharer(core, s, id)
-		h.unguard(s)
 	}
+	h.unguard(s)
 }
 
 // Quiesce drains every core's invalidation inbox. In concurrent mode it must

@@ -114,8 +114,12 @@ func TestCoherenceInvalidation(t *testing.T) {
 	h.DataAccess(0, addr, 8, false) // core 0 caches the line
 	h.DataAccess(1, addr, 8, true)  // core 1 writes: invalidates core 0's copy
 
-	if got := h.Counts(1).Invalidations; got == 0 {
+	// The core that loses its copies counts them; the writer counts none.
+	if got := h.Counts(0).Invalidations; got == 0 {
 		t.Fatal("write to shared line caused no invalidations")
+	}
+	if got := h.Counts(1).Invalidations; got != 0 {
+		t.Errorf("writer counted %d invalidations, want 0", got)
 	}
 	// Core 0 must now miss its private caches (line was invalidated) but can
 	// hit the shared LLC.

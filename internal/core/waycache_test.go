@@ -427,7 +427,7 @@ func (r *refWalk) data(core int, addr simmem.Addr, write bool) int {
 			if c != core && r.cfg.Coherence {
 				for _, priv := range []*Cache{r.l1d[c], r.l2[c]} {
 					if priv.Invalidate(id) {
-						ct.Invalidations++
+						r.counts[c].Invalidations++
 					}
 				}
 			}

@@ -100,7 +100,7 @@ func (e *Engine) EnterConcurrent() error {
 	// Flip the mode before rebinding: slot routes to the per-core contexts
 	// only when it sees mt set.
 	e.mt = true
-	e.rebindShards()
+	e.bindShards(nil)
 	e.mach.SetConcurrent(true)
 	return nil
 }
@@ -121,7 +121,7 @@ func (e *Engine) LeaveConcurrent() {
 		return
 	}
 	e.serialize()
-	e.rebindShards()
+	e.bindShards(nil)
 	e.mach.SetConcurrent(false)
 }
 
@@ -135,24 +135,33 @@ func (e *Engine) slot(core int) int {
 	return 0
 }
 
-// rebindShards points each partition's substrates (index, row store, WAL) at
-// the arena handle and meter of the context that executes it: the per-core
-// view in concurrent mode, the root arena and ctx0's meter otherwise.
-// Substrates only ever see their own partition's traffic, which is what makes
-// the rebind sound.
-func (e *Engine) rebindShards() {
+// bindShards points every partition's substrates (index, row store, WAL) at
+// the arena handle and meter of cx, so each of their charges lands on cx's
+// core. With cx nil, each partition is bound to the context that executes
+// it: the per-core view in concurrent mode, the root arena and ctx0's meter
+// otherwise. Substrates only ever see their own partition's traffic, which
+// is what makes the per-partition binding sound; a cross-partition procedure
+// binds every partition to its one context while it holds the whole lock
+// set (Session.InvokeBatch).
+func (e *Engine) bindShards(cx *ExecCtx) {
+	at := func(p int) *ExecCtx {
+		if cx != nil {
+			return cx
+		}
+		return e.ctxs[e.slot(p)]
+	}
 	for _, t := range e.tables {
 		for p := range t.shards {
-			cx := e.ctxs[e.slot(p)]
-			t.shards[p].idx.SetArena(cx.mem)
-			t.shards[p].idx.SetMeter(&cx.meter)
+			c := at(p)
+			t.shards[p].idx.SetArena(c.mem)
+			t.shards[p].idx.SetMeter(&c.meter)
 			if t.shards[p].rows != nil {
-				t.shards[p].rows.SetArena(cx.mem)
+				t.shards[p].rows.SetArena(c.mem)
 			}
 		}
 	}
 	for p := range e.logs {
-		e.logs[p].SetArena(e.ctxs[e.slot(p)].mem)
+		e.logs[p].SetArena(at(p).mem)
 	}
 }
 

@@ -22,7 +22,9 @@ import (
 // with its own recycled ExecCtx, so invocations on different cores genuinely
 // interleave on the simulated machine and cross-core coherence traffic comes
 // from real concurrent access. Cross-partition procedures
-// (MarkCrossPartition) run stop-the-world under the whole set.
+// (MarkCrossPartition) run stop-the-world under the whole set, with every
+// partition bound to the calling core's context, so they charge that one
+// core as they do while serialized.
 //
 // Scrape contract (both modes): session counters are incremented while the
 // execution lock that ran the transaction is still held. An observer inside
@@ -125,10 +127,14 @@ func (s *Session) InvokeBatch(core int, reqs []Request, errs []error) {
 		case p.crossPartition && len(e.coreMu) > 1:
 			// Trade the core lock for the whole set, run, trade back: requests
 			// behind this one wait, as do other cores — an every-site
-			// transaction on a partitioned engine.
+			// transaction on a partitioned engine. Every partition is bound
+			// to cx meanwhile, so the whole procedure charges this core, as
+			// it does while serialized.
 			mu.Unlock()
 			e.lockAll()
+			e.bindShards(cx)
 			err = e.invoke(cx, r.Part, p, r.Args)
+			e.bindShards(nil)
 			s.count(err)
 			e.unlockAll()
 			mu.Lock()

@@ -163,11 +163,16 @@ func TestRefExecConcurrentMatchesSerialized(t *testing.T) {
 // serialized (SetCore + Invoke) and concurrent (EnterConcurrent +
 // Session.Invoke). Both modes charge a core through the same path — an
 // execution context, index meter and arena tracer pinned to it — so every
-// core's PMU counters must agree field for field. VoltDB is not a row yet:
-// its cold code windows rotate once per machine while serialized and once
-// per core in concurrent mode, which moves its instruction-side misses.
+// core's PMU counters must agree field for field. The hybrid row's
+// analytical procedures are cross-partition: they scan every partition's
+// shards, and in both modes the whole scan charges the calling core. Copies
+// a write invalidates are counted by the core that loses them, in both
+// modes. VoltDB is not a row yet: its cold code windows rotate once per
+// machine while serialized and once per core in concurrent mode, which moves
+// its instruction-side misses.
 func TestSerialConcurrentTwin(t *testing.T) {
 	const parts, calls, seed = 2, 2000, 4141
+	twinTPCC := workload.TPCCConfig{Warehouses: 2, Items: 200, CustomersPerDistrict: 30, OrdersPerDistrict: 30}
 	for _, tc := range []struct {
 		name string
 		wl   func() workload.Workload
@@ -176,7 +181,10 @@ func TestSerialConcurrentTwin(t *testing.T) {
 			return workload.NewMicro(workload.MicroConfig{Rows: 4096, RowsPerTx: 4, ReadWrite: true})
 		}},
 		{"tpcc", func() workload.Workload {
-			return workload.NewTPCC(workload.TPCCConfig{Warehouses: 2, Items: 200, CustomersPerDistrict: 30, OrdersPerDistrict: 30})
+			return workload.NewTPCC(twinTPCC)
+		}},
+		{"hybrid", func() workload.Workload {
+			return workload.NewHybrid(workload.HybridConfig{TPCC: twinTPCC, OLAPPercent: 20})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
