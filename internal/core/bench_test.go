@@ -107,3 +107,55 @@ func BenchmarkDataAccess(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTracedRead is the tracer-path rung: one 8-byte Arena.ReadU64 on
+// core 0 of a coherent two-core IvyBridge through the machine's tracer, the
+// way engine code reads, serially and in concurrent mode. L1D-MRU reads one
+// line over and over, which the tracer answers without calling DataAccess;
+// L1D-hit cycles through as many lines as an L1D set has ways, all in that
+// set, so every read hits a line that is not the set's MRU; LLCmiss cycles
+// BenchmarkDataAccess's LLC-missing footprint. One op is one read.
+//
+//	go test -run '^$' -bench BenchmarkTracedRead -cpu 1 ./internal/core
+func BenchmarkTracedRead(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		mt   bool
+	}{{"serial", false}, {"concurrent", true}} {
+		for _, served := range []struct {
+			name string
+			// lines returns how many lines the case cycles through and the
+			// distance between them, in lines.
+			lines func(l1d core.CacheGeom) (n, stride int)
+		}{
+			{"L1D-MRU", func(core.CacheGeom) (int, int) { return 1, 1 }},
+			{"L1D-hit", func(g core.CacheGeom) (int, int) { return g.Assoc, g.Sets() }},
+			{"LLCmiss", func(core.CacheGeom) (int, int) { return 1 << 19, 1 }},
+		} {
+			b.Run(mode.name+"/"+served.name, func(b *testing.B) {
+				m := core.NewMachine(core.IvyBridge(2))
+				m.SetConcurrent(mode.mt)
+				m.Arena.EnableTracing(true)
+				m.SetCurrent(0)
+				n, stride := served.lines(m.Hier.Config().L1D)
+				next := 0
+				read := func() uint64 {
+					addr := simmem.DataBase + simmem.Addr(next%n*stride*core.LineBytes)
+					next++
+					return m.Arena.ReadU64(addr)
+				}
+				for i := 0; i < n; i++ { // backing pages and directory pages, then a full cycle
+					read()
+				}
+				before := m.Hier.Counts(0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dataSink += int(read())
+				}
+				d := m.Hier.Counts(0).Sub(before)
+				b.ReportMetric(float64(d.L1DMiss)/float64(d.L1DAcc), "l1d-miss-rate")
+				b.ReportMetric(float64(d.LLCDMiss)/float64(d.L1DAcc), "llc-miss-rate")
+			})
+		}
+	}
+}

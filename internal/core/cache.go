@@ -85,9 +85,11 @@ func (c *Cache) setIndex(lineID uint64) int {
 // rotateVictim, demote), which TestICacheMatchesCache, TestL2MatchesCache and
 // FuzzFetchCode hold to these functions; FetchCode also relies on FillQuiet
 // changing nothing for a line that already is the MRU of its set, and skips
-// the call for one. The coherence invariant suite and the golden figure
-// gates fail on any divergence between the coherent (Evict) and
-// non-coherent paths.
+// the call for one, and coreTracer.OnData relies on a read hit on the MRU
+// line changing nothing but the class's access counter, and answers such a
+// read without calling DataAccess (FuzzDataAccess holds it to that). The
+// coherence invariant suite and the golden figure gates fail on any
+// divergence between the coherent (Evict) and non-coherent paths.
 //
 //oltpsim:hotpath
 func (c *Cache) Access(lineID uint64, class AccessClass) bool {
@@ -155,8 +157,9 @@ func (c *Cache) Probe(lineID uint64) bool {
 }
 
 // atMRU reports whether lineID is the most recently used line of its set,
-// where FillQuiet would change nothing; FetchCode tests it, inlined, before
-// each prefetch fill.
+// where FillQuiet would change nothing and a hit only counts; FetchCode
+// tests it, inlined, before each prefetch fill, and coreTracer.OnData before
+// each one-line read.
 func (c *Cache) atMRU(lineID uint64) bool {
 	return c.tags[c.setIndex(lineID)*c.ways] == lineID+1
 }

@@ -141,7 +141,7 @@ func NewMachine(cfg HierarchyConfig) *Machine {
 	for i := range m.CPUs {
 		m.CPUs[i] = &CPU{ID: i, hier: m.Hier}
 	}
-	m.coreTracer = coreTracer{h: m.Hier, c: m.CPUs[0]}
+	m.coreTracer = m.Hier.tracerFor(m.CPUs[0])
 	m.Arena.SetTracer(&m.coreTracer)
 	return m
 }
@@ -166,18 +166,39 @@ func (m *Machine) Concurrent() bool { return m.Hier.Concurrent() }
 // coreTracer is a simmem.Tracer pinned to one CPU: data accesses through an
 // arena handle carrying it are charged to that CPU, and their stall cycles
 // to its current module. The machine's own tracer is re-pinned by
-// SetCurrent; TracerFor's are pinned for good.
+// SetCurrent; TracerFor's are pinned for good. l1d and ct are the CPU's L1D
+// and counters, pinned with it for OnData's hit path.
 type coreTracer struct {
-	h *Hierarchy
-	c *CPU
+	h   *Hierarchy
+	c   *CPU
+	l1d *Cache
+	ct  *MissCounts
 }
 
-// OnData implements simmem.Tracer.
+// tracerFor returns a tracer pinned to c.
+func (h *Hierarchy) tracerFor(c *CPU) coreTracer {
+	return coreTracer{h: h, c: c, l1d: h.cores[c.ID].l1d, ct: &h.counts[c.ID]}
+}
+
+// OnData implements simmem.Tracer. A read that lies in one line, and that
+// line already the MRU of its L1D set, is answered here: such a hit moves
+// no tag and stalls nothing, so DataAccess would only count it, in the
+// core's L1DAcc and the L1D's data-class accesses, and that is all this does
+// (the data-side twin of FetchCode's call-free hit loop). In concurrent mode
+// the core's invalidation inbox must be empty too, for a posted
+// invalidation may name that line and DataAccess drains the inbox first.
+// Every other access takes DataAccess.
 //
 //oltpsim:hotpath
 func (t *coreTracer) OnData(addr simmem.Addr, size int, write bool) {
-	c := t.c
-	if stall := t.h.DataAccess(c.ID, addr, size, write); stall != 0 {
+	c, h := t.c, t.h
+	if id := uint64(addr) >> LineShift; !write && size > 0 && (uint64(addr)+uint64(size)-1)>>LineShift == id &&
+		t.l1d.atMRU(id) && (h.mt == nil || h.mt.inq[c.ID].n.Load() == 0) {
+		t.ct.L1DAcc++
+		t.l1d.stats[ClassData].Accesses++
+		return
+	}
+	if stall := h.DataAccess(c.ID, addr, size, write); stall != 0 {
 		c.perModule[c.curMod].DStallCycles += uint64(stall)
 	}
 }
@@ -185,7 +206,8 @@ func (t *coreTracer) OnData(addr simmem.Addr, size int, write bool) {
 // TracerFor returns a tracer pinned to the given core, for use with
 // Arena.View in concurrent mode.
 func (m *Machine) TracerFor(core int) simmem.Tracer {
-	return &coreTracer{h: m.Hier, c: m.CPUs[core]}
+	t := m.Hier.tracerFor(m.CPUs[core])
+	return &t
 }
 
 // SetCurrent pins the machine's tracer to cpuID, so subsequent data accesses
@@ -193,4 +215,4 @@ func (m *Machine) TracerFor(core int) simmem.Tracer {
 // single-OS-threaded; logical cores are interleaved by the harness, which
 // keeps counter attribution exact (the problem hardware counters have with
 // Go's scheduler, per the reproduction notes, does not arise).
-func (m *Machine) SetCurrent(cpuID int) { m.coreTracer.c = m.CPUs[cpuID] }
+func (m *Machine) SetCurrent(cpuID int) { m.coreTracer = m.Hier.tracerFor(m.CPUs[cpuID]) }

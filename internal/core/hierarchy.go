@@ -573,6 +573,12 @@ func (h *Hierarchy) invalidate(t int, id, mask uint64) {
 // socket's copies stalls the writer for XInvalidatePenalty per socket hit,
 // the part of coherence traffic a store buffer cannot hide.
 //
+// A traced access reaches it through coreTracer.OnData, which answers a
+// one-line read of a line already MRU in its L1D set itself, when no
+// invalidation is pending for the core (the counts DataAccess would make,
+// and nothing else), and sends everything else here; callers outside the
+// tracer (the benchmark ladder, the tests) call it directly.
+//
 //oltpsim:hotpath
 func (h *Hierarchy) DataAccess(core int, addr simmem.Addr, size int, write bool) int {
 	if size <= 0 {

@@ -187,6 +187,49 @@ func TestPostedInvalidationAppliedAtNextAccess(t *testing.T) {
 	<-done
 }
 
+// TestPostedInvalidationStopsTracerFastPath is the same handoff through the
+// per-core tracers engine code uses in concurrent mode, where a read of the
+// line its L1D set used last is answered by the tracer without DataAccess:
+// core 1 reads a line twice (the second read takes that path), core 0 writes
+// it from its own goroutine, and core 1's next read must find the
+// invalidation, though the line is still the MRU of its set until the inbox
+// is drained.
+func TestPostedInvalidationStopsTracerFastPath(t *testing.T) {
+	m := NewMachine(smallHierCfg(2))
+	m.SetConcurrent(true)
+	v0, v1 := m.Arena.View(m.TracerFor(0)), m.Arena.View(m.TracerFor(1))
+	m.Arena.EnableTracing(true)
+	addr := simmem.DataBase
+	write, written := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range write {
+			v0.WriteU64(addr, 1) // posts to core 1's inbox
+			written <- struct{}{}
+		}
+	}()
+	defer func() {
+		close(write)
+		<-done
+	}()
+	for round := 0; round < 500; round++ {
+		v1.ReadU64(addr)
+		before := m.Hier.Counts(1)
+		v1.ReadU64(addr)
+		if d := m.Hier.Counts(1).Sub(before); d.L1DAcc != 1 || d.L1DMiss != 0 {
+			t.Fatalf("round %d: a repeated read counted %+v, want one L1D hit", round, d)
+		}
+		write <- struct{}{}
+		<-written
+		before = m.Hier.Counts(1)
+		v1.ReadU64(addr)
+		if d := m.Hier.Counts(1).Sub(before); d.L1DMiss != 1 || d.Invalidations == 0 {
+			t.Fatalf("round %d: the read after a posted invalidation counted %+v: it hit the invalidated line", round, d)
+		}
+	}
+}
+
 // TestConcurrentWriteExclusivity checks invariant 2 of the serial coherence
 // suite in concurrent mode: after all cores quiesce, a line written last by
 // one core is held exclusively (other cores' private copies invalidated,

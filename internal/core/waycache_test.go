@@ -139,7 +139,7 @@ func TestICacheMatchesCache(t *testing.T) {
 // through the same differential. Budgeted at 20s in CI (numa-fuzz-smoke) and
 // `make fuzz`:
 //
-//	go test -run '^FuzzICache$' -fuzz FuzzICache -fuzztime 20s ./internal/core
+//	go test -run '^FuzzICache$' -fuzz FuzzICache -fuzztime 20s -fuzzminimizetime 1s ./internal/core
 func FuzzICache(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{0, 1, 0, 2, 1, 0})
 	f.Add(uint8(2), uint8(7), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 0, 5})
@@ -329,7 +329,7 @@ func TestL2MatchesCache(t *testing.T) {
 // call and the class, the second code or data and the line. Budgeted at 20s
 // in CI (numa-fuzz-smoke) and `make fuzz`:
 //
-//	go test -run '^FuzzL2$' -fuzz FuzzL2 -fuzztime 20s ./internal/core
+//	go test -run '^FuzzL2$' -fuzz FuzzL2 -fuzztime 20s -fuzzminimizetime 1s ./internal/core
 func FuzzL2(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{0, 0, 8, 1, 5, 0, 0, 2, 1, 3})
 	f.Add(uint8(2), uint8(7), []byte("\x00\x10\x01\x11\x02\x12\x03\x13\x05\x10\x00\x10\x04\x11\x07\x00"))
@@ -414,9 +414,18 @@ func (r *refWalk) fetch(core int, addr simmem.Addr, nLines int) int {
 	return stall
 }
 
-// data is one single-line DataAccess on a one-socket machine.
-func (r *refWalk) data(core int, addr simmem.Addr, write bool) int {
-	id := uint64(addr) >> LineShift
+// data is one DataAccess of size bytes (size > 0) on a one-socket machine:
+// every line the access covers is looked up, or store-allocated, in turn.
+func (r *refWalk) data(core int, addr simmem.Addr, size int, write bool) int {
+	stall := 0
+	last := (uint64(addr) + uint64(size) - 1) >> LineShift
+	for id := uint64(addr) >> LineShift; id <= last; id++ {
+		stall += r.dataLine(core, id, write)
+	}
+	return stall
+}
+
+func (r *refWalk) dataLine(core int, id uint64, write bool) int {
 	ct := &r.counts[core]
 	ct.L1DAcc++
 	if write {
@@ -449,9 +458,41 @@ func (r *refWalk) data(core int, addr simmem.Addr, write bool) int {
 	return r.cfg.L1D.MissPenalty + r.cfg.L2.MissPenalty + r.cfg.LLC.MissPenalty
 }
 
+// The arena calls a traced data access can arrive through.
+const (
+	viaTouch = iota // Arena.Touch, any size
+	viaWord         // Arena.ReadU64 / WriteU64, 8 bytes
+	viaBytes        // Arena.ReadBytes / WriteBytes, any size
+	numVias
+)
+
+// traced makes one data access the way engine code makes it — SetCurrent,
+// then an arena call, answered by the machine's tracer — and returns the
+// stall cycles it charged to the core's current module. via viaWord
+// accesses 8 bytes whatever size says.
+func traced(m *Machine, core int, addr simmem.Addr, size int, write bool, via int) int {
+	m.SetCurrent(core)
+	cpu := m.CPUs[core]
+	before := cpu.ModuleStats(cpu.CurrentModule()).DStallCycles
+	var buf [16]byte
+	switch {
+	case via == viaWord && write:
+		m.Arena.WriteU64(addr, 1)
+	case via == viaWord:
+		m.Arena.ReadU64(addr)
+	case via == viaBytes && write:
+		m.Arena.WriteBytes(addr, buf[:size])
+	case via == viaBytes:
+		m.Arena.ReadBytes(addr, buf[:size])
+	default:
+		m.Arena.Touch(addr, size, write)
+	}
+	return int(cpu.ModuleStats(cpu.CurrentModule()).DStallCycles - before)
+}
+
 // checkMatchesRefWalk compares everything a step can change: the stall, every
 // core's counters, the named core's cache contents at every level, and its
-// L2's and socket's LLC's per-class counters.
+// L1D's, L2's and socket's LLC's per-class counters.
 func checkMatchesRefWalk(t *testing.T, h *Hierarchy, ref *refWalk, step, core int, what string, got, want int) {
 	t.Helper()
 	if got != want {
@@ -474,6 +515,9 @@ func checkMatchesRefWalk(t *testing.T, h *Hierarchy, ref *refWalk, step, core in
 	s := h.SocketOf(core)
 	sameLines("LLC", residentLines(h.llcs[s].Lines), residentLines(ref.llc[s].Lines))
 	for class := ClassInstr; class < numClasses; class++ {
+		if got, want := cc.l1d.Stats(class), ref.l1d[core].Stats(class); got != want {
+			t.Fatalf("step %d core %d %s: L1D class %d stats %+v, reference %+v", step, core, what, class, got, want)
+		}
 		if got, want := cc.l2.Stats(class), ref.l2[core].Stats(class); got != want {
 			t.Fatalf("step %d core %d %s: L2 class %d stats %+v, reference %+v", step, core, what, class, got, want)
 		}
@@ -532,8 +576,10 @@ func TestFetchCodeMatchesReferenceWalk(t *testing.T) {
 // TestFetchCodeUnderDataMatchesReferenceWalk is its sibling for the unified
 // L2: two coherent cores interleave fetch runs with data reads and writes
 // over a pool larger than the L2, so code lines leave the L2 through data
-// fills and coherence invalidations empty ways that code then fills. The
-// walk must match the reference after every call.
+// fills and coherence invalidations empty ways that code then fills. Every
+// other data step goes through the machine's tracer (ReadU64/WriteU64)
+// rather than DataAccess. The walk must match the reference after every
+// call.
 func TestFetchCodeUnderDataMatchesReferenceWalk(t *testing.T) {
 	for _, pf := range []int{0, 1, 2} {
 		for _, l2 := range []CacheGeom{geomOf(8, 4), geomOf(3, 8), geomOf(4, 16)} {
@@ -541,7 +587,9 @@ func TestFetchCodeUnderDataMatchesReferenceWalk(t *testing.T) {
 				cfg := smallHierCfg(2)
 				cfg.IPrefetchLines, cfg.L2 = pf, l2
 				cfg.LLC = geomOf(16, 8)
-				h := NewHierarchy(cfg)
+				m := NewMachine(cfg)
+				m.Arena.EnableTracing(true)
+				h := m.Hier
 				ref := newRefWalk(h.Config())
 				r := &testRand{s: uint64(pf*100 + l2.Sets()*l2.Assoc)}
 				for step := 0; step < 4000; step++ {
@@ -555,7 +603,13 @@ func TestFetchCodeUnderDataMatchesReferenceWalk(t *testing.T) {
 					addr := simmem.DataBase + simmem.Addr(r.intn(96)*LineBytes+r.intn(LineBytes-8))
 					write := r.intn(3) == 0
 					what := fmt.Sprintf("data %#x write=%v", uint64(addr), write)
-					checkMatchesRefWalk(t, h, ref, step, core, what, h.DataAccess(core, addr, 8, write), ref.data(core, addr, write))
+					var got int
+					if step%2 == 0 {
+						what, got = "traced "+what, traced(m, core, addr, 8, write, viaWord)
+					} else {
+						got = h.DataAccess(core, addr, 8, write)
+					}
+					checkMatchesRefWalk(t, h, ref, step, core, what, got, ref.data(core, addr, 8, write))
 				}
 				if err := h.CheckCoherent(); err != nil {
 					t.Fatal(err)
@@ -581,7 +635,7 @@ func TestFetchCodeUnderDataMatchesReferenceWalk(t *testing.T) {
 // must stay consistent. Budgeted at 20s in CI (numa-fuzz-smoke) and
 // `make fuzz`:
 //
-//	go test -run '^FuzzFetchCode$' -fuzz FuzzFetchCode -fuzztime 20s ./internal/core
+//	go test -run '^FuzzFetchCode$' -fuzz FuzzFetchCode -fuzztime 20s -fuzzminimizetime 1s ./internal/core
 func FuzzFetchCode(f *testing.F) {
 	f.Add(uint8(63), uint8(7), uint8(7), uint8(3), uint8(15), uint8(7), uint8(2), []byte{0, 0, 40, 1, 3, 9, 0x10, 5, 0, 0, 0, 40, 0x81, 200, 0x7f})
 	f.Add(uint8(0), uint8(1), uint8(2), uint8(7), uint8(2), uint8(19), uint8(4), []byte("the quick brown fox jumps over the lazy dog"))
@@ -607,7 +661,7 @@ func FuzzFetchCode(f *testing.F) {
 				addr := simmem.DataBase + simmem.Addr(int(b1)*LineBytes+int(b2>>1)%(LineBytes-8))
 				write := b2&1 == 1
 				what = fmt.Sprintf("data %#x write=%v", uint64(addr), write)
-				got, want = h.DataAccess(core, addr, 8, write), ref.data(core, addr, write)
+				got, want = h.DataAccess(core, addr, 8, write), ref.data(core, addr, 8, write)
 			} else {
 				start, n := int(b1)*2+int(b2>>7), 1+int(b2&0x7f)%48
 				addr := simmem.CodeBase + simmem.Addr(start*LineBytes+int(b0)%LineBytes)
@@ -617,6 +671,53 @@ func FuzzFetchCode(f *testing.F) {
 			checkMatchesRefWalk(t, h, ref, step, core, what, got, want)
 			checkWayCacheIndex(t, h.cores[core].l1i)
 			checkWayCacheIndex(t, h.cores[core].l2)
+		}
+	})
+}
+
+// FuzzDataAccess is the data path's fence, FuzzFetchCode's twin: the fuzzer
+// picks the L1D, L2 and LLC geometry (set counts 1..24 for the private
+// caches and 1..32 for the LLC, 1..16 ways for the L1D and the L2, 1..20
+// for the LLC), one to four cores on one socket and coherence on or off,
+// then drives three bytes per step: a read or write of 1..16 bytes at any
+// offset of a line, so it may cross into the next, on any core, through the
+// machine's tracer and one of the arena calls engine code makes (Touch,
+// ReadU64/WriteU64, ReadBytes/WriteBytes). Stall, counters, contents and
+// the L1D's, L2's and LLC's class counters must match the reference after
+// every step, and the directory must agree with the caches at the end.
+// Budgeted at 20s in CI (numa-fuzz-smoke) and `make fuzz`:
+//
+//	go test -run '^FuzzDataAccess$' -fuzz FuzzDataAccess -fuzztime 20s -fuzzminimizetime 1s ./internal/core
+func FuzzDataAccess(f *testing.F) {
+	// Reads of one line over and over, a write to it from another core, and
+	// reads that cross a line boundary.
+	f.Add(uint8(3), uint8(1), uint8(7), uint8(3), uint8(15), uint8(7), uint8(5), []byte{
+		0x70, 1, 0, 0x70, 1, 0x48, 0x71, 1, 0x90, 0x75, 1, 0, 0x70, 1, 0x40, 0x70, 1, 60, 0x70, 2, 0x80 | 62, 0x60, 2, 0})
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), []byte("the quick brown fox jumps over the lazy dog"))
+	f.Add(uint8(23), uint8(15), uint8(23), uint8(15), uint8(31), uint8(19), uint8(7), []byte{
+		0xf0, 0, 56, 0xf1, 0, 0x80 | 56, 0xf2, 0, 50, 0xf7, 0, 0x80 | 56, 0xf1, 0, 56, 0x09, 200, 0x40 | 63, 0x0d, 200, 63, 0x01, 200, 63})
+	f.Fuzz(func(t *testing.T, l1dSets, l1dWays, l2Sets, l2Ways, llcSets, llcWays, opts uint8, data []byte) {
+		cfg := smallHierCfg(1 + int(opts)%4)
+		cfg.Coherence = opts>>2&1 == 1
+		cfg.L1D = geomOf(int(l1dSets)%24+1, int(l1dWays)%16+1)
+		cfg.L2 = geomOf(int(l2Sets)%24+1, int(l2Ways)%16+1)
+		cfg.LLC = geomOf(int(llcSets)%32+1, int(llcWays)%20+1)
+		m := NewMachine(cfg)
+		m.Arena.EnableTracing(true)
+		ref := newRefWalk(m.Hier.Config())
+		for i := 0; i+2 < len(data); i += 3 {
+			b0, b1, b2 := data[i], data[i+1], data[i+2]
+			core, write, size := int(b0&3)%cfg.Cores, b0>>2&1 == 1, 1+int(b0>>4)
+			via := int(b2>>6) % numVias
+			if via == viaWord {
+				size = 8
+			}
+			addr := simmem.DataBase + simmem.Addr(int(b1)*LineBytes+int(b2)%LineBytes)
+			what := fmt.Sprintf("via %d %#x+%d write=%v", via, uint64(addr), size, write)
+			checkMatchesRefWalk(t, m.Hier, ref, i/3, core, what, traced(m, core, addr, size, write, via), ref.data(core, addr, size, write))
+		}
+		if err := m.Hier.CheckCoherent(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
