@@ -99,7 +99,8 @@ drive:
 #   scenario    profile/pacer determinism, scenarios, admission control; then
 #               a time-compressed flash crowd against queue-depth admission
 #   analyze     request log, offline analysis, collector groups; then capture,
-#               `oltpsim analyze`/`compare`, group-scoped scrapes
+#               `oltpsim analyze`/`compare`, group-scoped scrapes, and
+#               oltpsim's figure flags on Figure 3
 serve_tests = \
 	"./internal/server ./internal/driver ./internal/wire ./internal/metrics ./internal/testbed" \
 	"-count=20 -run TestServeErrors ./internal/server" \

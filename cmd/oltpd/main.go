@@ -19,17 +19,20 @@
 //	oltpd -addr 127.0.0.1:7890 -cluster range:2x4 -node 0 &
 //	oltpd -addr 127.0.0.1:7990 -cluster range:2x4 -node 1 &
 //
+// The map fixes the shard count, so -shards beside -cluster is refused, as
+// is -node without -cluster (exit 2): either flag would otherwise be dropped.
+//
 // SIGINT/SIGTERM drain gracefully: in-flight requests complete and receive
 // responses, new requests are refused with a draining error, then sockets
 // close.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"oltpsim/internal/cluster"
@@ -51,11 +54,16 @@ func main() {
 		clusterMap  = fs.String("cluster", "", "cluster shard map, e.g. range:2x4 ('' = standalone)")
 		node        = fs.Int("node", 0, "this process's node ID in -cluster")
 		admitQueue  = fs.Int("admit-queue", 0, "admission control: shed (overload error) when a shard queue holds this many requests (0 = off)")
-		admitLat    = fs.Duration("admit-latency", 0, "admission control: shed while a shard's service-latency EWMA exceeds this bound (0 = off)")
-		collectors  = fs.String("collectors", "", "comma-separated collector groups a bare /metrics scrape serves ("+strings.Join(server.CollectorGroups(), ",")+"; '' = all); any scrape can override with ?collect=")
 	)
 	spec := workload.SpecFlags(fs)
 	fs.Parse(os.Args[1:])
+
+	explicit := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	if err := checkTopology(*clusterMap, explicit); err != nil {
+		fmt.Fprintln(os.Stderr, "oltpd:", err)
+		os.Exit(2)
+	}
 
 	kind, err := systems.ParseKind(*system)
 	if err != nil {
@@ -72,13 +80,12 @@ func main() {
 	}
 
 	cfg := server.Config{
-		System:          kind,
-		Shards:          *shards,
-		Sockets:         *sockets,
-		Placement:       place,
-		Spec:            *spec,
-		AdmitQueueMax:   *admitQueue,
-		AdmitLatencyMax: *admitLat,
+		System:        kind,
+		Shards:        *shards,
+		Sockets:       *sockets,
+		Placement:     place,
+		Spec:          *spec,
+		AdmitQueueMax: *admitQueue,
 	}
 	if *clusterMap != "" {
 		m, err := cluster.Parse(*clusterMap)
@@ -91,11 +98,6 @@ func main() {
 	s, err := server.New(cfg)
 	if err != nil {
 		fatal(err)
-	}
-	if *collectors != "" {
-		if err := s.Registry().SetDefaultGroups(strings.Split(*collectors, ",")...); err != nil {
-			fatal(err)
-		}
 	}
 	// Bind every listener before accepting or announcing: a metrics address
 	// that cannot be bound is fatal (serving on without it would leave
@@ -129,6 +131,19 @@ func main() {
 	fmt.Println("oltpd: draining...")
 	s.Shutdown()
 	fmt.Println("oltpd: drained, bye")
+}
+
+// checkTopology refuses the flag combinations oltpd would otherwise drop:
+// -node names a node of -cluster's map, and the map, not -shards, sets the
+// shard count. explicit holds the flags given on the command line.
+func checkTopology(clusterMap string, explicit map[string]bool) error {
+	switch {
+	case clusterMap == "" && explicit["node"]:
+		return errors.New("-node names this process's node in a cluster; it needs -cluster")
+	case clusterMap != "" && explicit["shards"]:
+		return errors.New("-cluster's map sets the shard count; drop -shards")
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -25,13 +25,12 @@
 //
 // -rate, -warmup and -duration are simulated time, and -time-scale S
 // compresses them onto the wall clock: the run offers S×rate wall ops/s for
-// duration/S wall seconds, so a shaped load story — a compressed day, a flash
-// crowd, a batch window — plays in seconds. A scale other than 1 needs -rate.
-// -timeline writes one row per -agg-interval of simulated time (default
-// duration/40): throughput, errors, shed, p50/p99, and — with -scrape —
-// per-shard IPC and stall mix; CSV, JSON when the path ends in .json, CSV on
-// stdout for "-". A flash crowd against a 2-node cluster at 20% 2PC,
-// captured to a request log:
+// duration/S wall seconds, so a shaped load story — a compressed day or a
+// flash crowd — plays in seconds. A scale other than 1 needs -rate, and so
+// does -poisson. -timeline writes one row per -agg-interval of simulated time
+// (default duration/40): throughput, errors, shed, p50/p99, and — with
+// -scrape — per-shard IPC and stall mix, as CSV (on stdout for "-"). A flash
+// crowd against a 2-node cluster at 20% 2PC, captured to a request log:
 //
 //	oltpdrive -addrs 127.0.0.1:7890,127.0.0.1:7990 -cluster range:2x4 -mp 20 \
 //	          -workload micro -rows 100000 -rw \
@@ -79,10 +78,10 @@ func main() {
 		cmap     = fs.String("cluster", "", "cluster target: shard map shared with the servers, e.g. range:2x4")
 		mp       = fs.Int("mp", 0, "cluster target: percentage of calls issued as multi-partition (2PC) transactions")
 
-		profSpec  = fs.String("profile", "", "open loop: load profile shaping the offered rate (steady|diurnal|flash|batch|ramp|step[:k=v,...])")
+		profSpec  = fs.String("profile", "", "open loop: load profile shaping the offered rate (steady|diurnal|flash[:k=v,...])")
 		timeScale = fs.Float64("time-scale", 1, "time-compression factor: simulated seconds per wall second (needs -rate unless 1)")
 		aggInt    = fs.Duration("agg-interval", 0, "timeline: simulated width of one row (default duration/40)")
-		timeline  = fs.String("timeline", "", `write the per-interval timeline here (.json = JSON, else CSV, "-" = stdout CSV)`)
+		timeline  = fs.String("timeline", "", `write the per-interval timeline here as CSV ("-" = stdout)`)
 		scrapeURL = fs.String("scrape", "", "timeline: oltpd metrics URL scraped per interval for IPC and stall-mix columns")
 	)
 	spec := workload.SpecFlags(fs)
@@ -152,11 +151,7 @@ func main() {
 
 	rep, err := driver.Run(cfg)
 	if err == nil && tl != nil {
-		write := driver.WriteTimelineCSV
-		if strings.HasSuffix(*timeline, ".json") {
-			write = driver.WriteTimelineJSON
-		}
-		if err = write(tl, rep.Timeline); tl != os.Stdout {
+		if err = driver.WriteTimelineCSV(tl, rep.Timeline); tl != os.Stdout {
 			if cerr := tl.Close(); err == nil {
 				err = cerr
 			}

@@ -1,7 +1,7 @@
 // Offline request-log analysis subcommands:
 //
-//	oltpsim analyze run.olog [-segments 8] [-format text|csv|json]
-//	oltpsim compare old.olog new.olog [-threshold 0.25] [-format text|json]
+//	oltpsim analyze [-segments 8] [-format text|json] run.olog
+//	oltpsim compare [-threshold 0.25] [-format text|json] old.olog new.olog
 //
 // analyze recomputes exact coordinated-omission-corrected statistics from a
 // request log recorded with oltpdrive -reqlog; compare diffs two runs and
@@ -20,7 +20,7 @@ import (
 func runAnalyze(args []string) int {
 	fs := flag.NewFlagSet("oltpsim analyze", flag.ExitOnError)
 	segments := fs.Int("segments", 8, "fixed-time segments to cut the covered window into")
-	format := fs.String("format", "text", "output format: text | csv | json")
+	format := fs.String("format", "text", "output format: text | json")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: oltpsim analyze [flags] run.olog")
 		fs.PrintDefaults()
@@ -46,7 +46,6 @@ func runCompare(args []string) int {
 	fs := flag.NewFlagSet("oltpsim compare", flag.ExitOnError)
 	threshold := fs.Float64("threshold", analyze.DefaultThreshold,
 		"fractional worsening of a gated metric that fails the comparison")
-	segments := fs.Int("segments", 8, "fixed-time segments for the underlying analyses")
 	format := fs.String("format", "text", "output format: text | json")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: oltpsim compare [flags] old.olog new.olog")
@@ -57,7 +56,9 @@ func runCompare(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	opt := analyze.Options{Segments: *segments}
+	// The verdict reads totals only, so the segment count is left at its
+	// default.
+	var opt analyze.Options
 	oldRes, err := analyze.AnalyzeFile(fs.Arg(0), opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "oltpsim compare: %v\n", err)

@@ -8,7 +8,6 @@
 package analyze
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -367,53 +366,6 @@ func fmtNs(d time.Duration) string {
 	}
 }
 
-// WriteCSV renders a flat CSV: one row per population (total, each segment,
-// each shard, each archetype), keyed by a section column.
-func (r *Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"section", "key", "ops", "errors", "overload", "drain",
-		"ops_per_sec", "mean_us", "p50_us", "p90_us", "p99_us", "p999_us", "max_us",
-	}); err != nil {
-		return err
-	}
-	row := func(section, key string, s Stats) error {
-		return cw.Write([]string{
-			section, key,
-			strconv.FormatUint(s.Ops, 10),
-			strconv.FormatUint(s.Errors, 10),
-			strconv.FormatUint(s.Overload, 10),
-			strconv.FormatUint(s.Drain, 10),
-			strconv.FormatFloat(s.Throughput, 'f', 1, 64),
-			us(s.Mean), us(s.P50), us(s.P90), us(s.P99), us(s.P999), us(s.Max),
-		})
-	}
-	if err := row("total", "", r.Total); err != nil {
-		return err
-	}
-	for _, s := range r.Segments {
-		if err := row("segment", strconv.Itoa(s.Index), s.Stats); err != nil {
-			return err
-		}
-	}
-	for _, g := range r.Shard {
-		if err := row("shard", g.Key, g.Stats); err != nil {
-			return err
-		}
-	}
-	for _, g := range r.Proc {
-		if err := row("archetype", g.Key, g.Stats); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func us(d time.Duration) string {
-	return strconv.FormatFloat(float64(d.Nanoseconds())/1e3, 'f', 1, 64)
-}
-
 // WriteJSON renders the full Result as indented JSON.
 func (r *Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -421,16 +373,14 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Format writes the result in the named format ("text", "csv", "json").
+// Format writes the result in the named format ("text" or "json").
 func (r *Result) Format(w io.Writer, format string) error {
 	switch strings.ToLower(format) {
 	case "", "text":
 		r.WriteText(w)
 		return nil
-	case "csv":
-		return r.WriteCSV(w)
 	case "json":
 		return r.WriteJSON(w)
 	}
-	return fmt.Errorf("analyze: unknown format %q (text, csv, json)", format)
+	return fmt.Errorf("analyze: unknown format %q (text, json)", format)
 }

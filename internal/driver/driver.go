@@ -66,7 +66,7 @@ type Config struct {
 	// connections; 0 selects closed-loop operation.
 	Rate float64
 	// Poisson selects exponential inter-arrival times in open loop
-	// (default: fixed spacing).
+	// (default: fixed spacing); it needs a Rate.
 	Poisson bool
 	// Pipeline caps in-flight requests per connection (default 1 for closed
 	// loop — the classic one-outstanding client — and 128 for open loop).
@@ -166,7 +166,7 @@ type Report struct {
 	// Hist is the merged latency histogram (nanoseconds).
 	Hist *metrics.Histogram `json:"-"`
 	// Timeline holds one row per aggregation interval when AggInterval was
-	// set (see WriteTimelineCSV / WriteTimelineJSON).
+	// set (see WriteTimelineCSV).
 	Timeline []TimelineRow `json:"-"`
 }
 
@@ -216,6 +216,9 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if cfg.Profile != nil && cfg.Rate <= 0 {
 		return nil, fmt.Errorf("driver: load profiles require open-loop operation (set Rate)")
+	}
+	if cfg.Poisson && cfg.Rate <= 0 {
+		return nil, fmt.Errorf("driver: Poisson arrivals require open-loop operation (set Rate)")
 	}
 	if cfg.MPRate < 0 || cfg.MPRate > 100 {
 		return nil, fmt.Errorf("driver: multi-partition rate %d%% out of [0,100]", cfg.MPRate)

@@ -1,10 +1,12 @@
 // Load profiles: named shapes mapping a position within the simulated run
 // (a fraction in [0, 1]) to an offered-rate multiplier. A profile turns the
-// open-loop sender's flat Rate into a traffic story — a compressed day, a
-// flash crowd, a nightly batch window — replayed at -time-scale compression
-// (see scenario.go). Profiles are pure functions of the fraction: the whole
-// arrival schedule is deterministic given Config.Seed, independent of wall
-// clock and of how fast the server answers.
+// open-loop sender's flat Rate into a traffic story — a compressed day or a
+// flash crowd — replayed at -time-scale compression (see scenario.go).
+// Profiles are pure functions of the fraction: the whole arrival schedule is
+// deterministic given Config.Seed, independent of wall clock and of how fast
+// the server answers. Every shape has a consumer beyond its own test:
+// diurnal is FigC1's day, flash is FigC2's crowd and the spike of the
+// scenario and cluster smokes, and steady spells out the default.
 package driver
 
 import (
@@ -48,52 +50,22 @@ func (p diurnalProfile) Mult(f float64) float64 {
 }
 func (p diurnalProfile) String() string { return fmt.Sprintf("diurnal:lo=%g", p.Lo) }
 
-// pulseProfile is a rectangular pulse on a flat baseline: multiplier X during
-// [At, At+Dur), 1 elsewhere. It is the shape behind both the flash-crowd and
-// batch-window vocabulary (they differ in defaults and in what the story
-// stresses: flash is a tall short spike, batch a moderate sustained window).
-type pulseProfile struct {
-	name    string
+// flashProfile is a flash crowd: a rectangular pulse on a flat baseline,
+// multiplier X during [At, At+Dur), 1 elsewhere.
+type flashProfile struct {
 	At, Dur float64 // pulse start and width, fractions of the run
 	X       float64 // multiplier inside the pulse
 }
 
-func (p pulseProfile) Mult(f float64) float64 {
+func (p flashProfile) Mult(f float64) float64 {
 	if f >= p.At && f < p.At+p.Dur {
 		return p.X
 	}
 	return 1
 }
-func (p pulseProfile) String() string {
-	return fmt.Sprintf("%s:at=%g,dur=%g,x=%g", p.name, p.At, p.Dur, p.X)
+func (p flashProfile) String() string {
+	return fmt.Sprintf("flash:at=%g,dur=%g,x=%g", p.At, p.Dur, p.X)
 }
-
-// rampProfile climbs linearly from From to 1 over the run.
-type rampProfile struct {
-	From float64
-}
-
-func (p rampProfile) Mult(f float64) float64 { return p.From + (1-p.From)*f }
-func (p rampProfile) String() string         { return fmt.Sprintf("ramp:from=%g", p.From) }
-
-// stepProfile is an N-level staircase from Lo to 1: level k = Lo +
-// (1-Lo)·k/(N-1) holds for the k-th N-th of the run.
-type stepProfile struct {
-	N  int
-	Lo float64
-}
-
-func (p stepProfile) Mult(f float64) float64 {
-	if p.N <= 1 {
-		return 1
-	}
-	k := int(f * float64(p.N))
-	if k > p.N-1 {
-		k = p.N - 1
-	}
-	return p.Lo + (1-p.Lo)*float64(k)/float64(p.N-1)
-}
-func (p stepProfile) String() string { return fmt.Sprintf("step:n=%d,lo=%g", p.N, p.Lo) }
 
 // ParseProfile parses a profile spec: a name, optionally followed by
 // ":key=value,..." parameters. The vocabulary:
@@ -101,9 +73,6 @@ func (p stepProfile) String() string { return fmt.Sprintf("step:n=%d,lo=%g", p.N
 //	steady                      constant 1 (the default)
 //	diurnal[:lo=0.15]           one-day sinusoid, trough lo, peak 1
 //	flash[:at=0.35,dur=0.1,x=8] flat 1 with a tall spike of x in [at, at+dur)
-//	batch[:at=0.7,dur=0.25,x=3] flat 1 with a sustained batch window of x
-//	ramp[:from=0.1]             linear climb from `from` to 1
-//	step[:n=4,lo=0.25]          n-level staircase from lo to 1
 func ParseProfile(spec string) (Profile, error) {
 	name, rest, _ := strings.Cut(spec, ":")
 	params := map[string]float64{}
@@ -134,15 +103,9 @@ func ParseProfile(spec string) (Profile, error) {
 	case "diurnal":
 		p = diurnalProfile{Lo: take("lo", 0.15)}
 	case "flash":
-		p = pulseProfile{name: "flash", At: take("at", 0.35), Dur: take("dur", 0.1), X: take("x", 8)}
-	case "batch":
-		p = pulseProfile{name: "batch", At: take("at", 0.7), Dur: take("dur", 0.25), X: take("x", 3)}
-	case "ramp":
-		p = rampProfile{From: take("from", 0.1)}
-	case "step":
-		p = stepProfile{N: int(take("n", 4)), Lo: take("lo", 0.25)}
+		p = flashProfile{At: take("at", 0.35), Dur: take("dur", 0.1), X: take("x", 8)}
 	default:
-		return nil, fmt.Errorf("driver: unknown profile %q (want steady|diurnal|flash|batch|ramp|step)", name)
+		return nil, fmt.Errorf("driver: unknown profile %q (want steady|diurnal|flash)", name)
 	}
 	if len(params) > 0 {
 		keys := make([]string, 0, len(params))

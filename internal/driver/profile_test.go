@@ -30,13 +30,6 @@ func TestProfileShapes(t *testing.T) {
 		{"flash:at=0.3,dur=0.2,x=8", 0.3, 8},
 		{"flash:at=0.3,dur=0.2,x=8", 0.49, 8},
 		{"flash:at=0.3,dur=0.2,x=8", 0.5, 1},
-		{"batch", 0.5, 1}, {"batch", 0.8, 3},
-		{"ramp:from=0.5", 0, 0.5}, {"ramp:from=0.5", 1, 1},
-		{"step:n=4,lo=0.25", 0.1, 0.25},
-		{"step:n=4,lo=0.25", 0.3, 0.5},
-		{"step:n=4,lo=0.25", 0.6, 0.75},
-		{"step:n=4,lo=0.25", 0.99, 1},
-		{"step:n=4,lo=0.25", 1.0, 1}, // top level holds at the closed end
 	}
 	for _, c := range cases {
 		if got := mustProfile(t, c.spec).Mult(c.at); !approx(got, c.want) {
@@ -48,7 +41,6 @@ func TestProfileShapes(t *testing.T) {
 func TestProfileParseRoundTrip(t *testing.T) {
 	for _, spec := range []string{
 		"steady", "diurnal:lo=0.15", "flash:at=0.35,dur=0.1,x=8",
-		"batch:at=0.7,dur=0.25,x=3", "ramp:from=0.1", "step:n=4,lo=0.25",
 	} {
 		p := mustProfile(t, spec)
 		if got := p.String(); got != spec {
@@ -166,7 +158,7 @@ func TestPacerProfileShapesRate(t *testing.T) {
 		Seed:    7,
 		Warmup:  10 * time.Millisecond,
 		Measure: time.Second,
-		Profile: pulseProfile{name: "flash", At: 0.4, Dur: 0.2, X: 10},
+		Profile: flashProfile{At: 0.4, Dur: 0.2, X: 10},
 	}
 	arr := schedule(t, cfg, 0, 30000)
 	// Two equal-width sample windows, one on the flat baseline and one fully

@@ -16,7 +16,6 @@
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -50,25 +49,25 @@ func (c Config) wallClock() (Config, error) {
 // rates are in simulated units except Throughput, which is measured wall
 // ops/s (divide by the time scale for simulated ops per simulated second).
 type TimelineRow struct {
-	Interval   int     `json:"interval"`
-	SimSeconds float64 `json:"sim_seconds"` // interval end, simulated seconds since the profile started
-	Mult       float64 `json:"mult"`        // profile multiplier at the interval midpoint
-	Ops        uint64  `json:"ops"`
-	Errors     uint64  `json:"errors"`
-	Rejected   uint64  `json:"rejected"`
-	Shed       uint64  `json:"shed"`
-	Throughput float64 `json:"throughput_ops"` // wall ops/s over the interval
-	P50us      float64 `json:"p50_us"`
-	P99us      float64 `json:"p99_us"`
+	Interval   int
+	SimSeconds float64 // interval end, simulated seconds since the profile started
+	Mult       float64 // profile multiplier at the interval midpoint
+	Ops        uint64
+	Errors     uint64
+	Rejected   uint64
+	Shed       uint64
+	Throughput float64 // wall ops/s over the interval
+	P50us      float64
+	P99us      float64
 	// Per-shard IPC over the interval (Δinstructions/Δcycles from the
 	// scrape); empty without a scraper.
-	ShardIPC []float64 `json:"shard_ipc,omitempty"`
+	ShardIPC []float64
 	// Stall-cycle mix over the interval, aggregated across shards: the
 	// instruction-fetch share (L1I/L2I/LLC-I), the data share (L1D/L2D/LLC-D),
 	// and the remote-socket share, as percentages of interval stall cycles.
-	StallInstrPct  float64 `json:"stall_instr_pct"`
-	StallDataPct   float64 `json:"stall_data_pct"`
-	StallRemotePct float64 `json:"stall_remote_pct"`
+	StallInstrPct  float64
+	StallDataPct   float64
+	StallRemotePct float64
 }
 
 // MetricsScraper returns a Scrape func reading a Prometheus-text endpoint
@@ -126,13 +125,6 @@ func WriteTimelineCSV(w io.Writer, rows []TimelineRow) error {
 		}
 	}
 	return nil
-}
-
-// WriteTimelineJSON renders rows as an indented JSON array.
-func WriteTimelineJSON(w io.Writer, rows []TimelineRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // --- observer ---------------------------------------------------------------

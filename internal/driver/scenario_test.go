@@ -2,7 +2,6 @@ package driver_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -57,11 +56,8 @@ func TestScenarioFlashCrowdWithAdmission(t *testing.T) {
 		t.Fatalf("driver.Run: %v", err)
 	}
 	rows := rep.Timeline
-	var csv, jsonBuf bytes.Buffer
+	var csv bytes.Buffer
 	if err := driver.WriteTimelineCSV(&csv, rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := driver.WriteTimelineJSON(&jsonBuf, rows); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Ops == 0 {
@@ -135,21 +131,10 @@ func TestScenarioFlashCrowdWithAdmission(t *testing.T) {
 		t.Fatalf("CSV header = %q, want %q", lines[0], want)
 	}
 
-	// JSON round-trips to the same rows.
-	var back []driver.TimelineRow
-	if err := json.Unmarshal(jsonBuf.Bytes(), &back); err != nil {
-		t.Fatalf("timeline JSON: %v", err)
-	}
-	if len(back) != len(rows) {
-		t.Fatalf("JSON has %d rows, want %d", len(back), len(rows))
-	}
-	if back[0].Interval != rows[0].Interval || back[len(back)-1].Ops != rows[len(rows)-1].Ops {
-		t.Fatal("JSON rows do not match the returned timeline")
-	}
 }
 
 // TestScenarioRequiresOpenLoop pins the validation surface: time
-// compression and load profiles both need an offered rate.
+// compression, load profiles and Poisson arrivals all need an offered rate.
 func TestScenarioRequiresOpenLoop(t *testing.T) {
 	if _, err := driver.Run(driver.Config{Addr: "127.0.0.1:1", TimeScale: 10}); err == nil ||
 		!strings.Contains(err.Error(), "open-loop") {
@@ -159,5 +144,9 @@ func TestScenarioRequiresOpenLoop(t *testing.T) {
 	if _, err := driver.Run(driver.Config{Addr: "127.0.0.1:1", Profile: p}); err == nil ||
 		!strings.Contains(err.Error(), "open-loop") {
 		t.Fatalf("profile without rate: err = %v, want open-loop requirement", err)
+	}
+	if _, err := driver.Run(driver.Config{Addr: "127.0.0.1:1", Poisson: true}); err == nil ||
+		!strings.Contains(err.Error(), "open-loop") {
+		t.Fatalf("Poisson without rate: err = %v, want open-loop requirement", err)
 	}
 }

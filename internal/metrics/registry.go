@@ -29,11 +29,11 @@ func L(k, v string) Label { return Label{Key: k, Value: v} }
 // no background goroutine is needed.
 //
 // Families can belong to named collector groups (wmi_exporter style): a
-// scrape selects groups via /metrics?collect=engine,serving (or the
-// registry's configured default set), and only the selected groups' families
-// collect — so an expensive group (the PMU families, whose prepare hook
-// quiesces the engine) can be kept out of a high-frequency poll. Ungrouped
-// families render on every scrape.
+// scrape selects groups via /metrics?collect=engine,serving (a bare scrape
+// selects every group), and only the selected groups' families collect — so
+// an expensive group (the PMU families, whose prepare hook quiesces the
+// engine) can be kept out of a high-frequency poll. Ungrouped families render
+// on every scrape.
 //
 // Renders are serialized: one render holds the render lock across its hooks
 // and its collects, so every family of a scrape reads what that scrape's
@@ -43,7 +43,6 @@ type Registry struct {
 	mu       sync.Mutex // guards the fields below
 	families []*family
 	prepare  []*prepareHook
-	defaults []string // groups Render serves when the scrape names none; nil = all
 }
 
 type family struct {
@@ -93,19 +92,6 @@ func (r *Registry) Groups() []string {
 	return names
 }
 
-// SetDefaultGroups restricts what Render (and a bare /metrics scrape)
-// serves to the named groups plus ungrouped families. Unknown names error.
-func (r *Registry) SetDefaultGroups(names ...string) error {
-	cleaned, err := r.cleanGroups(names)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.defaults = cleaned
-	r.mu.Unlock()
-	return nil
-}
-
 // cleanGroups trims and validates a requested group list.
 func (r *Registry) cleanGroups(names []string) ([]string, error) {
 	known := make(map[string]bool)
@@ -139,18 +125,9 @@ func (r *Registry) OnScrapeGroups(f func(), groups ...string) {
 	r.mu.Unlock()
 }
 
-// Render writes the exposition of the default group selection (all groups
-// unless SetDefaultGroups narrowed it) to a string.
+// Render writes the exposition of every group to a string.
 func (r *Registry) Render() string {
-	r.mu.Lock()
-	defaults := r.defaults
-	r.mu.Unlock()
-	s, err := r.RenderGroups(defaults)
-	if err != nil {
-		// defaults were validated at SetDefaultGroups time; a group can only
-		// have vanished if families were somehow re-registered.
-		panic(err)
-	}
+	s, _ := r.RenderGroups(nil) // a nil selection cannot name an unknown group
 	return s
 }
 
@@ -227,7 +204,7 @@ func (r *Registry) RenderGroups(names []string) (string, error) {
 
 // ServeHTTP implements http.Handler with the text exposition format. A
 // ?collect=group,group query selects collector groups for this scrape
-// (overriding the registry's default set); unknown groups are a 400.
+// (without one, every group renders); unknown groups are a 400.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	body := ""
 	if q := req.URL.Query().Get("collect"); q != "" {

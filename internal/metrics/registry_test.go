@@ -58,24 +58,11 @@ func TestRenderGroupsSelects(t *testing.T) {
 	}
 }
 
-func TestGroupsAndDefaults(t *testing.T) {
-	r, hookRuns := testRegistry()
+func TestGroups(t *testing.T) {
+	r, _ := testRegistry()
 	got := r.Groups()
 	if len(got) != 2 || got[0] != "cheap" || got[1] != "pmu" {
 		t.Fatalf("Groups() = %v, want [cheap pmu]", got)
-	}
-	if err := r.SetDefaultGroups("nope"); err == nil {
-		t.Fatal("unknown default group accepted")
-	}
-	if err := r.SetDefaultGroups("cheap"); err != nil {
-		t.Fatal(err)
-	}
-	body := r.Render()
-	if strings.Contains(body, "pmu_metric") {
-		t.Fatalf("default render leaked pmu family:\n%s", body)
-	}
-	if *hookRuns != 0 {
-		t.Fatalf("default cheap render ran pmu hook %d times", *hookRuns)
 	}
 }
 
@@ -110,7 +97,7 @@ func TestServeHTTPCollectParam(t *testing.T) {
 		t.Fatalf("unknown group: status %d, want 400", rec.Code)
 	}
 
-	// A bare scrape serves everything (no default restriction set).
+	// A bare scrape serves every group.
 	rec = httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if !strings.Contains(rec.Body.String(), "pmu_metric 3") {

@@ -1,9 +1,9 @@
 package server
 
 import (
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"oltpsim/internal/catalog"
 	"oltpsim/internal/metrics"
@@ -82,64 +82,27 @@ func TestAdmissionQueueShed(t *testing.T) {
 	}
 }
 
-// TestAdmissionLatencyShed exercises the latency bound at the admit level:
-// with the EWMA over the bound, a request finds admission only while the
-// shard queue is empty — the nonempty-queue guard is what keeps a stale EWMA
-// from wedging an idle shard into shedding forever.
-func TestAdmissionLatencyShed(t *testing.T) {
+// TestAdmissionQueueBoundWithinCapacity: a bound above the shard queue's
+// capacity would never be reached — the reader would block on the full
+// queue instead of shedding — so New refuses it, naming both numbers.
+func TestAdmissionQueueBoundWithinCapacity(t *testing.T) {
 	cfg := microConfig(2)
-	cfg.AdmitLatencyMax = time.Millisecond
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatalf("server.New: %v", err)
+	cfg.AdmitQueueMax = queueDepth + 1
+	_, err := New(cfg)
+	if err == nil {
+		t.Fatalf("New accepted AdmitQueueMax %d over the queue capacity %d", cfg.AdmitQueueMax, queueDepth)
 	}
-	// Not started: no shard workers, so admitted requests stay queued and the
-	// queue-length precondition is under test control.
-	s.shard[0].svcEWMA.Store(int64(5 * time.Millisecond)) // well over the bound
-
-	// Empty queue: the latency trigger must NOT fire even though the EWMA is
-	// over the bound (a completion-starved reading proves nothing).
-	if v := s.admit(&request{part: 0}); v != admitOK {
-		t.Fatalf("admit on empty queue with high EWMA = %v, want admitOK", v)
-	}
-	// Nonempty queue + high EWMA: shed.
-	if v := s.admit(&request{part: 0}); v != admitShed {
-		t.Fatalf("admit on nonempty queue with high EWMA = %v, want admitShed", v)
-	}
-	if got := s.shard[0].shed.Load(); got != 1 {
-		t.Fatalf("shard[0].shed = %d, want 1", got)
-	}
-	// EWMA back under the bound: admitted again.
-	s.shard[0].svcEWMA.Store(int64(100 * time.Microsecond))
-	if v := s.admit(&request{part: 0}); v != admitOK {
-		t.Fatalf("admit with low EWMA = %v, want admitOK", v)
-	}
-	// Other shards are independent.
-	if v := s.admit(&request{part: 1}); v != admitOK {
-		t.Fatalf("admit on shard 1 = %v, want admitOK", v)
-	}
-	s.reqWG.Add(-3) // balance the admitted requests we will never serve
-
-	// noteLatency converges the EWMA toward the observed latency.
-	s.shard[1].svcEWMA.Store(0)
-	for i := 0; i < 64; i++ {
-		s.noteLatency(1, 8*time.Millisecond)
-	}
-	got := time.Duration(s.shard[1].svcEWMA.Load())
-	if got < 7*time.Millisecond || got > 8*time.Millisecond {
-		t.Fatalf("EWMA after 64 identical observations = %v, want ≈8ms", got)
+	for _, n := range []int{queueDepth + 1, queueDepth} {
+		if !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Errorf("refusal %q does not name %d", err, n)
+		}
 	}
 }
 
-// TestAdmissionOffKeepsBackpressure: with neither bound configured the server
-// must never emit ErrOverload — full queues mean blocking backpressure, as
-// before.
+// TestAdmissionOffKeepsBackpressure: without a queue bound the server must
+// never emit ErrOverload — full queues mean blocking backpressure, as before.
 func TestAdmissionOffKeepsBackpressure(t *testing.T) {
-	cfg := microConfig(2)
-	if cfg.AdmissionEnabled() {
-		t.Fatal("default config claims admission enabled")
-	}
-	s := startServer(t, cfg)
+	s := startServer(t, microConfig(2))
 	c := dialClient(t, s)
 	defer c.Close()
 	procID := c.prepare("micro_ro")

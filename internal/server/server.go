@@ -65,13 +65,9 @@ type Config struct {
 	// request arriving for a shard whose queue already holds AdmitQueueMax
 	// requests is shed with wire.ErrOverload instead of applying unbounded
 	// backpressure. Shed requests are counted per shard in the exposition.
+	// It cannot exceed the queue's capacity (queueDepth): a bound the queue
+	// never reaches would fall back to blocking without a word.
 	AdmitQueueMax int
-	// AdmitLatencyMax, when > 0, enables latency admission control: a
-	// request arriving for a shard whose recent mean service latency
-	// (an EWMA over completions, arrival to response) exceeds the bound —
-	// while requests are still queued, so the signal is current — is shed
-	// with wire.ErrOverload. Both bounds may be combined; either sheds.
-	AdmitLatencyMax time.Duration
 }
 
 const (
@@ -82,11 +78,6 @@ const (
 	// applies backpressure to connection readers.
 	queueDepth = 1024
 )
-
-// AdmissionEnabled reports whether either admission-control bound is set.
-func (c Config) AdmissionEnabled() bool {
-	return c.AdmitQueueMax > 0 || c.AdmitLatencyMax > 0
-}
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -156,7 +147,6 @@ type shardStats struct {
 	commits  atomic.Uint64     // 2PC branch commits
 	aborts   atomic.Uint64     // 2PC branch aborts (NO votes, abort decisions, timeouts)
 	shed     atomic.Uint64     // requests shed by admission control
-	svcEWMA  atomic.Int64      // EWMA of service latency, ns (single writer: the shard worker)
 
 	label metrics.Label // shard="p"
 	// The scrape's PMU observation of the shard's core (observePMU).
@@ -170,6 +160,9 @@ type shardStats struct {
 // dataset.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if cfg.AdmitQueueMax > queueDepth {
+		return nil, fmt.Errorf("server: admission bound %d exceeds the shard queue capacity %d", cfg.AdmitQueueMax, queueDepth)
+	}
 	if cfg.Cluster != nil {
 		if cfg.Node < 0 || cfg.Node >= cfg.Cluster.Nodes {
 			return nil, fmt.Errorf("server: node %d out of range for %s", cfg.Node, cfg.Cluster)
@@ -352,9 +345,8 @@ const (
 
 // admit routes a decoded request to its shard queue, or refuses it: draining
 // refuses everything, and — when admission control is configured — a shard
-// whose queue depth or recent service latency is over its bound sheds the
-// request instead of letting the queue (and every queued request's latency)
-// grow without bound. The blocking send still applies backpressure to the
+// whose queue depth is at its bound sheds the request instead of letting the
+// queue (and every queued request's latency) grow without bound. The blocking send still applies backpressure to the
 // connection reader when the queue is full and admission control is off.
 func (s *Server) admit(r *request) admitVerdict {
 	s.mu.RLock()
@@ -368,15 +360,6 @@ func (s *Server) admit(r *request) admitVerdict {
 		s.mu.RUnlock()
 		return admitShed
 	}
-	// The latency trigger only fires while the queue is nonempty: completions
-	// of queued requests are what keep the EWMA current, so an idle shard can
-	// never wedge itself shedding on a stale reading.
-	if s.cfg.AdmitLatencyMax > 0 && len(s.queues[p]) > 0 &&
-		time.Duration(s.shard[p].svcEWMA.Load()) > s.cfg.AdmitLatencyMax {
-		s.shard[p].shed.Add(1)
-		s.mu.RUnlock()
-		return admitShed
-	}
 	s.reqWG.Add(1)
 	s.shard[p].requests.Add(1)
 	s.queues[p] <- r
@@ -385,14 +368,9 @@ func (s *Server) admit(r *request) admitVerdict {
 }
 
 // noteLatency records one completed request's arrival-to-response latency
-// into the shard's service histogram and admission EWMA (gain 1/8). The
-// shard worker is the only writer of its shard's EWMA, so load-then-store
-// needs no CAS; admit reads it concurrently.
+// into the shard's service histogram.
 func (s *Server) noteLatency(w int, d time.Duration) {
-	st := &s.shard[w]
-	st.svcHist.Record(uint64(d))
-	old := st.svcEWMA.Load()
-	st.svcEWMA.Store(old + (d.Nanoseconds()-old)/8)
+	s.shard[w].svcHist.Record(uint64(d))
 }
 
 // shardWorker is the group-execute loop for one shard: it owns simulated
@@ -691,7 +669,6 @@ var families = []family{
 	{groupTwoPC, "oltpd_2pc_commits_total", "counter", "2PC branches committed per shard", perShard(func(st *shardStats) float64 { return float64(st.commits.Load()) })},
 	{groupTwoPC, "oltpd_2pc_aborts_total", "counter", "2PC branches aborted per shard (NO votes, abort decisions, decision timeouts)", perShard(func(st *shardStats) float64 { return float64(st.aborts.Load()) })},
 	{groupServing, "oltpd_shed_total", "counter", "requests shed by admission control per shard (wire.ErrOverload)", perShard(func(st *shardStats) float64 { return float64(st.shed.Load()) })},
-	{groupServing, "oltpd_admit_latency_ewma_seconds", "gauge", "per-shard service-latency EWMA driving latency admission control", perShard(func(st *shardStats) float64 { return float64(st.svcEWMA.Load()) * 1e-9 })},
 	{groupTxn, "oltpd_tx_total", "counter", "committed transactions per shard (simulated PMU)", perShard(func(st *shardStats) float64 { return float64(st.snap.TxCount) })},
 	{groupEngine, "oltpd_instructions_total", "counter", "retired instructions per shard (simulated PMU)", perShard(func(st *shardStats) float64 { return float64(st.snap.Instructions) })},
 	{groupEngine, "oltpd_cache_misses_total", "counter", "cache misses per shard and level (simulated PMU)", perShardBy("level",

@@ -405,14 +405,6 @@ func TestMetricsCollectorGroups(t *testing.T) {
 		t.Fatalf("?collect=bogus: status %d, want 400", rec.Code)
 	}
 
-	// oltpd -collectors: defaults narrow a bare scrape the same way.
-	if err := s.Registry().SetDefaultGroups("serving", "twopc"); err != nil {
-		t.Fatal(err)
-	}
-	body := s.Registry().Render()
-	if !strings.Contains(body, "oltpd_2pc_prepares_total") || strings.Contains(body, "oltpd_ipc") {
-		t.Fatalf("narrowed default render wrong:\n%s", body)
-	}
 }
 
 // TestScrapeIsOneInstant: every PMU family of one scrape describes the same

@@ -133,21 +133,91 @@ func declaredFlags(t *testing.T, files ...string) map[string]bool {
 	return flags
 }
 
-// TestReadmeDriverFlags holds README to oltpdrive's flag set: every flag on
-// an `oltpdrive …` command line in a sh block (continuation lines included)
-// is one the command declares, and every flag it declares, its own and the
-// shared workload flags, is named somewhere in README.
+// flagFiles names, per command README runs, the files that declare its
+// flags: the serving commands share the workload flags, and oltpsim's
+// analyze and compare subcommands declare theirs beside its figure flags.
+var flagFiles = map[string][]string{
+	"oltpd":     {"cmd/oltpd/main.go", "internal/workload/specflags.go"},
+	"oltpdrive": {"cmd/oltpdrive/main.go", "internal/workload/specflags.go"},
+	"oltpsim":   {"cmd/oltpsim/main.go", "cmd/oltpsim/analyze.go"},
+}
+
+// TestReadmeDriverFlags holds README to the flag sets of oltpdrive, oltpd and
+// oltpsim: every flag on a command line of theirs in a sh block (`go run
+// ./cmd/<name>` included, continuation lines joined) is one the command
+// declares, and every flag it declares has a row in the "Option surface"
+// table, whose rows name no other flag. The table's fields are held to
+// server.Config and driver.Config the same way.
 func TestReadmeDriverFlags(t *testing.T) {
-	readme, err := os.ReadFile("README.md")
+	readmeBytes, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	declared := declaredFlags(t, "cmd/oltpdrive/main.go", "internal/workload/specflags.go")
-	if len(declared) == 0 {
-		t.Fatal("found no flag declarations")
+	readme := string(readmeBytes)
+	rows := surfaceRows(t, readme)
+	for name, files := range flagFiles {
+		t.Run(name, func(t *testing.T) {
+			declared := declaredFlags(t, files...)
+			if len(declared) == 0 {
+				t.Fatal("found no flag declarations")
+			}
+			if commandLineFlags(t, readme, name, declared) == 0 {
+				t.Fatalf("README has no %s command line in a sh block", name)
+			}
+			tabled := make(map[string]bool)
+			for _, r := range rows {
+				if !slices.ContainsFunc(r.surfaces, func(s string) bool { return strings.Fields(s)[0] == name }) ||
+					!strings.HasPrefix(r.option, "-") {
+					continue
+				}
+				flag := strings.TrimPrefix(r.option, "-")
+				tabled[flag] = true
+				if !declared[flag] {
+					t.Errorf("the option surface lists %s -%s, which it does not declare", name, flag)
+				}
+			}
+			for flag := range declared {
+				if !tabled[flag] {
+					t.Errorf("%s declares -%s, which has no row in the option surface", name, flag)
+				}
+			}
+		})
 	}
+	for _, c := range []struct{ file, pkg, cmd string }{
+		{"internal/server/server.go", "server", "oltpd"},
+		{"internal/driver/driver.go", "driver", "oltpdrive"},
+	} {
+		fields := configFields(t, c.file)
+		named := make(map[string]bool)
+		for _, r := range rows {
+			for _, s := range r.surfaces {
+				switch {
+				case s == c.cmd && r.field != "":
+					named[r.field] = true
+				case s == c.pkg+".Config":
+					named[r.option] = true
+				}
+			}
+		}
+		for f := range named {
+			if !fields[f] {
+				t.Errorf("the option surface names %s.Config.%s, which is not a field", c.pkg, f)
+			}
+		}
+		for f := range fields {
+			if !named[f] {
+				t.Errorf("%s.Config.%s has no row in the option surface", c.pkg, f)
+			}
+		}
+	}
+}
 
-	blocks := regexp.MustCompile("(?s)```sh\n(.*?)```").FindAllStringSubmatch(string(readme), -1)
+// commandLineFlags checks every flag on a `name …` or `go run ./cmd/name …`
+// command line in README's sh blocks against declared and returns how many
+// such lines it read.
+func commandLineFlags(t *testing.T, readme, name string, declared map[string]bool) int {
+	t.Helper()
+	blocks := regexp.MustCompile("(?s)```sh\n(.*?)```").FindAllStringSubmatch(readme, -1)
 	flagTok := regexp.MustCompile(`^-{1,2}([a-z][a-z0-9-]*)(=.*)?$`)
 	lines := 0
 	for _, b := range blocks {
@@ -158,24 +228,87 @@ func TestReadmeDriverFlags(t *testing.T) {
 				cmd = strings.TrimSuffix(cmd, "\\") + " "
 				continue
 			}
-			if fields := strings.Fields(cmd); len(fields) > 0 && fields[0] == "oltpdrive" {
-				lines++
-				for _, f := range fields[1:] {
-					if m := flagTok.FindStringSubmatch(f); m != nil && !declared[m[1]] {
-						t.Errorf("README runs oltpdrive with -%s, which it does not declare:\n%s", m[1], strings.Join(fields, " "))
-					}
+			fields := strings.Fields(cmd)
+			cmd = ""
+			if len(fields) >= 3 && fields[0] == "go" && fields[1] == "run" && fields[2] == "./cmd/"+name {
+				fields = fields[2:]
+			} else if len(fields) == 0 || fields[0] != name {
+				continue
+			}
+			lines++
+			for _, f := range fields[1:] {
+				if f == "#" {
+					break
+				}
+				if m := flagTok.FindStringSubmatch(f); m != nil && !declared[m[1]] {
+					t.Errorf("README runs %s with -%s, which it does not declare:\n%s", name, m[1], strings.Join(fields, " "))
 				}
 			}
-			cmd = ""
 		}
 	}
-	if lines == 0 {
-		t.Fatal("README has no oltpdrive command line in a sh block")
-	}
+	return lines
+}
 
-	for name := range declared {
-		if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`).Match(readme) {
-			t.Errorf("oltpdrive declares -%s, which README never names", name)
-		}
+// surfaceRow is one row of README's "Option surface" table: the surfaces
+// that accept the option, the option (a flag, a field, a profile or a
+// format), and the Config field it sets ("" for none).
+type surfaceRow struct {
+	surfaces      []string
+	option, field string
+}
+
+func surfaceRows(t *testing.T, readme string) []surfaceRow {
+	t.Helper()
+	_, section, ok := strings.Cut(readme, "\n### Option surface\n")
+	if !ok {
+		t.Fatal(`README.md has no "### Option surface" section`)
 	}
+	section, _, _ = strings.Cut(section, "\n#")
+	code := regexp.MustCompile("`([^`]+)`")
+	first := func(cell string) string {
+		if m := code.FindStringSubmatch(cell); m != nil {
+			return m[1]
+		}
+		return ""
+	}
+	var rows []surfaceRow
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 6 || strings.HasPrefix(cells[1], "---") || strings.TrimSpace(cells[1]) == "Surface" {
+			continue
+		}
+		r := surfaceRow{option: first(cells[2]), field: first(cells[3])}
+		for _, m := range code.FindAllStringSubmatch(cells[1], -1) {
+			r.surfaces = append(r.surfaces, m[1])
+		}
+		rows = append(rows, r)
+	}
+	if len(rows) == 0 {
+		t.Fatal("the option surface has no rows")
+	}
+	return rows
+}
+
+// configFields returns the field names of the struct type Config in file.
+func configFields(t *testing.T, file string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := make(map[string]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "Config" {
+			for _, fl := range ts.Type.(*ast.StructType).Fields.List {
+				for _, id := range fl.Names {
+					fields[id.Name] = true
+				}
+			}
+		}
+		return true
+	})
+	if len(fields) == 0 {
+		t.Fatalf("%s declares no Config struct", file)
+	}
+	return fields
 }

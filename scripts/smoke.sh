@@ -229,15 +229,26 @@ analyze)
     # error of the live report), self-compare, and scrape by collector group.
     drive report.json -conns 4 -warmup 200ms -duration 1s -reqlog "$tmp/run.olog"
     "$tmp/oltpsim" analyze "$tmp/run.olog"
-    "$tmp/oltpsim" analyze -format json "$tmp/run.olog" >"$tmp/analyze.json"
+    "$tmp/oltpsim" analyze -segments 4 -format json "$tmp/run.olog" >"$tmp/analyze.json"
     "$tmp/oltpsim" compare "$tmp/run.olog" "$tmp/run.olog"
+    "$tmp/oltpsim" compare -threshold 0.1 -format json "$tmp/run.olog" "$tmp/run.olog" >"$tmp/compare.json"
+    # oltpsim's figure flags, on the cheapest figure that simulates cells.
+    "$tmp/oltpsim" -list | grep -qx '  3' || die "oltpsim -list does not name figure 3"
+    "$tmp/oltpsim" -figure 3 -scale quick -workers 2 -v -markdown \
+        -cpuprofile "$tmp/cpu.out" -memprofile "$tmp/mem.out" >"$tmp/fig3.md" 2>"$tmp/fig3.err"
+    grep -q '^| ' "$tmp/fig3.md" || die "-markdown rendered no table"
+    grep -q '(5 experiment cells simulated, 2 workers)' "$tmp/fig3.err" || die "-v did not count Figure 3's cells on 2 workers"
+    [ -s "$tmp/cpu.out" ] && [ -s "$tmp/mem.out" ] || die "-cpuprofile/-memprofile wrote no profile"
     scrape "$MADDR/metrics?collect=serving" serving.txt
     scrape "$MADDR/metrics?collect=engine,txn" engine.txt
     ! scrape "$MADDR/metrics?collect=bogus" bogus.txt 2>/dev/null || die "unknown collector group was not rejected"
-    python3 - "$tmp/report.json" "$tmp/analyze.json" "$tmp/serving.txt" "$tmp/engine.txt" <<'EOF'
+    python3 - "$tmp/report.json" "$tmp/analyze.json" "$tmp/serving.txt" "$tmp/engine.txt" "$tmp/compare.json" <<'EOF'
 import json, sys
 rep = json.load(open(sys.argv[1]))
 ana = json.load(open(sys.argv[2]))
+cmp = json.load(open(sys.argv[5]))
+assert cmp["threshold"] == 0.1 and not cmp["regressed"], f'self-compare at -threshold 0.1: {cmp["threshold"]}, regressed {cmp["regressed"]}'
+assert len(ana["segments"]) == 4, f'-segments 4 cut {len(ana["segments"])} segments'
 assert rep["Ops"] > 0, "driver completed zero ops"
 total = ana["total"]
 assert total["ops"] == rep["Ops"], f'analyze ops {total["ops"]} != report {rep["Ops"]}'
